@@ -13,6 +13,11 @@ Backend selection: setting the ``INERTDRIFT_NO_NUMBA`` environment
 variable to anything other than ``""`` or ``"0"`` forces the numpy
 backend; otherwise numba is used whenever it imports.
 
+Every kernel takes the mutable state arrays, the chunk's noise, the
+global index of the chunk's first step, and ``params``: one plain tuple of
+the run's read-only constants, built once per run by the family's helper
+in :mod:`inertdrift.simulate` and unpacked in one statement.
+
 Kernels cover constant-coefficient runs on intervals (bounded or
 half-line) and balls; everything else goes through the generic per-step
 driver in :mod:`inertdrift.simulate`.
@@ -63,7 +68,7 @@ FLAG_NAMES = {
     FLAG_WEIGHT_OVERFLOW: "weight_overflow",
 }
 
-_LOG_WEIGHT_CAP = 700.0
+LOG_WEIGHT_CAP = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -73,34 +78,10 @@ _LOG_WEIGHT_CAP = 700.0
 
 @njit(cache=True)
 def _reflected_chunk_loop(
-    x,
-    k,
-    ell,
-    logw,
-    flags,
-    z,
-    dt,
-    sqrt_dt,
-    S,
-    b,
-    UM,
-    VM,
-    SI,
-    use_k,
-    do_weight,
-    dkind,
-    dlo,
-    dhi,
-    dcenter,
-    dradius,
-    gstep0,
-    first_snap,
-    snap_every,
-    out_x,
-    out_k,
-    out_ell,
-    counters,
+    x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, gstep0, params
 ):  # pragma: no cover - compiled; the numpy twin carries coverage
+    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, dkind, dlo, dhi, _,
+     dcenter, dradius, first_snap, snap_every) = params
     P, C, d = z.shape
     for p in range(P):
         if flags[p] != FLAG_OK:
@@ -119,7 +100,7 @@ def _reflected_chunk_loop(
                     acc1 += wi * (sqrt_dt * z[p, c, i])
                     acc2 += wi * wi
                 logw[p] += acc1 - 0.5 * acc2 * dt
-                if logw[p] > _LOG_WEIGHT_CAP:
+                if logw[p] > LOG_WEIGHT_CAP:
                     flags[p] = FLAG_WEIGHT_OVERFLOW
                     counters[2] += 1
                     break
@@ -196,35 +177,11 @@ def _reflected_chunk_loop(
 
 
 def _reflected_chunk_vec(
-    x,
-    k,
-    ell,
-    logw,
-    flags,
-    z,
-    dt,
-    sqrt_dt,
-    S,
-    b,
-    UM,
-    VM,
-    SI,
-    use_k,
-    do_weight,
-    dkind,
-    dlo,
-    dhi,
-    dcenter,
-    dradius,
-    gstep0,
-    first_snap,
-    snap_every,
-    out_x,
-    out_k,
-    out_ell,
-    counters,
+    x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, gstep0, params
 ):
     """Vectorized twin of :func:`_reflected_chunk_loop` (same arithmetic)."""
+    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, dkind, dlo, dhi, _,
+     dcenter, dradius, first_snap, snap_every) = params
     P, C, d = z.shape
     for c in range(C):
         alive = flags == FLAG_OK
@@ -241,7 +198,7 @@ def _reflected_chunk_vec(
                 acc1 = acc1 + wi * (sqrt_dt * Z[:, i])
                 acc2 = acc2 + wi * wi
             logw[alive] = logw[alive] + (acc1 - 0.5 * acc2 * dt)[alive]
-            ovf = alive & (logw > _LOG_WEIGHT_CAP)
+            ovf = alive & (logw > LOG_WEIGHT_CAP)
             if ovf.any():
                 flags[ovf] = FLAG_WEIGHT_OVERFLOW
                 counters[2] += int(ovf.sum())
@@ -393,41 +350,12 @@ def _smooth_delta_loop(xvec, gd, dkind, dlo, dhi, dmid, dcap, dcenter, dradius):
 
 @njit(cache=True)
 def _gradient_chunk_loop(
-    x,
-    k,
-    flags,
-    z,
-    pool,
-    cursor,
-    progress,
-    need,
-    dt,
-    S,
-    b,
-    A2,
-    NU,
-    vn,
-    h_max,
-    delta_guard,
-    delta_floor,
-    exp_cap,
-    dkind,
-    dlo,
-    dhi,
-    dmid,
-    dcap,
-    dcenter,
-    dradius,
-    gstep0,
-    first_snap,
-    snap_every,
-    max_sub,
-    resample_cap,
-    out_x,
-    out_k,
-    out_ell,
-    counters,
+    x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor, progress,
+    need, gstep0, params,
 ):  # pragma: no cover - compiled; the numpy twin carries coverage
+    (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap, dkind,
+     dlo, dhi, dmid, dcap, dcenter, dradius, first_snap, snap_every, max_sub,
+     resample_cap) = params
     P, C, d = z.shape
     pool_len = pool.shape[1]
     for p in range(P):
@@ -556,41 +484,18 @@ def _gradient_chunk_loop(
 
 
 def _gradient_chunk_vec(
-    x,
-    k,
-    flags,
-    z,
-    pool,
-    cursor,
-    progress,
-    need,
-    dt,
-    S,
-    b,
-    A2,
-    NU,
-    vn,
-    h_max,
-    delta_guard,
-    delta_floor,
-    exp_cap,
-    sd,
-    gstep0,
-    first_snap,
-    snap_every,
-    max_sub,
-    resample_cap,
-    out_x,
-    out_k,
-    out_ell,
-    counters,
+    sd, x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
+    progress, need, gstep0, params,
 ):
     """Vectorized twin of :func:`_gradient_chunk_loop`.
 
-    Takes the SmoothDistance object directly (same formulas the compiled
-    kernel re-implements).  Paths are advanced step-synchronously; after a
-    pool refill only the lagging paths re-enter the early steps.
+    Evaluates the SmoothDistance object ``sd`` directly (same formulas the
+    compiled kernel re-implements from the scalar domain entries of
+    ``params``).  Paths are advanced step-synchronously; after a pool
+    refill only the lagging paths re-enter the early steps.
     """
+    (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap, _, _, _,
+     _, _, _, _, first_snap, snap_every, max_sub, resample_cap) = params
     P, C, d = z.shape
     pool_len = pool.shape[1]
     todo = (flags == FLAG_OK) & (progress < C)
@@ -743,11 +648,15 @@ def _gradient_chunk_vec(
             progress[frows] = c + 1
 
 
+def _require_numba():
+    if not HAVE_NUMBA:
+        raise RuntimeError("numba backend requested but numba is unavailable")
+
+
 def reflected_chunk(backend, *args):
     """Dispatch one reflected-family chunk to the requested backend."""
     if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
+        _require_numba()
         _reflected_chunk_loop(*args)
     else:
         _reflected_chunk_vec(*args)
@@ -756,58 +665,11 @@ def reflected_chunk(backend, *args):
 def gradient_chunk(backend, sd, *args):
     """Dispatch one gradient-family chunk to the requested backend.
 
-    The compiled kernel receives the geometry of ``sd`` as scalars; the
-    numpy twin uses the SmoothDistance object itself.
+    The compiled kernel reads the geometry of ``sd`` from the scalar domain
+    entries of its params tuple; the numpy twin evaluates ``sd`` itself.
     """
-    (
-        x,
-        k,
-        flags,
-        z,
-        pool,
-        cursor,
-        progress,
-        need,
-        dt,
-        S,
-        b,
-        A2,
-        NU,
-        vn,
-        h_max,
-        delta_guard,
-        delta_floor,
-        exp_cap,
-        dkind,
-        dlo,
-        dhi,
-        dmid,
-        dcap,
-        dcenter,
-        dradius,
-        gstep0,
-        first_snap,
-        snap_every,
-        max_sub,
-        resample_cap,
-        out_x,
-        out_k,
-        out_ell,
-        counters,
-    ) = args
     if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        _gradient_chunk_loop(
-            x, k, flags, z, pool, cursor, progress, need, dt, S, b, A2, NU,
-            vn, h_max, delta_guard, delta_floor, exp_cap, dkind, dlo, dhi,
-            dmid, dcap, dcenter, dradius, gstep0, first_snap, snap_every,
-            max_sub, resample_cap, out_x, out_k, out_ell, counters,
-        )
+        _require_numba()
+        _gradient_chunk_loop(*args)
     else:
-        _gradient_chunk_vec(
-            x, k, flags, z, pool, cursor, progress, need, dt, S, b, A2, NU,
-            vn, h_max, delta_guard, delta_floor, exp_cap, sd, gstep0,
-            first_snap, snap_every, max_sub, resample_cap, out_x, out_k,
-            out_ell, counters,
-        )
+        _gradient_chunk_vec(sd, *args)

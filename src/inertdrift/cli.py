@@ -181,9 +181,9 @@ def _parse_potential(data, domain):
     kind = _require(block, "kind", "potential", str, "a string")
     if kind != "regularized_vn":
         raise ConfigError("potential.kind must be 'regularized_vn'")
-    n = _require(block, "n", "potential", (int, float), "a positive number")
-    if n <= 0:
-        raise ConfigError("potential.n must be a positive number")
+    n = _require(block, "n", "potential", (int, float), "a positive integer")
+    if n <= 0 or (isinstance(n, float) and not n.is_integer()):
+        raise ConfigError("potential.n must be a positive integer, got %r" % (n,))
     extra = set(block) - {"kind", "n"}
     if extra:
         raise ConfigError("potential.%s is not a recognized field" % sorted(extra)[0])
@@ -259,10 +259,10 @@ def load_run_config(source):
             )
     if "angular" in tests and dim != 2:
         raise ConfigError("tests: 'angular' requires dimension 2")
-    if tests and sim is not None and sim.family == "driftless":
+    if tests and sim is not None and sim.family == "driftless_weighted":
         raise ConfigError(
-            "tests cannot run on the weighted 'driftless' family; compare "
-            "weighted expectations directly"
+            "tests cannot run on the weighted 'driftless_weighted' family; "
+            "compare weighted expectations directly"
         )
 
     bins = 40
@@ -495,13 +495,15 @@ def cmd_residual(args):
     cfg = load_run_config(args.config)
     if cfg.cs is None:
         raise ConfigError("config.coefficients is required by 'residual'")
+    count = cfg.residual["count"] if args.count is None else args.count
+    seed = cfg.residual["seed"] if args.seed is None else args.seed
+    tol = cfg.residual["tolerance"] if args.tolerance is None else args.tolerance
+    if count < 1:
+        raise ConfigError("residual count must be at least 1, got %d" % count)
     config_id = _config_id(args.config)
     out_dir = _resolve_out_dir(args.output_dir, cfg.output_dir, "residual",
                                config_id)
     os.makedirs(out_dir, exist_ok=True)
-    count = args.count or cfg.residual["count"]
-    seed = cfg.residual["seed"] if args.seed is None else args.seed
-    tol = args.tolerance or cfg.residual["tolerance"]
     sm = StationaryMeasure(cfg.cs, potential=cfg.potential)
     fns = bump_basis(cfg.domain, cfg.cs.gamma, count=count, seed=seed)
     rows = []

@@ -47,6 +47,7 @@ from ._kernels import (
     FLAG_OK,
     FLAG_REFLECT_FAILURE,
     FLAG_WEIGHT_OVERFLOW,
+    LOG_WEIGHT_CAP,
     active_backend,
 )
 from .coefficients import Potential, PotentialOverflowError
@@ -56,7 +57,6 @@ FAMILIES = ("reflected", "gradient", "driftless_weighted")
 
 MAX_SUBSTEPS = 200
 RESAMPLE_CAP = 50
-LOG_WEIGHT_CAP = 700.0
 
 
 def _as_vector(value, d, name):
@@ -330,7 +330,7 @@ def girsanov_weight_step(cs, state, weight, dB, dt):
     k = np.atleast_1d(np.asarray(state.k, float))
     dB = _as_vector(dB, x.shape[0], "dB")
     w = np.linalg.solve(cs.sigma(x), k)
-    lw = weight.log_weight + float(w @ dB) - 0.5 * float(w @ w) * dt
+    lw = weight.log_weight + (float(w @ dB) - 0.5 * float(w @ w) * dt)
     return GirsanovWeight(log_weight=lw)
 
 
@@ -597,20 +597,46 @@ def _push_matrices(cs, ref_point):
     return UM, VM
 
 
+def _h_max(cfg, domain):
+    """Largest drift displacement of one gradient-family sub-move."""
+    return cfg.h_max_fraction * domain.inradius if cfg.adaptive else np.inf
+
+
+def _reflected_params(cs, domain, cfg, x0):
+    """Read-only constants of a reflected-family kernel run, in the order
+    the kernels unpack them."""
+    Smat = cs.sigma(x0)
+    UM, VM = _push_matrices(cs, x0)
+    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
+    return (
+        cfg.dt_base, np.sqrt(cfg.dt_base), Smat, np.linalg.inv(Smat),
+        np.asarray(cs.constant_drift, float), UM, VM,
+        cfg.family == "reflected", cfg.family == "driftless_weighted",
+        dkind, dlo, dhi, dmid, dcenter, dradius,
+        cfg.first_snapshot_step, int(cfg.snap_every),
+    )
+
+
+def _gradient_params(cs, potential, cfg, x0, guard):
+    """Read-only constants of a gradient-family kernel run, in the order
+    the kernels unpack them."""
+    domain = potential.domain
+    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
+    return (
+        cfg.dt_base, cs.sigma(x0), np.asarray(cs.constant_drift, float),
+        0.5 * cs.a_matrix(x0), 0.5 * np.asarray(cs.gamma, float),
+        float(potential.n), _h_max(cfg, domain), float(guard),
+        float(potential.delta_floor), float(Potential.EXPONENT_CAP),
+        dkind, dlo, dhi, dmid, float(potential.distance._cap), dcenter, dradius,
+        cfg.first_snapshot_step, int(cfg.snap_every),
+        int(cfg.max_substeps), int(cfg.resample_cap),
+    )
+
+
 def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
     P, d = cfg.n_paths, domain.d
     steps = cfg.n_steps
-    S = cfg.n_snapshots
-    dt = cfg.dt_base
-    sqrt_dt = np.sqrt(dt)
-    use_k = cfg.family == "reflected"
-    do_weight = cfg.family == "driftless_weighted"
-
-    Smat = cs.sigma(x0)
-    SI = np.linalg.inv(Smat)
-    b = np.asarray(cs.constant_drift, float)
-    UM, VM = _push_matrices(cs, x0)
-    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
+    params = _reflected_params(cs, domain, cfg, x0)
 
     x = np.tile(x0, (P, 1))
     k = np.tile(k0, (P, 1))
@@ -618,11 +644,9 @@ def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
     logw = np.zeros(P)
     flags = np.zeros(P, dtype=np.int64)
     counters = np.zeros(3, dtype=np.int64)
-    out_x, out_k, out_ell = _alloc_outputs(P, S, d)
+    out_x, out_k, out_ell = _alloc_outputs(P, cfg.n_snapshots, d)
     rngs = _spawn_rngs(cfg.seed, P)
 
-    first_snap = cfg.first_snapshot_step
-    snap_every = int(cfg.snap_every)
     chunk = int(cfg.chunk_size)
     for start in range(0, steps, chunk):
         C = min(chunk, steps - start)
@@ -630,34 +654,8 @@ def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
         for p in range(P):
             z[p] = rngs[p].standard_normal((C, d))
         _kernels.reflected_chunk(
-            backend,
-            x,
-            k,
-            ell,
-            logw,
-            flags,
-            z,
-            dt,
-            sqrt_dt,
-            Smat,
-            b,
-            UM,
-            VM,
-            SI,
-            use_k,
-            do_weight,
-            dkind,
-            dlo,
-            dhi,
-            dcenter,
-            dradius,
-            start,
-            first_snap,
-            snap_every,
-            out_x,
-            out_k,
-            out_ell,
-            counters,
+            backend, x, k, ell, logw, flags, out_x, out_k, out_ell, counters,
+            z, start, params,
         )
     diagnostics = {
         "contacts": int(counters[0]),
@@ -671,7 +669,7 @@ def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
         k=out_k,
         ell=out_ell,
         flags=flags,
-        log_weights=logw if do_weight else None,
+        log_weights=logw if cfg.family == "driftless_weighted" else None,
         diagnostics=diagnostics,
         config=cfg,
         backend=backend,
@@ -680,32 +678,17 @@ def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
 
 
 def _run_gradient_kernel(cs, potential, cfg, x0, k0, guard, backend):
-    domain = potential.domain
-    sd = potential.distance
-    P, d = cfg.n_paths, domain.d
+    P, d = cfg.n_paths, potential.domain.d
     steps = cfg.n_steps
-    S = cfg.n_snapshots
-    dt = cfg.dt_base
-
-    Smat = cs.sigma(x0)
-    b = np.asarray(cs.constant_drift, float)
-    A2 = 0.5 * cs.a_matrix(x0)
-    NU = 0.5 * np.asarray(cs.gamma, float)
-    h_max = (
-        cfg.h_max_fraction * domain.inradius if cfg.adaptive else np.inf
-    )
-    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
-    dcap = float(sd._cap)
+    params = _gradient_params(cs, potential, cfg, x0, guard)
 
     x = np.tile(x0, (P, 1))
     k = np.tile(k0, (P, 1))
     flags = np.zeros(P, dtype=np.int64)
     counters = np.zeros(2, dtype=np.int64)
-    out_x, out_k, out_ell = _alloc_outputs(P, S, d)
+    out_x, out_k, out_ell = _alloc_outputs(P, cfg.n_snapshots, d)
     rngs = _spawn_rngs(cfg.seed, P)
 
-    first_snap = cfg.first_snapshot_step
-    snap_every = int(cfg.snap_every)
     chunk = int(cfg.chunk_size)
     pool_refills = 0
     for start in range(0, steps, chunk):
@@ -721,42 +704,9 @@ def _run_gradient_kernel(cs, potential, cfg, x0, k0, guard, backend):
         need = np.zeros(P, dtype=np.int64)
         while True:
             _kernels.gradient_chunk(
-                backend,
-                sd,
-                x,
-                k,
-                flags,
-                z,
-                pool,
-                cursor,
-                progress,
-                need,
-                dt,
-                Smat,
-                b,
-                A2,
-                NU,
-                float(potential.n),
-                h_max,
-                guard,
-                potential.delta_floor,
-                Potential.EXPONENT_CAP,
-                dkind,
-                dlo,
-                dhi,
-                dmid,
-                dcap,
-                dcenter,
-                dradius,
-                start,
-                first_snap,
-                snap_every,
-                int(cfg.max_substeps),
-                int(cfg.resample_cap),
-                out_x,
-                out_k,
-                out_ell,
-                counters,
+                backend, potential.distance, x, k, flags, out_x, out_k,
+                out_ell, counters, z, pool, cursor, progress, need, start,
+                params,
             )
             idx = np.where(need == 1)[0]
             if len(idx) == 0:
@@ -795,9 +745,7 @@ def _run_generic(cs, domain, potential, cfg, x0, k0, guard):
     sqrt_dt = np.sqrt(dt)
     family = cfg.family
     do_weight = family == "driftless_weighted"
-    h_max = (
-        cfg.h_max_fraction * domain.inradius if cfg.adaptive else np.inf
-    )
+    h_max = _h_max(cfg, domain)
 
     flags = np.zeros(P, dtype=np.int64)
     logw = np.zeros(P)
@@ -828,9 +776,9 @@ def _run_generic(cs, domain, potential, cfg, x0, k0, guard):
                     )
                 else:
                     if do_weight:
-                        w = np.linalg.solve(cs.sigma(state.x), state.k)
-                        dB = sqrt_dt * z
-                        logw[p] += float(w @ dB) - 0.5 * float(w @ w) * dt
+                        logw[p] = girsanov_weight_step(
+                            cs, state, GirsanovWeight(logw[p]), sqrt_dt * z, dt
+                        ).log_weight
                         if logw[p] > LOG_WEIGHT_CAP:
                             flags[p] = FLAG_WEIGHT_OVERFLOW
                             break

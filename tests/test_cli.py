@@ -21,12 +21,10 @@ from inertdrift import (
     solve_skorokhod,
     write_path_csv,
 )
-from inertdrift._kernels import HAVE_NUMBA
 from inertdrift.cli import ConfigError, emit_histograms, load_run_config, main
 from inertdrift.simulate import SimConfig, TrajectoryBatch
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not active")
 
 
 def base_config(**overrides):
@@ -105,6 +103,25 @@ def test_potential_requires_gradient_family():
         load_run_config(cfg)
 
 
+@pytest.mark.parametrize("n", [2.5, 0, float("inf")])
+def test_potential_n_must_be_a_positive_integer(tmp_path, capsys, n):
+    cfg = base_config(potential={"kind": "regularized_vn", "n": n})
+    cfg["sim"]["family"] = "gradient"
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "potential.n must be a positive integer" in capsys.readouterr().err
+
+
+def test_tests_on_weighted_family_exit_2_before_simulating(tmp_path, capsys):
+    cfg = base_config(tests=["ks"])
+    cfg["sim"]["family"] = "driftless_weighted"
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "driftless_weighted" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_test_name_rejected():
     cfg = base_config(tests=["ks", "kurtosis"])
     with pytest.raises(ConfigError, match="kurtosis"):
@@ -155,7 +172,7 @@ def test_run_outputs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-@needs_numba
+@pytest.mark.usefixtures("numba_backend")
 def test_run_backends_agree_bitwise(tmp_path):
     path = write_config(tmp_path, "cfg.json", base_config())
     out1, out2 = tmp_path / "nb", tmp_path / "np"
@@ -266,6 +283,24 @@ def test_residual_subcommand_tolerance_override(tmp_path, capsys):
     assert main(["residual", cfg, "--output-dir", str(out),
                  "--count", "2", "--tolerance", "1e-30"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_residual_subcommand_zero_count_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", base_config())
+    out = tmp_path / "out"
+    assert main(["residual", cfg, "--output-dir", str(out),
+                 "--count", "0"]) == 2
+    assert "count must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_residual_subcommand_honours_zero_tolerance(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", base_config())
+    out = tmp_path / "out"
+    assert main(["residual", cfg, "--output-dir", str(out),
+                 "--count", "2", "--tolerance", "0"]) == 1
+    printed = capsys.readouterr().out
+    assert "tolerance=0.0e+00" in printed and "[FAIL]" in printed
 
 
 # ---------------------------------------------------------------------------

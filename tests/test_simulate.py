@@ -38,12 +38,11 @@ from inertdrift import (
     step_gradient,
     step_reflected,
 )
-from inertdrift._kernels import HAVE_NUMBA
+from inertdrift._kernels import _smooth_delta_loop
+from inertdrift.simulate import _domain_kernel_args
 
 FROZEN_X1 = 0.5147781121978613
 FROZEN_K1 = 0.014778112197861301
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not active")
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +382,7 @@ def test_interior_k_changes_only_with_contact(interval_cs, unit_interval):
     assert b.diagnostics["contacts"] > 0
 
 
-@needs_numba
+@pytest.mark.usefixtures("numba_backend")
 def test_reflected_backends_bitwise_identical(interval_cs, unit_interval):
     cfg = SimConfig(
         family="reflected",
@@ -441,7 +440,53 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
     assert b_vec.diagnostics["contacts"] == b_gen.diagnostics["contacts"]
 
 
-@needs_numba
+@pytest.mark.usefixtures("numba_backend")
+def test_weighted_backends_bitwise_identical():
+    ball = Ball([0.0, 0.0], 1.0)
+    cs = make_coefficients("identity", ball, gamma=np.diag([2.0, 1.0]))
+    cfg = SimConfig(
+        family="driftless_weighted",
+        dt_base=5e-4,
+        t_end=1.0,
+        n_paths=8,
+        seed=5,
+        snap_every=20,
+        k0=(0.5, 1.0),
+    )
+    w_nb = run_ensemble(cs, cfg, domain=ball, backend="numba")
+    w_np = run_ensemble(cs, cfg, domain=ball, backend="numpy")
+    for name in ("x", "k", "ell", "log_weights"):
+        assert np.array_equal(getattr(w_nb, name), getattr(w_np, name)), name
+    assert w_nb.diagnostics == w_np.diagnostics
+    assert w_nb.diagnostics["contacts"] > 0
+    assert np.all(w_nb.log_weights != 0.0)
+
+
+@pytest.mark.parametrize(
+    "domain, points",
+    [
+        # centre cap of radius 0.05: the midpoint, inside the cap, outside it
+        (Interval(0.0, 1.0), [[0.5], [0.47], [0.549], [0.2], [0.999]]),
+        (Interval(0.0, np.inf), [[1e-4], [0.5], [3.0]]),
+        # centre cap of radius 0.1: the centre, inside the cap, outside it
+        (Ball([0.0, 0.0], 1.0),
+         [[0.0, 0.0], [0.05, -0.03], [0.07, 0.07], [0.5, 0.2], [-0.3, 0.9]]),
+    ],
+    ids=["interval", "half_line", "disc"],
+)
+def test_smooth_delta_loop_matches_smooth_distance(domain, points):
+    sd = SmoothDistance(domain)
+    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
+    for x in np.asarray(points, float):
+        gd = np.empty(domain.d)
+        value = _smooth_delta_loop(
+            x, gd, dkind, dlo, dhi, dmid, sd._cap, dcenter, dradius
+        )
+        np.testing.assert_allclose(value, sd.value(x), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(gd, sd.grad(x), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.usefixtures("numba_backend")
 def test_gradient_backends_agree(interval_cs, wall_n2):
     # mild wall, moderate horizon: the backends differ only by exp rounding
     cfg = SimConfig(
@@ -462,7 +507,7 @@ def test_gradient_backends_agree(interval_cs, wall_n2):
     assert g_nb.flags.sum() == 0
 
 
-@needs_numba
+@pytest.mark.usefixtures("numba_backend")
 def test_gradient_pool_refills_reenter_consistently(interval_cs, unit_interval):
     # a stiff wall with a tiny chunk forces many reserve-pool refills; the
     # integer draw protocol must match across backends even when rounding
