@@ -16,11 +16,13 @@ backend; otherwise numba is used whenever it imports.
 Every kernel takes the mutable state arrays, the chunk's noise, the
 global index of the chunk's first step, and ``params``: one plain tuple of
 the run's read-only constants, built once per run by the family's helper
-in :mod:`inertdrift.simulate` and unpacked in one statement.
+in :mod:`inertdrift.simulate` and unpacked in one statement; the host
+loop there draws all noise.  ``counters[0]`` counts contacts (reflected)
+or sub-moves (gradient), ``counters[1]`` redraws (gradient).
 
 Kernels cover constant-coefficient runs on intervals (bounded or
-half-line) and balls; everything else goes through the generic per-step
-driver in :mod:`inertdrift.simulate`.
+half-line) and balls; everything else goes through the generic per-path
+steppers in :mod:`inertdrift.simulate`, which follow the same protocol.
 """
 
 import os
@@ -102,7 +104,6 @@ def _reflected_chunk_loop(
                 logw[p] += acc1 - 0.5 * acc2 * dt
                 if logw[p] > LOG_WEIGHT_CAP:
                     flags[p] = FLAG_WEIGHT_OVERFLOW
-                    counters[2] += 1
                     break
             for i in range(d):
                 tmp = 0.0
@@ -145,7 +146,6 @@ def _reflected_chunk_loop(
                     disc = b_ * b_ - a_ * cc
                     if disc <= 0.0:
                         flags[p] = FLAG_REFLECT_FAILURE
-                        counters[1] += 1
                         break
                     dl = (-b_ - np.sqrt(disc)) / a_
                     nn2 = 0.0
@@ -201,7 +201,6 @@ def _reflected_chunk_vec(
             ovf = alive & (logw > LOG_WEIGHT_CAP)
             if ovf.any():
                 flags[ovf] = FLAG_WEIGHT_OVERFLOW
-                counters[2] += int(ovf.sum())
                 alive = alive & ~ovf
         y = np.empty((P, d))
         for i in range(d):
@@ -262,7 +261,6 @@ def _reflected_chunk_vec(
                 bad = disc <= 0.0
                 if bad.any():
                     flags[rows[bad]] = FLAG_REFLECT_FAILURE
-                    counters[1] += int(bad.sum())
                     done[rows[bad]] = False
                 good = ~bad
                 grows = rows[good]
@@ -310,29 +308,17 @@ def _smooth_delta_loop(xvec, gd, dkind, dlo, dhi, dmid, dcap, dcenter, dradius):
     """  # pragma: no cover - compiled; parity with SmoothDistance is tested
     d = xvec.shape[0]
     if dkind == DOM_INTERVAL:
-        xx = xvec[0]
         if dhi == np.inf:
             gd[0] = 1.0
-            return xx - dlo
-        uu = xx - dmid
-        s = abs(uu)
-        a = dcap
-        if s < a:
-            s2 = s * s
-            phi = 3.0 * a / 8.0 + 3.0 * s2 / (4.0 * a) - (s2 * s2) / (
-                8.0 * ((a * a) * a)
-            )
-            dpos = 3.0 / (2.0 * a) - s2 / (2.0 * ((a * a) * a))
-        else:
-            phi = s
-            dpos = 1.0 / s
-        gd[0] = (-dpos) * uu
-        return dradius - phi
-    s2t = 0.0
-    for i in range(d):
-        gd[i] = xvec[i] - dcenter[i]
-        s2t += gd[i] * gd[i]
-    s = np.sqrt(s2t)
+            return xvec[0] - dlo
+        gd[0] = xvec[0] - dmid
+        s = abs(gd[0])
+    else:
+        s2t = 0.0
+        for i in range(d):
+            gd[i] = xvec[i] - dcenter[i]
+            s2t += gd[i] * gd[i]
+        s = np.sqrt(s2t)
     a = dcap
     if s < a:
         s2 = s * s
@@ -564,27 +550,24 @@ def _gradient_chunk_vec(
                 if len(pos) == 0:
                     continue
                 gV, mu, dts = gV[keep], mu[keep], dts[keep]
-            sq = np.sqrt(dts)
-            zz = np.empty((len(pos), d))
             if first:
-                zz[:] = z[gr, c, :]
+                zz = z[gr, c, :]
                 first = False
             else:
                 exh = cursor[gr] >= pool_len
                 if exh.any():
-                    er = np.where(exh)[0]
-                    need[gr[er]] = 1
-                    x[gr[er]] = xs[pos[er]]
-                    k[gr[er]] = ks[pos[er]]
-                    live[pos[er]] = False
+                    need[gr[exh]] = 1
+                    x[gr[exh]] = xs[pos[exh]]
+                    k[gr[exh]] = ks[pos[exh]]
+                    live[pos[exh]] = False
                     keep = ~exh
                     pos, gr = pos[keep], gr[keep]
                     if len(pos) == 0:
                         continue
-                    gV, mu, dts, sq = gV[keep], mu[keep], dts[keep], sq[keep]
-                    zz = zz[keep]
-                zz[:] = pool[gr, cursor[gr], :]
+                    gV, mu, dts = gV[keep], mu[keep], dts[keep]
+                zz = pool[gr, cursor[gr], :]
                 cursor[gr] += 1
+            sq = np.sqrt(dts)
             counters[0] += len(pos)
             tries = 0
             pend = np.ones(len(pos), dtype=bool)
@@ -627,8 +610,7 @@ def _gradient_chunk_vec(
             gr = gr[ok]
             if len(pos) == 0:
                 continue
-            sel = ok
-            gVs, dtss, xps = gV[sel], dts[sel], xp[sel]
+            gVs, dtss, xps = gV[ok], dts[ok], xp[ok]
             for i in range(d):
                 acc = np.zeros(len(pos))
                 for j in range(d):
@@ -636,8 +618,7 @@ def _gradient_chunk_vec(
                 k[gr, i] -= acc * dtss
             x[gr] = xps
             remaining[pos] = remaining[pos] - dtss
-        fin = live
-        frows = rows[fin]
+        frows = rows[live]
         if len(frows):
             s = gstep0 + c + 1
             if s >= first_snap and (s - first_snap) % snap_every == 0:
@@ -648,15 +629,9 @@ def _gradient_chunk_vec(
             progress[frows] = c + 1
 
 
-def _require_numba():
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-
-
 def reflected_chunk(backend, *args):
     """Dispatch one reflected-family chunk to the requested backend."""
     if backend == "numba":
-        _require_numba()
         _reflected_chunk_loop(*args)
     else:
         _reflected_chunk_vec(*args)
@@ -669,7 +644,6 @@ def gradient_chunk(backend, sd, *args):
     entries of its params tuple; the numpy twin evaluates ``sd`` itself.
     """
     if backend == "numba":
-        _require_numba()
         _gradient_chunk_loop(*args)
     else:
         _gradient_chunk_vec(sd, *args)

@@ -52,7 +52,7 @@ from .analysis import (
 )
 from .coefficients import CoefficientError, Potential, make_coefficients
 from .geometry import GeometryError, SmoothDistance, make_domain
-from .simulate import SimConfig, TrajectoryBatch, run_ensemble
+from .simulate import SimConfig, TrajectoryBatch, _as_int, run_ensemble
 from .skorokhod import SkorokhodError, read_path_csv, solve_skorokhod
 from .stationary import (
     StationaryMeasure,
@@ -99,6 +99,21 @@ def _require(block, key, path, types, type_name):
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError("%s.%s must be %s" % (path, key, type_name))
     return value
+
+
+def _int_field(value, path, low):
+    try:
+        return _as_int(value, path, low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _number_field(value, path):
+    """Check that ``value`` is None or a non-negative finite number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if value is not None and not (number and 0.0 <= value < np.inf):
+        raise ConfigError("%s must be a non-negative number or null, got %r"
+                          % (path, value))
 
 
 def _parse_gamma(block, dim):
@@ -182,8 +197,7 @@ def _parse_potential(data, domain):
     if kind != "regularized_vn":
         raise ConfigError("potential.kind must be 'regularized_vn'")
     n = _require(block, "n", "potential", (int, float), "a positive integer")
-    if n <= 0 or (isinstance(n, float) and not n.is_integer()):
-        raise ConfigError("potential.n must be a positive integer, got %r" % (n,))
+    n = _int_field(n, "potential.n", 1)
     extra = set(block) - {"kind", "n"}
     if extra:
         raise ConfigError("potential.%s is not a recognized field" % sorted(extra)[0])
@@ -279,6 +293,9 @@ def load_run_config(source):
             if key not in residual:
                 raise ConfigError("residual.%s is not a recognized field" % key)
         residual.update(block)
+    residual["count"] = _int_field(residual["count"], "residual.count", 1)
+    residual["seed"] = _int_field(residual["seed"], "residual.seed", 0)
+    _number_field(residual["tolerance"], "residual.tolerance")
     if residual["tolerance"] is None:
         residual["tolerance"] = 1e-5 if dim == 1 else 1e-4
 
@@ -289,6 +306,14 @@ def load_run_config(source):
             if key not in sweep:
                 raise ConfigError("sweep.%s is not a recognized field" % key)
         sweep.update(block)
+    n_list = sweep["n_list"]
+    if not isinstance(n_list, list) or len(n_list) < 2:
+        raise ConfigError("sweep.n_list must list at least two wall indices")
+    n_list = [_int_field(n, "sweep.n_list entry", 1) for n in n_list]
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("sweep.n_list must be increasing, got %r" % (n_list,))
+    sweep["n_list"] = n_list
+    _number_field(sweep["margin"], "sweep.margin")
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -451,6 +476,8 @@ def cmd_run(args):
         return 1
 
     batch.to_csv(os.path.join(out_dir, "trajectory.csv"))
+    if batch.log_weights is not None:
+        batch.write_weights(os.path.join(out_dir, "weights.csv"))
     manifest = {"command": "run", "config_id": config_id, "config": cfg.raw}
     manifest.update(batch.manifest())
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
@@ -500,6 +527,8 @@ def cmd_residual(args):
     tol = cfg.residual["tolerance"] if args.tolerance is None else args.tolerance
     if count < 1:
         raise ConfigError("residual count must be at least 1, got %d" % count)
+    seed = _int_field(seed, "residual seed", 0)
+    _number_field(tol, "residual tolerance")
     config_id = _config_id(args.config)
     out_dir = _resolve_out_dir(args.output_dir, cfg.output_dir, "residual",
                                config_id)
@@ -534,6 +563,7 @@ def cmd_sweep(args):
     else:
         n_list = cfg.sweep["n_list"]
     margin = args.margin if args.margin is not None else cfg.sweep["margin"]
+    _number_field(margin, "sweep margin")
     report = weak_convergence_sweep(
         cfg.domain, cfg.cs, n_list, cfg.sim, margin=margin
     )

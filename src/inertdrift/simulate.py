@@ -1,6 +1,6 @@
 """Ensemble integrators for the constrained-diffusion families.
 
-Three stepping families share one driver:
+Three stepping families share one ensemble driver:
 
 ``reflected``
     dX = sigma dB + (b + K) dt + u dL at the boundary, dK = v dL, where L
@@ -22,18 +22,25 @@ Three stepping families share one driver:
     fraction of the inradius, and proposals that would land beyond the
     resolvable wall layer are redrawn.
 
-Noise protocol: path p draws from its own PCG64 stream, spawned as child
-p of ``SeedSequence(seed)``.  Per chunk each stream yields the base
-normals (one d-vector per step) and, for the gradient family, a reserve
-pool consumed by sub-steps and redraws; exhausting the pool rolls the
-affected path back to the start of its current step, the host refills
-the pool, and the path redoes that step.  Results are reproducible for a
-fixed (seed, backend) pair; the reflected-family numba and numpy
-backends produce bit-identical trajectories.
+Noise protocol, one for every backend: path p draws from its own PCG64
+stream, spawned as child p of ``SeedSequence(seed)``.  Per chunk the host
+loop :func:`_run` draws each stream's base normals (one d-vector per step)
+and, for the gradient family only, a reserve pool consumed by sub-steps
+and redraws; a path that exhausts its pool goes back to the start of its
+step, the host refills the pool, and the path redoes that step.  The
+chunk steppers (the numba and numpy kernels, or the generic per-path
+steppers built on the single-step operations below) only consume noise,
+and all of them report one diagnostics schema (:func:`_diagnostics`).
+Results are reproducible for a fixed (seed, backend) pair; the numba and
+numpy kernels are bit-identical for the reflected families, and so is
+the generic backend on the interval and, for the gradient family, on the
+disc (both tested).
 """
 
 import dataclasses
+import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +64,17 @@ FAMILIES = ("reflected", "gradient", "driftless_weighted")
 
 MAX_SUBSTEPS = 200
 RESAMPLE_CAP = 50
+
+
+def _as_int(value, name, low):
+    """``value`` as an int; ValueError unless an integer >= ``low`` (0 or 1)."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral or value < low:
+        raise ValueError("%s must be a %s integer, got %r" % (
+            name, "positive" if low else "non-negative", value))
+    return int(value)
 
 
 def _as_vector(value, d, name):
@@ -130,21 +148,18 @@ class SimConfig:
             raise ValueError("t_end must be a positive number")
         if not (0.0 <= self.burn_in < self.t_end):
             raise ValueError("burn_in must satisfy 0 <= burn_in < t_end")
-        if int(self.n_paths) < 1:
-            raise ValueError("n_paths must be at least 1")
-        if int(self.snap_every) < 1:
-            raise ValueError("snap_every must be at least 1")
+        for name, low in (("n_paths", 1), ("seed", 0), ("snap_every", 1),
+                          ("chunk_size", 1), ("max_substeps", 1),
+                          ("resample_cap", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
         q = self.t_end / self.dt_base
         if abs(q - round(q)) > 1e-6 * max(1.0, abs(q)):
             raise ValueError("t_end must be an integer multiple of dt_base")
-        if self.x0 is not None:
-            object.__setattr__(
-                self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0))
-            )
-        if self.k0 is not None:
-            object.__setattr__(
-                self, "k0", tuple(float(v) for v in np.atleast_1d(self.k0))
-            )
+        for name in ("x0", "k0"):
+            value = getattr(self, name)
+            if value is not None:
+                value = tuple(float(v) for v in np.atleast_1d(value))
+                object.__setattr__(self, name, value)
 
     @property
     def n_steps(self):
@@ -158,18 +173,18 @@ class SimConfig:
         q = self.burn_in / self.dt_base
         r = round(q)
         base = (int(r) if abs(q - r) < 1e-6 else int(np.floor(q))) + 1
-        se = int(self.snap_every)
+        se = self.snap_every
         return ((base + se - 1) // se) * se
 
     @property
     def n_snapshots(self):
         if self.first_snapshot_step > self.n_steps:
             return 0
-        return (self.n_steps - self.first_snapshot_step) // int(self.snap_every) + 1
+        return (self.n_steps - self.first_snapshot_step) // self.snap_every + 1
 
     @property
     def snapshot_times(self):
-        idx = self.first_snapshot_step + int(self.snap_every) * np.arange(
+        idx = self.first_snapshot_step + self.snap_every * np.arange(
             self.n_snapshots
         )
         return idx * self.dt_base
@@ -235,20 +250,26 @@ class TrajectoryBatch:
             + ["k%d" % (i + 1) for i in range(d)]
             + ["ell"]
         )
-        fmt = ["%d"] + ["%.17g"] * (2 * d + 2)
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for p in range(P):
-                block = np.column_stack(
-                    [
-                        np.full(S, p, dtype=float),
-                        self.times,
-                        self.x[p],
-                        self.k[p],
-                        self.ell[p],
-                    ]
-                )
-                np.savetxt(fh, block, fmt=fmt, delimiter=",")
+        table = np.empty((P, S, 2 * d + 3))
+        table[:, :, 0] = np.arange(P)[:, None]
+        table[:, :, 1] = self.times
+        table[:, :, 2:d + 2] = self.x
+        table[:, :, d + 2:-1] = self.k
+        table[:, :, -1] = self.ell
+        np.savetxt(path, table.reshape(P * S, 2 * d + 3), delimiter=",",
+                   fmt=["%d"] + ["%.17g"] * (2 * d + 2),
+                   header=",".join(cols), comments="")
+
+    def kish_ess(self):
+        """Kish effective sample size (sum w)^2 / sum w^2 of the weights."""
+        w = np.exp(self.log_weights - self.log_weights.max())
+        return float(w.sum() ** 2 / (w * w).sum())
+
+    def write_weights(self, path):
+        """Write one row per path: path_id,log_weight."""
+        table = np.column_stack([np.arange(self.n_paths), self.log_weights])
+        np.savetxt(path, table, fmt=["%d", "%.17g"], delimiter=",",
+                   header="path_id,log_weight", comments="")
 
     def manifest(self):
         """Deterministic run record: config echo, seed, versions, counters."""
@@ -262,6 +283,8 @@ class TrajectoryBatch:
             "flag_counts": self.flag_counts(),
             "versions": _version_info(),
         }
+        if self.log_weights is not None:
+            info["kish_ess"] = self.kish_ess()
         info.update(self.run_info)
         return info
 
@@ -272,8 +295,6 @@ class TrajectoryBatch:
 
 
 def _version_info():
-    import numpy as _np
-
     from . import __version__ as _pkg_version
 
     try:
@@ -284,7 +305,7 @@ def _version_info():
         numba_version = None
     return {
         "inertdrift": _pkg_version,
-        "numpy": _np.__version__,
+        "numpy": np.__version__,
         "numba": numba_version,
     }
 
@@ -345,6 +366,7 @@ def step_gradient(
     rng=None,
     max_substeps=MAX_SUBSTEPS,
     resample_cap=RESAMPLE_CAP,
+    counts=None,
 ):
     """One (possibly sub-divided) step of the gradient family.
 
@@ -355,7 +377,9 @@ def step_gradient(
     base move uses ``noise`` directly, so with no cap and no redraw this
     is one plain Euler step.  Raises PotentialOverflowError when the
     wall-layer budgets (``max_substeps``, ``resample_cap``, the distance
-    floor) are exhausted.
+    floor) are exhausted.  An integer array ``counts``, when given, gains
+    one in ``counts[0]`` per sub-move and in ``counts[1]`` per redraw, at
+    the points where the chunk kernels count them.
     """
     domain = potential.domain
     d = domain.d
@@ -367,6 +391,11 @@ def step_gradient(
     if delta_guard is None:
         delta_guard = _default_delta_guard(potential)
     gamma_half = 0.5 * cs.gamma
+
+    def extra_noise(use):
+        if rng is None:
+            raise ValueError("%s needs extra noise: pass rng= to step_gradient" % use)
+        return rng.standard_normal(d)
 
     remaining = float(dt)
     first = True
@@ -392,11 +421,9 @@ def step_gradient(
             zz = z
             first = False
         else:
-            if rng is None:
-                raise ValueError(
-                    "sub-stepping needs extra noise: pass rng= to step_gradient"
-                )
-            zz = rng.standard_normal(d)
+            zz = extra_noise("sub-stepping")
+        if counts is not None:
+            counts[0] += 1
         sig = cs.sigma(x)
         tries = 0
         while True:
@@ -407,16 +434,14 @@ def step_gradient(
             if accept:
                 break
             tries += 1
+            if counts is not None:
+                counts[1] += 1
             if tries > resample_cap:
                 raise PotentialOverflowError(
                     "proposal redraw budget exhausted near the boundary; "
                     "refine dt_base"
                 )
-            if rng is None:
-                raise ValueError(
-                    "proposal redraw needs extra noise: pass rng= to step_gradient"
-                )
-            zz = rng.standard_normal(d)
+            zz = extra_noise("proposal redraw")
         k = k - (gamma_half @ gV) * dts
         x = xp
         remaining -= dts
@@ -463,10 +488,8 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     else:
         if domain is None:
             raise ValueError("the reflected families need domain=")
-    if cs.domain is not domain:
-        # allow equal-but-distinct objects; dimensions must agree
-        if cs.domain.d != domain.d:
-            raise ValueError("coefficients and domain dimensions disagree")
+    if cs.domain.d != domain.d:  # equal-but-distinct domains are allowed
+        raise ValueError("coefficients and domain dimensions disagree")
     d = domain.d
 
     if cfg.x0 is not None:
@@ -509,26 +532,7 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     if backend not in ("numba", "numpy", "generic"):
         raise ValueError("backend must be 'numba', 'numpy', or 'generic'")
 
-    if backend == "generic":
-        batch = _run_generic(cs, domain, potential, cfg, x0, k0, guard)
-    elif cfg.family == "gradient":
-        batch = _run_gradient_kernel(cs, potential, cfg, x0, k0, guard, backend)
-    else:
-        batch = _run_reflected_kernel(cs, domain, cfg, x0, k0, backend)
-
-    batch.run_info.update(
-        {
-            "family": cfg.family,
-            "coefficients": cs.name,
-            "domain": _domain_info(domain),
-            "potential": (
-                {"kind": potential.kind, "n": potential.n}
-                if potential is not None
-                else None
-            ),
-        }
-    )
-    return batch
+    return _run(cs, domain, potential, cfg, x0, k0, guard, backend)
 
 
 def _domain_info(domain):
@@ -575,15 +579,12 @@ def _domain_kernel_args(domain):
     )
 
 
-def _spawn_rngs(seed, n_paths):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_paths)]
-
-
-def _alloc_outputs(P, S, d):
-    out_x = np.full((P, S, d), np.nan)
-    out_k = np.full((P, S, d), np.nan)
-    out_ell = np.full((P, S), np.nan)
-    return out_x, out_k, out_ell
+def _draw(rngs, C, d):
+    """C standard normal d-vectors per path, each from the path's stream."""
+    out = np.empty((len(rngs), C, d))
+    for rng, rows in zip(rngs, out):
+        rng.standard_normal(out=rows)
+    return out
 
 
 def _push_matrices(cs, ref_point):
@@ -613,7 +614,7 @@ def _reflected_params(cs, domain, cfg, x0):
         np.asarray(cs.constant_drift, float), UM, VM,
         cfg.family == "reflected", cfg.family == "driftless_weighted",
         dkind, dlo, dhi, dmid, dcenter, dradius,
-        cfg.first_snapshot_step, int(cfg.snap_every),
+        cfg.first_snapshot_step, cfg.snap_every,
     )
 
 
@@ -628,41 +629,70 @@ def _gradient_params(cs, potential, cfg, x0, guard):
         float(potential.n), _h_max(cfg, domain), float(guard),
         float(potential.delta_floor), float(Potential.EXPONENT_CAP),
         dkind, dlo, dhi, dmid, float(potential.distance._cap), dcenter, dradius,
-        cfg.first_snapshot_step, int(cfg.snap_every),
-        int(cfg.max_substeps), int(cfg.resample_cap),
+        cfg.first_snapshot_step, cfg.snap_every,
+        cfg.max_substeps, cfg.resample_cap,
     )
 
 
-def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
-    P, d = cfg.n_paths, domain.d
-    steps = cfg.n_steps
+def _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend):
+    """The function that advances every path through one chunk of noise.
+    Kernels are looked up on :mod:`._kernels` at each call."""
+    if cfg.family == "gradient":
+        if backend == "generic":
+            return functools.partial(_generic_gradient_chunk, cs, potential, cfg, guard)
+        params = _gradient_params(cs, potential, cfg, x0, guard)
+        return lambda *state: _kernels.gradient_chunk(
+            backend, potential.distance, *state, params)
+    if backend == "generic":
+        return functools.partial(_generic_reflected_chunk, cs, domain, cfg)
     params = _reflected_params(cs, domain, cfg, x0)
+    return lambda *state: _kernels.reflected_chunk(backend, *state, params)
 
+
+def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
+    """The host loop shared by every backend and family.
+
+    Per chunk it draws each path's base normals (and, for the gradient
+    family, a reserve pool, refilled for the paths that exhaust it until
+    all of them finish the chunk) and hands them to the backend's stepper.
+    """
+    P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
+    steps = cfg.n_steps
     x = np.tile(x0, (P, 1))
     k = np.tile(k0, (P, 1))
     ell = np.zeros(P)
     logw = np.zeros(P)
     flags = np.zeros(P, dtype=np.int64)
-    counters = np.zeros(3, dtype=np.int64)
-    out_x, out_k, out_ell = _alloc_outputs(P, cfg.n_snapshots, d)
-    rngs = _spawn_rngs(cfg.seed, P)
+    counters = np.zeros(2, dtype=np.int64)  # contacts or sub-steps; redraws
+    out_x = np.full((P, S, d), np.nan)
+    out_k = np.full((P, S, d), np.nan)
+    out_ell = np.full((P, S), np.nan)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(P)]
+    step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend)
 
-    chunk = int(cfg.chunk_size)
+    chunk = cfg.chunk_size
+    pool_refills = 0
     for start in range(0, steps, chunk):
         C = min(chunk, steps - start)
-        z = np.empty((P, C, d))
-        for p in range(P):
-            z[p] = rngs[p].standard_normal((C, d))
-        _kernels.reflected_chunk(
-            backend, x, k, ell, logw, flags, out_x, out_k, out_ell, counters,
-            z, start, params,
-        )
-    diagnostics = {
-        "contacts": int(counters[0]),
-        "reflect_failures": int(counters[1]),
-        "weight_overflows": int(counters[2]),
-        "boundary_overflow_paths": int((flags == FLAG_BOUNDARY_OVERFLOW).sum()),
-    }
+        z = _draw(rngs, C, d)
+        if cfg.family != "gradient":
+            step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)
+            continue
+        pool = _draw(rngs, C, d)
+        cursor = np.zeros(P, dtype=np.int64)
+        progress = np.zeros(P, dtype=np.int64)
+        need = np.zeros(P, dtype=np.int64)
+        while True:
+            step(x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
+                 progress, need, start)
+            idx = np.flatnonzero(need)
+            if len(idx) == 0:
+                break
+            for p in idx:
+                rngs[p].standard_normal(out=pool[p])
+            cursor[idx] = 0
+            need[idx] = 0
+            pool_refills += len(idx)
     return TrajectoryBatch(
         times=cfg.snapshot_times,
         x=out_x,
@@ -670,155 +700,119 @@ def _run_reflected_kernel(cs, domain, cfg, x0, k0, backend):
         ell=out_ell,
         flags=flags,
         log_weights=logw if cfg.family == "driftless_weighted" else None,
-        diagnostics=diagnostics,
+        diagnostics=_diagnostics(cfg.family, counters, pool_refills, flags),
         config=cfg,
         backend=backend,
-        run_info={},
+        run_info={
+            "family": cfg.family,
+            "coefficients": cs.name,
+            "domain": _domain_info(domain),
+            "potential": (
+                {"kind": potential.kind, "n": potential.n}
+                if potential is not None
+                else None
+            ),
+        },
     )
 
 
-def _run_gradient_kernel(cs, potential, cfg, x0, k0, guard, backend):
-    P, d = cfg.n_paths, potential.domain.d
-    steps = cfg.n_steps
-    params = _gradient_params(cs, potential, cfg, x0, guard)
-
-    x = np.tile(x0, (P, 1))
-    k = np.tile(k0, (P, 1))
-    flags = np.zeros(P, dtype=np.int64)
-    counters = np.zeros(2, dtype=np.int64)
-    out_x, out_k, out_ell = _alloc_outputs(P, cfg.n_snapshots, d)
-    rngs = _spawn_rngs(cfg.seed, P)
-
-    chunk = int(cfg.chunk_size)
-    pool_refills = 0
-    for start in range(0, steps, chunk):
-        C = min(chunk, steps - start)
-        pool_len = C
-        z = np.empty((P, C, d))
-        pool = np.empty((P, pool_len, d))
-        for p in range(P):
-            z[p] = rngs[p].standard_normal((C, d))
-            pool[p] = rngs[p].standard_normal((pool_len, d))
-        cursor = np.zeros(P, dtype=np.int64)
-        progress = np.zeros(P, dtype=np.int64)
-        need = np.zeros(P, dtype=np.int64)
-        while True:
-            _kernels.gradient_chunk(
-                backend, potential.distance, x, k, flags, out_x, out_k,
-                out_ell, counters, z, pool, cursor, progress, need, start,
-                params,
-            )
-            idx = np.where(need == 1)[0]
-            if len(idx) == 0:
-                break
-            for p in idx:
-                pool[p] = rngs[p].standard_normal((pool_len, d))
-                cursor[p] = 0
-                need[p] = 0
-            pool_refills += len(idx)
-    diagnostics = {
-        "substeps_total": int(counters[0]),
+def _diagnostics(family, counters, pool_refills, flags):
+    """The one diagnostics schema: event counters (0 where the family has
+    none) and, per failure flag, the number of paths that stopped on it."""
+    events = int(counters[0])
+    out = {
+        "contacts": 0 if family == "gradient" else events,
+        "substeps_total": events if family == "gradient" else 0,
         "resampled_proposals": int(counters[1]),
         "pool_refills": int(pool_refills),
-        "boundary_overflow_paths": int((flags == FLAG_BOUNDARY_OVERFLOW).sum()),
     }
-    return TrajectoryBatch(
-        times=cfg.snapshot_times,
-        x=out_x,
-        k=out_k,
-        ell=out_ell,
-        flags=flags,
-        log_weights=None,
-        diagnostics=diagnostics,
-        config=cfg,
-        backend=backend,
-        run_info={},
-    )
+    for code, name in FLAG_NAMES.items():
+        if code != FLAG_OK:
+            out[name + "_paths"] = int((flags == code).sum())
+    return out
 
 
-def _run_generic(cs, domain, potential, cfg, x0, k0, guard):
-    """Per-path object-mode driver for arbitrary coefficients."""
-    P, d = cfg.n_paths, domain.d
-    steps = cfg.n_steps
-    S = cfg.n_snapshots
+def _record(cfg, s, out, p, *values):
+    """Store path p's (x, k, ell) in ``out`` if global step s is recorded."""
+    first, every = cfg.first_snapshot_step, cfg.snap_every
+    if s >= first and (s - first) % every == 0:
+        for array, value in zip(out, values):
+            array[p, (s - first) // every] = value
+
+
+def _generic_reflected_chunk(cs, domain, cfg, x, k, ell, logw, flags, out_x,
+                             out_k, out_ell, counters, z, gstep0):
+    """Per-path reflected-family stepper for arbitrary coefficients."""
     dt = cfg.dt_base
     sqrt_dt = np.sqrt(dt)
-    family = cfg.family
-    do_weight = family == "driftless_weighted"
-    h_max = _h_max(cfg, domain)
-
-    flags = np.zeros(P, dtype=np.int64)
-    logw = np.zeros(P)
-    out_x, out_k, out_ell = _alloc_outputs(P, S, d)
-    rngs = _spawn_rngs(cfg.seed, P)
-    first_snap = cfg.first_snapshot_step
-    snap_every = int(cfg.snap_every)
-    contacts = 0
-
-    for p in range(P):
-        rng = rngs[p]
-        state = SystemState(x=x0.copy(), k=k0.copy())
-        for s in range(1, steps + 1):
-            z = rng.standard_normal(d)
+    use_k = cfg.family == "reflected"
+    out = (out_x, out_k, out_ell)
+    for p in np.flatnonzero(flags == FLAG_OK):
+        state = SystemState(x=x[p].copy(), k=k[p].copy(), ell=ell[p])
+        for c, noise in enumerate(z[p]):
+            if not use_k:
+                logw[p] = girsanov_weight_step(
+                    cs, state, GirsanovWeight(logw[p]), sqrt_dt * noise, dt
+                ).log_weight
+                if logw[p] > LOG_WEIGHT_CAP:
+                    flags[p] = FLAG_WEIGHT_OVERFLOW
+                    break
             try:
-                if family == "gradient":
-                    state = step_gradient(
-                        cs,
-                        potential,
-                        state,
-                        dt,
-                        z,
-                        h_max=h_max,
-                        delta_guard=guard,
-                        rng=rng,
-                        max_substeps=int(cfg.max_substeps),
-                        resample_cap=int(cfg.resample_cap),
-                    )
-                else:
-                    if do_weight:
-                        logw[p] = girsanov_weight_step(
-                            cs, state, GirsanovWeight(logw[p]), sqrt_dt * z, dt
-                        ).log_weight
-                        if logw[p] > LOG_WEIGHT_CAP:
-                            flags[p] = FLAG_WEIGHT_OVERFLOW
-                            break
-                    before = state.ell
-                    state = step_reflected(
-                        cs,
-                        domain,
-                        state,
-                        dt,
-                        z,
-                        use_inert_drift=(family == "reflected"),
-                    )
-                    if state.ell > before:
-                        contacts += 1
-            except PotentialOverflowError:
-                flags[p] = FLAG_BOUNDARY_OVERFLOW
-                break
+                new = step_reflected(cs, domain, state, dt, noise,
+                                     use_inert_drift=use_k)
             except SkorokhodError:
                 flags[p] = FLAG_REFLECT_FAILURE
                 break
-            if s >= first_snap and (s - first_snap) % snap_every == 0:
-                slot = (s - first_snap) // snap_every
-                out_x[p, slot] = state.x
-                out_k[p, slot] = state.k
-                out_ell[p, slot] = state.ell
-    diagnostics = {
-        "contacts": int(contacts),
-        "boundary_overflow_paths": int((flags == FLAG_BOUNDARY_OVERFLOW).sum()),
-        "reflect_failure_paths": int((flags == FLAG_REFLECT_FAILURE).sum()),
-        "weight_overflow_paths": int((flags == FLAG_WEIGHT_OVERFLOW).sum()),
-    }
-    return TrajectoryBatch(
-        times=cfg.snapshot_times,
-        x=out_x,
-        k=out_k,
-        ell=out_ell,
-        flags=flags,
-        log_weights=logw if do_weight else None,
-        diagnostics=diagnostics,
-        config=cfg,
-        backend="generic",
-        run_info={},
-    )
+            if new.ell > state.ell:
+                counters[0] += 1
+            state = new
+            _record(cfg, gstep0 + c + 1, out, p, state.x, state.k, state.ell)
+        x[p], k[p], ell[p] = state.x, state.k, state.ell
+
+
+class _PoolSpent(Exception):
+    """A path's reserve pool ran out in the middle of a step."""
+
+
+class _PoolReader:
+    """Serves one path's reserve normals to :func:`step_gradient` as ``rng``."""
+
+    def __init__(self, pool, cursor, p):
+        self.pool, self.cursor, self.p = pool, cursor, p
+
+    def standard_normal(self, d):
+        c = self.cursor[self.p]
+        if c >= self.pool.shape[1]:
+            raise _PoolSpent
+        self.cursor[self.p] = c + 1
+        return self.pool[self.p, c]
+
+
+def _generic_gradient_chunk(cs, potential, cfg, guard, x, k, flags, out_x,
+                            out_k, out_ell, counters, z, pool, cursor,
+                            progress, need, gstep0):
+    """Per-path gradient-family stepper, with the kernels' pool protocol: a
+    path whose pool runs out keeps its step-start state, sets ``need`` and
+    redoes that step after the host refills its pool."""
+    C = z.shape[1]
+    h_max = _h_max(cfg, potential.domain)
+    out = (out_x, out_k, out_ell)
+    for p in np.flatnonzero((flags == FLAG_OK) & (progress < C)):
+        rng = _PoolReader(pool, cursor, p)
+        for c in range(progress[p], C):
+            try:
+                state = step_gradient(
+                    cs, potential, SystemState(x=x[p], k=k[p]), cfg.dt_base,
+                    z[p, c], h_max=h_max, delta_guard=guard, rng=rng,
+                    max_substeps=cfg.max_substeps,
+                    resample_cap=cfg.resample_cap, counts=counters,
+                )
+            except PotentialOverflowError:
+                flags[p] = FLAG_BOUNDARY_OVERFLOW
+                break
+            except _PoolSpent:
+                need[p] = 1
+                break
+            x[p], k[p] = state.x, state.k
+            _record(cfg, gstep0 + c + 1, out, p, state.x, state.k, 0.0)
+            progress[p] = c + 1

@@ -22,7 +22,7 @@ from inertdrift import (
     write_path_csv,
 )
 from inertdrift.cli import ConfigError, emit_histograms, load_run_config, main
-from inertdrift.simulate import SimConfig, TrajectoryBatch
+from inertdrift.simulate import SimConfig, TrajectoryBatch, run_ensemble
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -122,6 +122,49 @@ def test_tests_on_weighted_family_exit_2_before_simulating(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("snap_every", 2.5), ("chunk_size", 2.5), ("n_paths", 2.5),
+    ("chunk_size", 0), ("seed", -1),
+])
+def test_bad_integer_sim_field_exits_2_before_simulating(
+    tmp_path, capsys, field, value
+):
+    cfg = base_config()
+    cfg["sim"][field] = value
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert main(["run", path, "--dry-run", "--output-dir", str(out)]) == 2
+    assert "sim: %s must be a" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, field, value", [
+    ("residual", "count", "abc"), ("residual", "count", 2.5),
+    ("residual", "count", 0), ("residual", "seed", -1),
+    ("residual", "tolerance", "x"), ("residual", "tolerance", -1e-5),
+    ("sweep", "n_list", 5), ("sweep", "n_list", [1]),
+    ("sweep", "n_list", [4, 2]), ("sweep", "n_list", [1, 2.5]),
+    ("sweep", "margin", "x"),
+])
+def test_residual_and_sweep_blocks_are_validated_at_load(block, field, value):
+    with pytest.raises(ConfigError, match="%s.%s" % (block, field)):
+        load_run_config(base_config(**{block: {field: value}}))
+
+
+def test_bad_sweep_margin_exits_2_before_simulating(tmp_path, capsys):
+    path = write_config(tmp_path, "cfg.json",
+                        base_config(sweep={"margin": "x"}))
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--output-dir", str(out)]) == 2
+    assert "sweep.margin" in capsys.readouterr().err
+    assert not out.exists()
+    path = write_config(tmp_path, "ok.json", base_config())
+    assert main(["sweep", path, "--output-dir", str(out), "--margin", "-1"]) == 2
+    assert "sweep margin" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 def test_unknown_test_name_rejected():
     cfg = base_config(tests=["ks", "kurtosis"])
     with pytest.raises(ConfigError, match="kurtosis"):
@@ -170,6 +213,33 @@ def test_run_outputs_are_byte_identical(tmp_path):
             "hist_x1.svg", "hist_k1.csv", "hist_k1.svg"} <= set(names)
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_run_writes_the_importance_weights(tmp_path):
+    cfg = base_config()
+    cfg["sim"].update(family="driftless_weighted", k0=[0.5])
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out), "--no-histograms"]) == 0
+    lines = (out / "weights.csv").read_text().splitlines()
+    assert lines[0] == "path_id,log_weight"
+    table = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1)
+    assert table[:, 0].tolist() == list(range(8))
+    batch = run_ensemble(load_run_config(cfg).cs, load_run_config(cfg).sim,
+                         domain=Interval(0.0, 1.0))
+    assert np.array_equal(table[:, 1], batch.log_weights)  # %.17g round-trips
+    assert np.all(table[:, 1] != 0.0)
+    w = np.exp(table[:, 1])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["kish_ess"] == pytest.approx(w.sum() ** 2 / (w * w).sum(),
+                                                 rel=1e-12)
+    assert 1.0 <= manifest["kish_ess"] <= 8.0
+    # the other families carry no weights
+    plain = tmp_path / "plain"
+    path = write_config(tmp_path, "plain.json", base_config())
+    assert main(["run", path, "--output-dir", str(plain), "--no-histograms"]) == 0
+    assert not (plain / "weights.csv").exists()
+    assert "kish_ess" not in json.loads((plain / "manifest.json").read_text())
 
 
 @pytest.mark.usefixtures("numba_backend")
@@ -291,6 +361,16 @@ def test_residual_subcommand_zero_count_is_a_config_error(tmp_path, capsys):
     assert main(["residual", cfg, "--output-dir", str(out),
                  "--count", "0"]) == 2
     assert "count must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--tolerance", "-1"),
+                                         ("--tolerance", "nan")])
+def test_residual_overrides_are_validated(tmp_path, capsys, flag, value):
+    cfg = write_config(tmp_path, "cfg.json", base_config())
+    out = tmp_path / "out"
+    assert main(["residual", cfg, "--output-dir", str(out), flag, value]) == 2
+    assert "residual %s" % flag[2:] in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -243,6 +243,19 @@ def test_config_validation_errors():
         SimConfig(**{**good, "snap_every": 0})
     with pytest.raises(ValueError, match="multiple"):
         SimConfig(**{**good, "t_end": 1.0005})
+    # integer fields: non-integers and out-of-range values are rejected,
+    # not truncated
+    for name, bad in [
+        ("n_paths", 2.5), ("n_paths", True), ("seed", -1), ("seed", "3"),
+        ("snap_every", 2.5), ("chunk_size", 2.5), ("chunk_size", 0),
+        ("max_substeps", 0), ("max_substeps", float("inf")),
+        ("resample_cap", -1),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{**good, name: bad})
+    whole = SimConfig(**{**good, "n_paths": 4.0, "seed": np.int64(2)})
+    assert type(whole.n_paths) is int and type(whole.seed) is int
+    assert whole.as_dict()["n_paths"] == 4
 
 
 def test_snapshot_bookkeeping_counts_and_times():
@@ -435,9 +448,11 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
     b_gen = run_ensemble(
         interval_cs, SimConfig(**kw), domain=unit_interval, backend="generic"
     )
-    assert np.allclose(b_vec.x, b_gen.x, atol=1e-12)
-    assert np.allclose(b_vec.k, b_gen.k, atol=1e-12)
-    assert b_vec.diagnostics["contacts"] == b_gen.diagnostics["contacts"]
+    # both consume the same normals with the same interval arithmetic
+    for name in ("x", "k", "ell", "flags"):
+        assert np.array_equal(getattr(b_vec, name), getattr(b_gen, name)), name
+    assert b_vec.diagnostics == b_gen.diagnostics
+    assert b_vec.diagnostics["contacts"] > 0
 
 
 @pytest.mark.usefixtures("numba_backend")
@@ -533,6 +548,81 @@ def test_gradient_pool_refills_reenter_consistently(interval_cs, unit_interval):
     assert not np.isnan(g_nb.x).any() and not np.isnan(g_np.x).any()
     rerun = run_ensemble(interval_cs, cfg, potential=pot, backend="numba")
     assert np.array_equal(g_nb.x, rerun.x) and np.array_equal(g_nb.k, rerun.k)
+
+
+def _gradient_case(name):
+    """(cs, potential, config) of the generic-versus-numpy parity cases."""
+    iv = Interval(0.0, 1.0)
+    cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    if name == "disc":
+        disc = Ball([0.0, 0.0], 1.0)
+        cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
+        pot = Potential("regularized_vn", distance=SmoothDistance(disc), n=2)
+        return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
+                                  n_paths=5, seed=4, snap_every=5,
+                                  chunk_size=64)
+    if name == "mild":  # the config of test_gradient_backends_agree
+        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+        return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=1.0,
+                                  burn_in=0.2, n_paths=6, seed=11,
+                                  snap_every=10)
+    if name == "refills":  # test_gradient_pool_refills_reenter_consistently
+        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
+        return cs, pot, SimConfig(family="gradient", dt_base=0.01, t_end=0.5,
+                                  burn_in=0.1, n_paths=6, seed=4,
+                                  snap_every=5, chunk_size=10)
+    # a soft wall with a wide guard layer: proposals get redrawn
+    pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=8)
+    return cs, pot, SimConfig(family="gradient", dt_base=0.01, t_end=2.0,
+                              n_paths=6, seed=4, snap_every=5, chunk_size=10,
+                              x0=(0.3,), delta_guard=0.05)
+
+
+@pytest.mark.parametrize("name", ["mild", "refills", "disc", "redraws"])
+def test_generic_gradient_matches_numpy_bitwise(name):
+    # the generic stepper applies step_gradient to the kernels' base
+    # normals and reserve pool, so the draw protocol and the arithmetic agree
+    cs, pot, cfg = _gradient_case(name)
+    g_gen = run_ensemble(cs, cfg, potential=pot, backend="generic")
+    g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
+    for field in ("x", "k", "ell", "flags"):
+        assert np.array_equal(getattr(g_gen, field), getattr(g_np, field)), field
+    assert g_gen.diagnostics == g_np.diagnostics
+    assert g_gen.diagnostics["substeps_total"] >= cfg.n_paths * cfg.n_steps
+    if name == "refills":
+        assert g_gen.diagnostics["pool_refills"] > 0
+    if name == "redraws":
+        assert g_gen.diagnostics["resampled_proposals"] > 0
+
+
+DIAGNOSTIC_KEYS = {
+    "contacts", "substeps_total", "resampled_proposals", "pool_refills",
+    "boundary_overflow_paths", "reflect_failure_paths", "weight_overflow_paths",
+}
+
+
+@pytest.mark.usefixtures("numba_backend")
+@pytest.mark.parametrize("backend", ["numba", "numpy", "generic"])
+@pytest.mark.parametrize("family", ["reflected", "driftless_weighted", "gradient"])
+def test_every_backend_reports_one_diagnostics_schema(
+    interval_cs, unit_interval, wall_n2, family, backend
+):
+    cfg = SimConfig(family=family, dt_base=1e-3, t_end=0.2, n_paths=4,
+                    seed=1, k0=(0.5,))
+    kw = {"potential": wall_n2} if family == "gradient" else {"domain": unit_interval}
+    b = run_ensemble(interval_cs, cfg, backend=backend, **kw)
+    assert set(b.diagnostics) == DIAGNOSTIC_KEYS
+    assert set(b.manifest()["diagnostics"]) == DIAGNOSTIC_KEYS
+    for name, count in b.flag_counts().items():
+        assert b.diagnostics[name + "_paths"] == count
+    if family == "gradient":
+        assert b.diagnostics["contacts"] == 0
+        assert b.diagnostics["substeps_total"] >= cfg.n_paths * cfg.n_steps
+    else:
+        assert b.diagnostics["contacts"] > 0
+        assert b.diagnostics["substeps_total"] == 0
+        assert b.diagnostics["resampled_proposals"] == 0
+        assert b.diagnostics["pool_refills"] == 0
 
 
 def test_gradient_substep_budget_flag_is_deterministic(interval_cs, unit_interval):
