@@ -116,6 +116,16 @@ def _number_field(value, path):
                           % (path, value))
 
 
+def _n_list_field(n_list, path):
+    """Check that ``n_list`` lists at least two increasing positive integers."""
+    if not isinstance(n_list, list) or len(n_list) < 2:
+        raise ConfigError("%s must list at least two wall indices" % path)
+    n_list = [_int_field(n, "%s entry" % path, 1) for n in n_list]
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("%s must be increasing, got %r" % (path, n_list))
+    return n_list
+
+
 def _parse_gamma(block, dim):
     gamma = _require(block, "gamma", "coefficients", list, "a matrix (list of rows)")
     try:
@@ -306,13 +316,7 @@ def load_run_config(source):
             if key not in sweep:
                 raise ConfigError("sweep.%s is not a recognized field" % key)
         sweep.update(block)
-    n_list = sweep["n_list"]
-    if not isinstance(n_list, list) or len(n_list) < 2:
-        raise ConfigError("sweep.n_list must list at least two wall indices")
-    n_list = [_int_field(n, "sweep.n_list entry", 1) for n in n_list]
-    if any(a >= b for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError("sweep.n_list must be increasing, got %r" % (n_list,))
-    sweep["n_list"] = n_list
+    sweep["n_list"] = _n_list_field(sweep["n_list"], "sweep.n_list")
     _number_field(sweep["margin"], "sweep.margin")
 
     output_dir = data.get("output_dir")
@@ -557,13 +561,18 @@ def cmd_sweep(args):
         raise ConfigError("config.sim is required by 'sweep'")
     config_id = _config_id(args.config)
     out_dir = _resolve_out_dir(args.output_dir, cfg.output_dir, "sweep", config_id)
-    os.makedirs(out_dir, exist_ok=True)
     if args.n_list:
-        n_list = [int(v) for v in args.n_list.split(",")]
+        try:
+            n_list = [int(v) for v in args.n_list.split(",")]
+        except ValueError:
+            raise ConfigError("sweep --n-list must be comma-separated integers, "
+                              "got %r" % args.n_list) from None
+        n_list = _n_list_field(n_list, "sweep --n-list")
     else:
         n_list = cfg.sweep["n_list"]
     margin = args.margin if args.margin is not None else cfg.sweep["margin"]
     _number_field(margin, "sweep margin")
+    os.makedirs(out_dir, exist_ok=True)
     report = weak_convergence_sweep(
         cfg.domain, cfg.cs, n_list, cfg.sim, margin=margin
     )

@@ -406,9 +406,13 @@ def test_sweep_subcommand_reports_and_masses(tmp_path, capsys):
 
 def test_sweep_rejects_bad_n_list(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", base_config())
-    assert main(["sweep", path, "--output-dir", str(tmp_path / "o"),
-                 "--n-list", "4,2"]) == 1
-    assert "increasing" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for n_list, message in (("4,2", "increasing"), ("4,x", "integers"),
+                            ("3", "at least two"), ("0,2", "positive")):
+        assert main(["sweep", path, "--output-dir", str(out),
+                     "--n-list", n_list]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from inertdrift import (
     step_reflected,
 )
 from inertdrift._kernels import _smooth_delta_loop
-from inertdrift.simulate import _domain_kernel_args
+from inertdrift.simulate import _CSV_BLOCK_ROWS, TrajectoryBatch, _domain_kernel_args
 
 FROZEN_X1 = 0.5147781121978613
 FROZEN_K1 = 0.014778112197861301
@@ -807,3 +807,117 @@ def test_trajectory_csv_and_manifest_roundtrip(
     man_path2 = tmp_path / "run2.json"
     b2.write_manifest(man_path2)
     assert man_path.read_bytes() == man_path2.read_bytes()
+
+
+# The streaming writer against the np.savetxt calls it replaced.
+
+
+def _savetxt_trajectory(batch, path):
+    P, S, d = batch.x.shape
+    cols = (["path_id", "t"] + ["x%d" % (i + 1) for i in range(d)]
+            + ["k%d" % (i + 1) for i in range(d)] + ["ell"])
+    table = np.empty((P, S, 2 * d + 3))
+    table[:, :, 0] = np.arange(P)[:, None]
+    table[:, :, 1] = batch.times
+    table[:, :, 2:d + 2] = batch.x
+    table[:, :, d + 2:-1] = batch.k
+    table[:, :, -1] = batch.ell
+    np.savetxt(path, table.reshape(P * S, 2 * d + 3), delimiter=",",
+               fmt=["%d"] + ["%.17g"] * (2 * d + 2),
+               header=",".join(cols), comments="")
+
+
+def _savetxt_weights(batch, path):
+    table = np.column_stack([np.arange(batch.n_paths), batch.log_weights])
+    np.savetxt(path, table, fmt=["%d", "%.17g"], delimiter=",",
+               header="path_id,log_weight", comments="")
+
+
+def _batch(times, x, k, ell, log_weights=None):
+    return TrajectoryBatch(
+        times=np.asarray(times, dtype=float), x=x, k=k, ell=ell,
+        flags=np.zeros(x.shape[0], dtype=np.int64), log_weights=log_weights,
+        diagnostics={}, config=None, backend="numpy", run_info={},
+    )
+
+
+def _assert_csv_matches_savetxt(batch, tmp_path):
+    _savetxt_trajectory(batch, str(tmp_path / "ref.csv"))
+    batch.to_csv(str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _in_runs(rng, shape, change=0.1):
+    """Random values that change at about ``change`` of the steps."""
+    n = int(np.prod(shape))
+    values = rng.standard_normal(n)
+    run = np.cumsum(rng.random(n) < change)
+    return values[run].reshape(shape)
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+_SPECIAL = [0.0, -0.0, -0.0, 0.0, np.inf, -np.inf, np.inf, 5e-324,
+            2.2250738585072014e-308 / 3, 1e300, 1e300, -1e300, 1e-300,
+            0.1, 1.0 / 3.0, _NAN_PAYLOAD, -np.nan, np.nan, np.nan, 7.0]
+
+
+def test_csv_writer_matches_savetxt_on_special_values(tmp_path):
+    P, S, d = 4, 5, 2
+    vals = np.array(_SPECIAL)
+    x = np.resize(vals, (P, S, d))
+    k = np.resize(vals[::-1], (P, S, d))
+    ell = np.resize(vals[3:], (P, S))
+    x[2, 1:], k[2, 1:], ell[2, 1:] = np.nan, np.nan, np.nan  # a flagged path
+    times = [0.1, 0.2, 0.30000000000000004, 1e-17, 5.0]
+    _assert_csv_matches_savetxt(_batch(times, x, k, ell), tmp_path)
+
+
+@pytest.mark.parametrize("P, S, d", [(3, 0, 1), (3, 0, 2), (1, 1, 1), (4, 1, 2),
+                                     (1, 7, 2), (1, 1, 3)])
+def test_csv_writer_matches_savetxt_on_small_shapes(tmp_path, P, S, d):
+    rng = np.random.default_rng(P * 100 + S * 10 + d)
+    batch = _batch(np.arange(1, S + 1) * 0.01, rng.standard_normal((P, S, d)),
+                   _in_runs(rng, (P, S, d)), _in_runs(rng, (P, S)))
+    _assert_csv_matches_savetxt(batch, tmp_path)
+    if S == 0:
+        assert (tmp_path / "new.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("P, S", [(7, _CSV_BLOCK_ROWS // 2 - 24),
+                                  (3, 2 * _CSV_BLOCK_ROWS + 360)])
+def test_csv_writer_matches_savetxt_across_blocks(tmp_path, P, S):
+    # S smaller and larger than a block, dividing neither it nor P * S
+    assert P * S > 2 * _CSV_BLOCK_ROWS
+    assert _CSV_BLOCK_ROWS % S and S % _CSV_BLOCK_ROWS
+    assert (P * S) % _CSV_BLOCK_ROWS
+    rng = np.random.default_rng(S)
+    x = rng.random((P, S, 1))
+    x[1, S // 2:] = np.nan
+    batch = _batch(np.arange(1, S + 1) * 1e-3, x, _in_runs(rng, (P, S, 1), 0.05),
+                   _in_runs(rng, (P, S), 0.05))
+    _assert_csv_matches_savetxt(batch, tmp_path)
+
+
+def test_csv_writer_accepts_path_objects_and_matches_a_run(tmp_path):
+    disc = Ball([0.0, 0.0], 1.0)
+    cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
+    cfg = SimConfig(family="driftless_weighted", dt_base=1e-3, t_end=0.2,
+                    n_paths=5, seed=3, snap_every=7)
+    batch = run_ensemble(cs, cfg, domain=disc)
+    assert (batch.k[:, 1:] == batch.k[:, :-1]).any()  # some runs to collapse
+    _savetxt_trajectory(batch, str(tmp_path / "ref.csv"))
+    batch.to_csv(tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _savetxt_weights(batch, str(tmp_path / "ref_w.csv"))
+    batch.write_weights(tmp_path / "new_w.csv")
+    assert (tmp_path / "new_w.csv").read_bytes() == (tmp_path / "ref_w.csv").read_bytes()
+
+
+@pytest.mark.parametrize("P", [1, 3, len(_SPECIAL), 2 * _CSV_BLOCK_ROWS + 5])
+def test_write_weights_matches_savetxt(tmp_path, P):
+    log_weights = np.resize(np.array(_SPECIAL), P)
+    batch = _batch([0.5], np.zeros((P, 1, 1)), np.zeros((P, 1, 1)),
+                   np.zeros((P, 1)), log_weights=log_weights)
+    _savetxt_weights(batch, str(tmp_path / "ref.csv"))
+    batch.write_weights(str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
