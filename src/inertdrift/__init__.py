@@ -14,7 +14,8 @@ skorokhod
     driving-path transform with local time.
 simulate
     Ensemble integrators for the reflected, reweighted-driftless, and
-    gradient (smooth wall) families, with compiled and numpy backends.
+    gradient (smooth wall) families, with a numpy kernel backend and a
+    generic per-path backend.
 stationary
     The candidate product stationary law, its normalizers and sampler,
     the extended generator, and quadrature residual checks.
@@ -87,7 +88,6 @@ from .skorokhod import (
     solve_skorokhod,
     write_path_csv,
 )
-from ._kernels import active_backend
 
 __all__ = [
     "Ball",
@@ -112,7 +112,6 @@ __all__ = [
     "SystemState",
     "TestReport",
     "TrajectoryBatch",
-    "active_backend",
     "angular_uniformity",
     "batch_means_error",
     "bump_basis",

@@ -1,17 +1,12 @@
-"""Chunked stepping backends for the ensemble integrators.
+"""Chunked numpy stepping kernels for the ensemble integrators.
 
-Each hot kernel exists twice: a compiled per-path loop (numba ``@njit``)
-and a vectorized numpy twin.  Both consume identical pregenerated noise
-arrays and perform the same floating-point operations in the same order,
-so the reflected-family backends produce bit-identical trajectories.  The
-gradient-family backends additionally evaluate ``exp``, whose last-ulp
-rounding may differ between the scalar libm call and numpy's array loop;
-those trajectories agree to rounding noise on short horizons and in
-distribution on long ones.
-
-Backend selection: setting the ``INERTDRIFT_NO_NUMBA`` environment
-variable to anything other than ``""`` or ``"0"`` forces the numpy
-backend; otherwise numba is used whenever it imports.
+One vectorized kernel per stepping family advances every path of an
+ensemble through one chunk of pregenerated noise, step-synchronously.
+Each performs the same floating-point operations in the same order as the
+generic per-path steppers in :mod:`inertdrift.simulate`, so the two
+backends agree bit for bit on the interval and for the gradient family
+(tested); on the ball the generic reflection map rounds the contact
+differently in the last digits.
 
 Every kernel takes the mutable state arrays, the chunk's noise, the
 global index of the chunk's first step, and ``params``: one plain tuple of
@@ -25,33 +20,13 @@ half-line) and balls; everything else goes through the generic per-path
 steppers in :mod:`inertdrift.simulate`, which follow the same protocol.
 """
 
-import os
+import importlib.util
 
 import numpy as np
 
-_env_flag = os.environ.get("INERTDRIFT_NO_NUMBA", "").strip()
-NUMBA_DISABLED = _env_flag not in ("", "0")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by INERTDRIFT_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorate(fn):
-            return fn
-
-        return decorate
-
-
-def active_backend():
-    """Name of the default backend: 'numba' when available, else 'numpy'."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
+# Read only by the machine block of perfbench/run.py; nothing in the
+# package branches on it.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 # Domain tags understood by the kernels.
 DOM_INTERVAL = 0
@@ -78,109 +53,17 @@ LOG_WEIGHT_CAP = 700.0
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _reflected_chunk_loop(
-    x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, gstep0, params
-):  # pragma: no cover - compiled; the numpy twin carries coverage
-    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, dkind, dlo, dhi, _,
-     dcenter, dradius, first_snap, snap_every) = params
-    P, C, d = z.shape
-    for p in range(P):
-        if flags[p] != FLAG_OK:
-            continue
-        y = np.empty(d)
-        nx = np.empty(d)
-        pu = np.empty(d)
-        for c in range(C):
-            if do_weight:
-                acc1 = 0.0
-                acc2 = 0.0
-                for i in range(d):
-                    wi = 0.0
-                    for j in range(d):
-                        wi += SI[i, j] * k[p, j]
-                    acc1 += wi * (sqrt_dt * z[p, c, i])
-                    acc2 += wi * wi
-                logw[p] += acc1 - 0.5 * acc2 * dt
-                if logw[p] > LOG_WEIGHT_CAP:
-                    flags[p] = FLAG_WEIGHT_OVERFLOW
-                    break
-            for i in range(d):
-                tmp = 0.0
-                for j in range(d):
-                    tmp += S[i, j] * z[p, c, j]
-                kk = k[p, i] if use_k else 0.0
-                y[i] = x[p, i] + (sqrt_dt * tmp + (b[i] + kk) * dt)
-            dl = 0.0
-            if dkind == DOM_INTERVAL:
-                yy = y[0]
-                if yy < dlo:
-                    dl = (dlo - yy) / UM[0, 0]
-                    x[p, 0] = dlo
-                    k[p, 0] += VM[0, 0] * dl
-                elif yy > dhi:
-                    dl = (dhi - yy) / (-UM[0, 0])
-                    x[p, 0] = dhi
-                    k[p, 0] += (-VM[0, 0]) * dl
-                else:
-                    x[p, 0] = yy
-            else:
-                rr2 = 0.0
-                for i in range(d):
-                    nx[i] = y[i] - dcenter[i]
-                    rr2 += nx[i] * nx[i]
-                rr = np.sqrt(rr2)
-                if rr > dradius:
-                    for i in range(d):
-                        nx[i] = -(nx[i] / rr)
-                    a_ = 0.0
-                    b_ = 0.0
-                    for i in range(d):
-                        pi = 0.0
-                        for j in range(d):
-                            pi += UM[i, j] * nx[j]
-                        pu[i] = pi
-                        a_ += pi * pi
-                        b_ += (y[i] - dcenter[i]) * pi
-                    cc = rr2 - dradius * dradius
-                    disc = b_ * b_ - a_ * cc
-                    if disc <= 0.0:
-                        flags[p] = FLAG_REFLECT_FAILURE
-                        break
-                    dl = (-b_ - np.sqrt(disc)) / a_
-                    nn2 = 0.0
-                    for i in range(d):
-                        nx[i] = (y[i] + dl * pu[i]) - dcenter[i]
-                        nn2 += nx[i] * nx[i]
-                    nn = np.sqrt(nn2)
-                    for i in range(d):
-                        x[p, i] = dcenter[i] + dradius * (nx[i] / nn)
-                        nx[i] = -(nx[i] / nn)
-                    for i in range(d):
-                        vi = 0.0
-                        for j in range(d):
-                            vi += VM[i, j] * nx[j]
-                        k[p, i] += vi * dl
-                else:
-                    for i in range(d):
-                        x[p, i] = y[i]
-            if dl > 0.0:
-                counters[0] += 1
-            ell[p] += dl
-            s = gstep0 + c + 1
-            if s >= first_snap and (s - first_snap) % snap_every == 0:
-                slot = (s - first_snap) // snap_every
-                for i in range(d):
-                    out_x[p, slot, i] = x[p, i]
-                    out_k[p, slot, i] = k[p, i]
-                out_ell[p, slot] = ell[p]
-
-
-def _reflected_chunk_vec(
+def reflected_chunk(
     x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, gstep0, params
 ):
-    """Vectorized twin of :func:`_reflected_chunk_loop` (same arithmetic)."""
-    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, dkind, dlo, dhi, _,
+    """Advance every live path of a reflected-family run through one chunk.
+
+    On contact the interval pushes along u back to its endpoint and the
+    ball solves the quadratic for the closed-form landing point; K gains
+    v dL in both.  With ``do_weight`` the Girsanov log-weight is updated
+    from the step-start K before the move.
+    """
+    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, dkind, dlo, dhi,
      dcenter, dradius, first_snap, snap_every) = params
     P, C, d = z.shape
     for c in range(C):
@@ -297,191 +180,21 @@ def _reflected_chunk_vec(
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _smooth_delta_loop(xvec, gd, dkind, dlo, dhi, dmid, dcap, dcenter, dradius):
-    """Smoothed boundary distance and its gradient (written into ``gd``).
-
-    Mirrors the interval/ball formulas of geometry.SmoothDistance exactly:
-    quartic center cap of radius ``dcap``, plain distance outside it.  For
-    the half-line (``dhi`` infinite) the distance is exact with gradient 1.
-    Returns the smoothed distance; negative values mean "outside".
-    """  # pragma: no cover - compiled; parity with SmoothDistance is tested
-    d = xvec.shape[0]
-    if dkind == DOM_INTERVAL:
-        if dhi == np.inf:
-            gd[0] = 1.0
-            return xvec[0] - dlo
-        gd[0] = xvec[0] - dmid
-        s = abs(gd[0])
-    else:
-        s2t = 0.0
-        for i in range(d):
-            gd[i] = xvec[i] - dcenter[i]
-            s2t += gd[i] * gd[i]
-        s = np.sqrt(s2t)
-    a = dcap
-    if s < a:
-        s2 = s * s
-        phi = 3.0 * a / 8.0 + 3.0 * s2 / (4.0 * a) - (s2 * s2) / (
-            8.0 * ((a * a) * a)
-        )
-        dpos = 3.0 / (2.0 * a) - s2 / (2.0 * ((a * a) * a))
-    else:
-        phi = s
-        dpos = 1.0 / s
-    for i in range(d):
-        gd[i] = (-dpos) * gd[i]
-    return dradius - phi
-
-
-@njit(cache=True)
-def _gradient_chunk_loop(
-    x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor, progress,
-    need, gstep0, params,
-):  # pragma: no cover - compiled; the numpy twin carries coverage
-    (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap, dkind,
-     dlo, dhi, dmid, dcap, dcenter, dradius, first_snap, snap_every, max_sub,
-     resample_cap) = params
-    P, C, d = z.shape
-    pool_len = pool.shape[1]
-    for p in range(P):
-        if flags[p] != FLAG_OK or progress[p] >= C:
-            continue
-        xs = np.empty(d)
-        ks = np.empty(d)
-        gd = np.empty(d)
-        gs = np.empty(d)
-        mu = np.empty(d)
-        zz = np.empty(d)
-        xp = np.empty(d)
-        c = progress[p]
-        while c < C:
-            for i in range(d):
-                xs[i] = x[p, i]
-                ks[i] = k[p, i]
-            remaining = dt
-            first = True
-            nsub = 0
-            ok = True
-            while remaining > 0.0:
-                nsub += 1
-                if nsub > max_sub:
-                    flags[p] = FLAG_BOUNDARY_OVERFLOW
-                    ok = False
-                    break
-                delta = _smooth_delta_loop(
-                    x[p], gd, dkind, dlo, dhi, dmid, dcap, dcenter, dradius
-                )
-                if delta < delta_floor:
-                    flags[p] = FLAG_BOUNDARY_OVERFLOW
-                    ok = False
-                    break
-                E = 1.0 / (vn * delta)
-                if E > exp_cap:
-                    flags[p] = FLAG_BOUNDARY_OVERFLOW
-                    ok = False
-                    break
-                Vp = np.exp(E)
-                pref = -(Vp / (vn * (delta * delta)))
-                for i in range(d):
-                    gd[i] = pref * gd[i]
-                speed2 = 0.0
-                for i in range(d):
-                    acc = 0.0
-                    for j in range(d):
-                        acc += A2[i, j] * gd[j]
-                    mu[i] = (b[i] - acc) + k[p, i]
-                    speed2 += mu[i] * mu[i]
-                speed = np.sqrt(speed2)
-                if speed * remaining <= h_max:
-                    dts = remaining
-                else:
-                    dts = h_max / speed
-                if dts < dt * 1e-12:
-                    flags[p] = FLAG_BOUNDARY_OVERFLOW
-                    ok = False
-                    break
-                sq = np.sqrt(dts)
-                if first:
-                    for i in range(d):
-                        zz[i] = z[p, c, i]
-                    first = False
-                else:
-                    if cursor[p] >= pool_len:
-                        need[p] = 1
-                        ok = False
-                        break
-                    for i in range(d):
-                        zz[i] = pool[p, cursor[p], i]
-                    cursor[p] += 1
-                counters[0] += 1
-                tries = 0
-                accepted = False
-                while True:
-                    for i in range(d):
-                        tmp = 0.0
-                        for j in range(d):
-                            tmp += S[i, j] * zz[j]
-                        xp[i] = x[p, i] + (sq * tmp + mu[i] * dts)
-                    dprop = _smooth_delta_loop(
-                        xp, gs, dkind, dlo, dhi, dmid, dcap, dcenter, dradius
-                    )
-                    if dprop >= delta_guard:
-                        accepted = True
-                        break
-                    tries += 1
-                    counters[1] += 1
-                    if tries > resample_cap:
-                        flags[p] = FLAG_BOUNDARY_OVERFLOW
-                        ok = False
-                        break
-                    if cursor[p] >= pool_len:
-                        need[p] = 1
-                        ok = False
-                        break
-                    for i in range(d):
-                        zz[i] = pool[p, cursor[p], i]
-                    cursor[p] += 1
-                if not accepted:
-                    break
-                for i in range(d):
-                    acc = 0.0
-                    for j in range(d):
-                        acc += NU[i, j] * gd[j]
-                    k[p, i] -= acc * dts
-                for i in range(d):
-                    x[p, i] = xp[i]
-                remaining -= dts
-            if not ok:
-                if need[p] == 1:
-                    for i in range(d):
-                        x[p, i] = xs[i]
-                        k[p, i] = ks[i]
-                break
-            s = gstep0 + c + 1
-            if s >= first_snap and (s - first_snap) % snap_every == 0:
-                slot = (s - first_snap) // snap_every
-                for i in range(d):
-                    out_x[p, slot, i] = x[p, i]
-                    out_k[p, slot, i] = k[p, i]
-                out_ell[p, slot] = 0.0
-            c += 1
-            progress[p] = c
-
-
-def _gradient_chunk_vec(
+def gradient_chunk(
     sd, x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
     progress, need, gstep0, params,
 ):
-    """Vectorized twin of :func:`_gradient_chunk_loop`.
+    """Advance every live path of a gradient-family run through one chunk.
 
-    Evaluates the SmoothDistance object ``sd`` directly (same formulas the
-    compiled kernel re-implements from the scalar domain entries of
-    ``params``).  Paths are advanced step-synchronously; after a pool
-    refill only the lagging paths re-enter the early steps.
+    The wall is evaluated through the SmoothDistance object ``sd``.  Each
+    step is sub-divided so no sub-move exceeds ``h_max`` and proposals
+    below ``delta_guard`` are redrawn, both from the reserve ``pool``; a
+    path whose pool runs out goes back to its step start and sets
+    ``need``.  After a pool refill only the lagging paths re-enter the
+    early steps.
     """
-    (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap, _, _, _,
-     _, _, _, _, first_snap, snap_every, max_sub, resample_cap) = params
+    (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap,
+     first_snap, snap_every, max_sub, resample_cap) = params
     P, C, d = z.shape
     pool_len = pool.shape[1]
     todo = (flags == FLAG_OK) & (progress < C)
@@ -628,22 +341,3 @@ def _gradient_chunk_vec(
                 out_ell[frows, slot] = 0.0
             progress[frows] = c + 1
 
-
-def reflected_chunk(backend, *args):
-    """Dispatch one reflected-family chunk to the requested backend."""
-    if backend == "numba":
-        _reflected_chunk_loop(*args)
-    else:
-        _reflected_chunk_vec(*args)
-
-
-def gradient_chunk(backend, sd, *args):
-    """Dispatch one gradient-family chunk to the requested backend.
-
-    The compiled kernel reads the geometry of ``sd`` from the scalar domain
-    entries of its params tuple; the numpy twin evaluates ``sd`` itself.
-    """
-    if backend == "numba":
-        _gradient_chunk_loop(*args)
-    else:
-        _gradient_chunk_vec(sd, *args)

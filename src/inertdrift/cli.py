@@ -597,20 +597,24 @@ def cmd_histogram(args):
     if args.bins < 2:
         raise ConfigError("--bins must be at least 2")
     times, x, k, ell = read_trajectory_csv(args.trajectory)
-    n_paths = x.shape[0]
     sim = SimConfig(
         family="reflected",
         dt_base=float(times[-1]),
         t_end=float(times[-1]),
-        n_paths=n_paths,
+        n_paths=x.shape[0],
         seed=0,
     )
+    # a flagged path's rows after its flag are NaN: leave such paths out,
+    # as ``run`` leaves out the flagged paths of its batch
+    finite = (np.isfinite(x).all(axis=(1, 2)) & np.isfinite(k).all(axis=(1, 2))
+              & np.isfinite(ell).all(axis=1))
+    x, k, ell = x[finite], k[finite], ell[finite]
     batch = TrajectoryBatch(
         times=times,
         x=x,
         k=k,
         ell=ell,
-        flags=np.zeros(n_paths, dtype=np.int64),
+        flags=np.zeros(len(x), dtype=np.int64),
         log_weights=None,
         diagnostics={},
         config=sim,
@@ -655,7 +659,7 @@ def build_parser():
     p = sub.add_parser("run", help="simulate a configured ensemble and test it")
     p.add_argument("config")
     p.add_argument("--output-dir")
-    p.add_argument("--backend", choices=("numba", "numpy"))
+    p.add_argument("--backend", choices=("numpy",))
     p.add_argument("--dry-run", action="store_true",
                    help="write the manifest only; no simulation")
     p.add_argument("--strict", action="store_true",

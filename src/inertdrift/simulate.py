@@ -28,13 +28,13 @@ loop :func:`_run` draws each stream's base normals (one d-vector per step)
 and, for the gradient family only, a reserve pool consumed by sub-steps
 and redraws; a path that exhausts its pool goes back to the start of its
 step, the host refills the pool, and the path redoes that step.  The
-chunk steppers (the numba and numpy kernels, or the generic per-path
-steppers built on the single-step operations below) only consume noise,
-and all of them report one diagnostics schema (:func:`_diagnostics`).
-Results are reproducible for a fixed (seed, backend) pair; the numba and
-numpy kernels are bit-identical for the reflected families, and so is
-the generic backend on the interval and, for the gradient family, on the
-disc (both tested).
+chunk steppers (the numpy kernels of :mod:`._kernels`, or the generic
+per-path steppers built on the single-step operations below) only consume
+noise, and both report one diagnostics schema (:func:`_diagnostics`).
+Results are reproducible for a fixed (seed, backend) pair.  The two
+backends are bit-identical on the interval and, for the gradient family,
+on the disc; on the disc the reflected families agree to rounding (the
+generic reflection map rounds the contact differently; all tested).
 """
 
 import dataclasses
@@ -55,7 +55,6 @@ from ._kernels import (
     FLAG_REFLECT_FAILURE,
     FLAG_WEIGHT_OVERFLOW,
     LOG_WEIGHT_CAP,
-    active_backend,
 )
 from .coefficients import Potential, PotentialOverflowError
 from .skorokhod import SkorokhodError, reflect_step
@@ -352,17 +351,7 @@ def _write_csv(path, header, n_paths, times, columns):
 def _version_info():
     from . import __version__ as _pkg_version
 
-    try:
-        import numba as _nb
-
-        numba_version = _nb.__version__
-    except ImportError:  # pragma: no cover
-        numba_version = None
-    return {
-        "inertdrift": _pkg_version,
-        "numpy": np.__version__,
-        "numba": numba_version,
-    }
+    return {"inertdrift": _pkg_version, "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +517,10 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
 
     ``domain`` is required for the reflected families; ``potential`` for
     the gradient family (its domain is used).  ``backend`` picks the
-    implementation: "numba" or "numpy" for the chunked constant-
-    coefficient kernels, "generic" for the per-path object-mode driver
-    that handles arbitrary coefficients; default: the fastest eligible
-    one.
+    implementation: "numpy" for the chunked kernels, which need constant
+    coefficients on an interval or a ball, or "generic" for the per-path
+    steppers that handle arbitrary coefficients; the default is "numpy"
+    where the kernels apply and "generic" otherwise.
     """
     cfg = config
     if cfg.family == "gradient":
@@ -576,16 +565,15 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
 
     eligible = _kernel_family(cfg.family, cs, domain, potential)
     if backend is None:
-        backend = active_backend() if eligible else "generic"
-    if backend == "numba" and not _kernels.HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is unavailable")
-    if backend in ("numba", "numpy") and not eligible:
+        backend = "numpy" if eligible else "generic"
+    if backend not in ("numpy", "generic"):
         raise ValueError(
-            "the %s kernels need constant sigma and drift on an interval or "
-            "ball; use backend='generic'" % backend
+            "backend must be 'numpy' or 'generic', got %r" % (backend,))
+    if backend == "numpy" and not eligible:
+        raise ValueError(
+            "the numpy kernels need constant sigma and drift on an interval or "
+            "ball; use backend='generic'"
         )
-    if backend not in ("numba", "numpy", "generic"):
-        raise ValueError("backend must be 'numba', 'numpy', or 'generic'")
 
     return _run(cs, domain, potential, cfg, x0, k0, guard, backend)
 
@@ -616,24 +604,6 @@ def _kernel_family(family, cs, domain, potential):
     return cs.inert_field in ("gamma_normal", "a0_conormal")
 
 
-def _domain_kernel_args(domain):
-    if domain.kind == "interval":
-        dlo = float(domain.lo)
-        dhi = float(domain.hi)
-        dmid = (dlo + dhi) / 2.0 if np.isfinite(dhi) else 0.0
-        return DOM_INTERVAL, dlo, dhi, dmid, np.zeros(domain.d), float(
-            domain.inradius
-        )
-    return (
-        DOM_BALL,
-        0.0,
-        0.0,
-        0.0,
-        np.asarray(domain.center, float),
-        float(domain.radius),
-    )
-
-
 def _draw(rngs, C, d):
     """C standard normal d-vectors per path, each from the path's stream."""
     out = np.empty((len(rngs), C, d))
@@ -660,30 +630,31 @@ def _h_max(cfg, domain):
 
 def _reflected_params(cs, domain, cfg, x0):
     """Read-only constants of a reflected-family kernel run, in the order
-    the kernels unpack them."""
+    the kernel unpacks them."""
     Smat = cs.sigma(x0)
     UM, VM = _push_matrices(cs, x0)
-    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
+    if domain.kind == "interval":
+        geometry = (DOM_INTERVAL, float(domain.lo), float(domain.hi), None, None)
+    else:
+        geometry = (DOM_BALL, None, None, np.asarray(domain.center, float),
+                    float(domain.radius))
     return (
         cfg.dt_base, np.sqrt(cfg.dt_base), Smat, np.linalg.inv(Smat),
         np.asarray(cs.constant_drift, float), UM, VM,
         cfg.family == "reflected", cfg.family == "driftless_weighted",
-        dkind, dlo, dhi, dmid, dcenter, dradius,
-        cfg.first_snapshot_step, cfg.snap_every,
+        *geometry, cfg.first_snapshot_step, cfg.snap_every,
     )
 
 
 def _gradient_params(cs, potential, cfg, x0, guard):
     """Read-only constants of a gradient-family kernel run, in the order
-    the kernels unpack them."""
-    domain = potential.domain
-    dkind, dlo, dhi, dmid, dcenter, dradius = _domain_kernel_args(domain)
+    the kernel unpacks them; the kernel reads the wall's geometry from
+    ``potential.distance`` itself."""
     return (
         cfg.dt_base, cs.sigma(x0), np.asarray(cs.constant_drift, float),
         0.5 * cs.a_matrix(x0), 0.5 * np.asarray(cs.gamma, float),
-        float(potential.n), _h_max(cfg, domain), float(guard),
+        float(potential.n), _h_max(cfg, potential.domain), float(guard),
         float(potential.delta_floor), float(Potential.EXPONENT_CAP),
-        dkind, dlo, dhi, dmid, float(potential.distance._cap), dcenter, dradius,
         cfg.first_snapshot_step, cfg.snap_every,
         cfg.max_substeps, cfg.resample_cap,
     )
@@ -697,11 +668,11 @@ def _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend):
             return functools.partial(_generic_gradient_chunk, cs, potential, cfg, guard)
         params = _gradient_params(cs, potential, cfg, x0, guard)
         return lambda *state: _kernels.gradient_chunk(
-            backend, potential.distance, *state, params)
+            potential.distance, *state, params)
     if backend == "generic":
         return functools.partial(_generic_reflected_chunk, cs, domain, cfg)
     params = _reflected_params(cs, domain, cfg, x0)
-    return lambda *state: _kernels.reflected_chunk(backend, *state, params)
+    return lambda *state: _kernels.reflected_chunk(*state, params)
 
 
 def _run(cs, domain, potential, cfg, x0, k0, guard, backend):

@@ -16,11 +16,13 @@ import pytest
 
 from inertdrift import (
     Interval,
+    make_coefficients,
     make_domain,
     read_path_csv,
     solve_skorokhod,
     write_path_csv,
 )
+from inertdrift._kernels import FLAG_REFLECT_FAILURE
 from inertdrift.cli import ConfigError, emit_histograms, load_run_config, main
 from inertdrift.simulate import SimConfig, TrajectoryBatch, run_ensemble
 
@@ -242,16 +244,14 @@ def test_run_writes_the_importance_weights(tmp_path):
     assert "kish_ess" not in json.loads((plain / "manifest.json").read_text())
 
 
-@pytest.mark.usefixtures("numba_backend")
-def test_run_backends_agree_bitwise(tmp_path):
+def test_run_rejects_the_numba_backend(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", base_config())
-    out1, out2 = tmp_path / "nb", tmp_path / "np"
-    assert main(["run", path, "--output-dir", str(out1),
-                 "--backend", "numba", "--no-histograms"]) == 0
-    assert main(["run", path, "--output-dir", str(out2),
-                 "--backend", "numpy", "--no-histograms"]) == 0
-    assert (out1 / "trajectory.csv").read_bytes() == \
-        (out2 / "trajectory.csv").read_bytes()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--output-dir", str(out), "--backend", "numba"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'numba'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shipped_interval_config_passes(tmp_path, capsys):
@@ -452,6 +452,28 @@ def test_histogram_rejects_malformed_trajectory(tmp_path, capsys):
     bad.write_text("path_id,t,x1,k1,ell\n")
     assert main(["histogram", str(bad),
                  "--output-dir", str(tmp_path / "h")]) == 1
+
+
+def test_histogram_leaves_out_flagged_paths_like_run(tmp_path):
+    # a flagged path's snapshots after its flag are NaN in trajectory.csv
+    cfg = SimConfig(family="reflected", dt_base=0.001, t_end=1.0, n_paths=6,
+                    seed=2, snap_every=50)
+    domain = Interval(0.0, 1.0)
+    cs = make_coefficients("identity", domain, gamma=[[1.0]])
+    batch = run_ensemble(cs, cfg, domain=domain)
+    batch.flags[2] = FLAG_REFLECT_FAILURE
+    for array in (batch.x, batch.k, batch.ell):
+        array[2, 7:] = np.nan
+    from_run, from_file = tmp_path / "run", tmp_path / "file"
+    from_run.mkdir()
+    files = emit_histograms(batch, 15, str(from_run))
+    batch.to_csv(str(tmp_path / "trajectory.csv"))
+    assert main(["histogram", str(tmp_path / "trajectory.csv"), "--bins", "15",
+                 "--output-dir", str(from_file)]) == 0
+    csvs = [name for name in files if name.endswith(".csv")]
+    assert csvs == ["hist_x1.csv", "hist_k1.csv"]
+    for name in csvs:
+        assert (from_file / name).read_bytes() == (from_run / name).read_bytes()
 
 
 def test_emit_histograms_rejects_unusable_batch(tmp_path):
