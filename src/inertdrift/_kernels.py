@@ -15,6 +15,11 @@ in :mod:`inertdrift.simulate` and unpacked in one statement; the host
 loop there draws all noise.  ``counters[0]`` counts contacts (reflected)
 or sub-moves (gradient), ``counters[1]`` redraws (gradient).
 
+The gradient kernel evaluates the wall once per proposal through
+``SmoothDistance._value_and_grad``, which shares its formula with the
+``value`` and ``grad`` that the generic stepper calls, and carries delta
+and grad delta of the accepted proposal into the next sub-step or step.
+
 Kernels cover constant-coefficient runs on intervals (bounded or
 half-line) and balls; everything else goes through the generic per-path
 steppers in :mod:`inertdrift.simulate`, which follow the same protocol.
@@ -180,16 +185,32 @@ def reflected_chunk(
 # ---------------------------------------------------------------------------
 
 
+def _rowdot(M, V):
+    """out[:, i] = sum_j M[i, j] V[:, j], summed left to right from +0.0
+    (``p + 0.0`` turns a product of -0.0 into +0.0, as ``0.0 + p`` does)."""
+    out = V[:, 0, None] * M[:, 0] + 0.0
+    for j in range(1, V.shape[1]):
+        out = out + V[:, j, None] * M[:, j]
+    return out
+
+
+def _take(keep, *arrays):
+    """Each array restricted to the rows that ``keep`` selects."""
+    return tuple(a[keep] for a in arrays)
+
+
 def gradient_chunk(
     sd, x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
     progress, need, gstep0, params,
 ):
     """Advance every live path of a gradient-family run through one chunk.
 
-    The wall is evaluated through the SmoothDistance object ``sd``.  Each
-    step is sub-divided so no sub-move exceeds ``h_max`` and proposals
-    below ``delta_guard`` are redrawn, both from the reserve ``pool``; a
-    path whose pool runs out goes back to its step start and sets
+    The wall is evaluated through the SmoothDistance object ``sd``, once
+    per proposal: delta and its gradient at an accepted proposal are
+    carried into the next sub-step or step.  Each step is sub-divided so no
+    sub-move exceeds ``h_max`` and proposals below ``delta_guard`` are
+    redrawn, both from the reserve ``pool``; a path whose pool runs out
+    goes back to its step start, drops its carried values and sets
     ``need``.  After a pool refill only the lagging paths re-enter the
     early steps.
     """
@@ -197,147 +218,134 @@ def gradient_chunk(
      first_snap, snap_every, max_sub, resample_cap) = params
     P, C, d = z.shape
     pool_len = pool.shape[1]
-    todo = (flags == FLAG_OK) & (progress < C)
-    if not todo.any():
+    todo = ((flags == FLAG_OK) & (progress < C)).nonzero()[0]
+    if len(todo) == 0:
         return
-    for c in range(int(progress[todo].min()), C):
-        rows = np.where((flags == FLAG_OK) & (need == 0) & (progress == c))[0]
-        if len(rows) == 0:
-            continue
-        m = len(rows)
-        xs = x[rows].copy()
-        ks = k[rows].copy()
-        remaining = np.full(m, dt)
-        live = np.ones(m, dtype=bool)
-        nsub = 0
-        first = True
-        while True:
-            act = live & (remaining > 0.0)
-            if not act.any():
-                break
-            nsub += 1
-            if nsub > max_sub:
-                flags[rows[act]] = FLAG_BOUNDARY_OVERFLOW
-                live[act] = False
-                break
-            pos = np.where(act)[0]
-            gr = rows[pos]
-            pts = x[gr]
-            delta = sd._value(pts)
-            gdel = sd._grad(pts)
-            with np.errstate(divide="ignore", over="ignore"):
-                E = 1.0 / (vn * delta)
-            bad = (delta < delta_floor) | (E > exp_cap)
-            if bad.any():
-                flags[gr[bad]] = FLAG_BOUNDARY_OVERFLOW
-                live[pos[bad]] = False
-                good = ~bad
-                pos = pos[good]
-                gr = gr[good]
-                if len(pos) == 0:
-                    continue
-                delta = delta[good]
-                gdel = gdel[good]
-                E = E[good]
-            Vp = np.exp(E)
-            pref = -(Vp / (vn * (delta * delta)))
-            gV = pref[:, None] * gdel
-            mu = np.empty_like(gV)
-            speed2 = np.zeros(len(pos))
-            for i in range(d):
-                acc = np.zeros(len(pos))
-                for j in range(d):
-                    acc = acc + A2[i, j] * gV[:, j]
-                mu[:, i] = (b[i] - acc) + k[gr, i]
-                speed2 = speed2 + mu[:, i] * mu[:, i]
-            speed = np.sqrt(speed2)
-            rem = remaining[pos]
-            with np.errstate(divide="ignore"):
-                dts = np.where(speed * rem <= h_max, rem, h_max / speed)
-            tiny = dts < dt * 1e-12
-            if tiny.any():
-                flags[gr[tiny]] = FLAG_BOUNDARY_OVERFLOW
-                live[pos[tiny]] = False
-                keep = ~tiny
-                pos, gr = pos[keep], gr[keep]
-                if len(pos) == 0:
-                    continue
-                gV, mu, dts = gV[keep], mu[keep], dts[keep]
-            if first:
-                zz = z[gr, c, :]
-                first = False
-            else:
-                exh = cursor[gr] >= pool_len
-                if exh.any():
-                    need[gr[exh]] = 1
-                    x[gr[exh]] = xs[pos[exh]]
-                    k[gr[exh]] = ks[pos[exh]]
-                    live[pos[exh]] = False
-                    keep = ~exh
-                    pos, gr = pos[keep], gr[keep]
-                    if len(pos) == 0:
-                        continue
-                    gV, mu, dts = gV[keep], mu[keep], dts[keep]
-                zz = pool[gr, cursor[gr], :]
-                cursor[gr] += 1
-            sq = np.sqrt(dts)
-            counters[0] += len(pos)
-            tries = 0
-            pend = np.ones(len(pos), dtype=bool)
-            xp = np.empty((len(pos), d))
-            while pend.any():
-                w = np.where(pend)[0]
-                for i in range(d):
-                    tmp = np.zeros(len(w))
-                    for j in range(d):
-                        tmp = tmp + S[i, j] * zz[w, j]
-                    xp[w, i] = x[gr[w], i] + (sq[w] * tmp + mu[w, i] * dts[w])
-                dprop = sd._value(xp[w])
-                accept = dprop >= delta_guard
-                pend[w[accept]] = False
-                rej = w[~accept]
-                if len(rej) == 0:
-                    break
-                tries += 1
-                counters[1] += len(rej)
-                if tries > resample_cap:
-                    flags[gr[rej]] = FLAG_BOUNDARY_OVERFLOW
-                    live[pos[rej]] = False
-                    pend[rej] = False
-                    continue
-                exh = cursor[gr[rej]] >= pool_len
-                if exh.any():
-                    er = rej[exh]
-                    need[gr[er]] = 1
-                    x[gr[er]] = xs[pos[er]]
-                    k[gr[er]] = ks[pos[er]]
-                    live[pos[er]] = False
-                    pend[er] = False
-                    rej = rej[~exh]
-                    if len(rej) == 0:
-                        continue
-                zz[rej] = pool[gr[rej], cursor[gr[rej]], :]
-                cursor[gr[rej]] += 1
-            ok = live[pos]
-            pos = pos[ok]
-            gr = gr[ok]
-            if len(pos) == 0:
-                continue
-            gVs, dtss, xps = gV[ok], dts[ok], xp[ok]
-            for i in range(d):
-                acc = np.zeros(len(pos))
-                for j in range(d):
-                    acc = acc + NU[i, j] * gVs[:, j]
-                k[gr, i] -= acc * dtss
-            x[gr] = xps
-            remaining[pos] = remaining[pos] - dtss
-        frows = rows[live]
-        if len(frows):
-            s = gstep0 + c + 1
-            if s >= first_snap and (s - first_snap) % snap_every == 0:
-                slot = (s - first_snap) // snap_every
-                out_x[frows, slot, :] = x[frows]
-                out_k[frows, slot, :] = k[frows]
-                out_ell[frows, slot] = 0.0
-            progress[frows] = c + 1
+    # delta and grad delta at every path's current point
+    cdel = np.full(P, np.nan)
+    cgrad = np.full((P, d), np.nan)
+    cdel[todo], cgrad[todo] = sd._value_and_grad(x[todo])
+    moves = redraws = 0
+    dt_full = np.full(P, dt)  # time left at a step start; sliced, never written
 
+    def roll_back(rg):
+        """Send paths whose pool ran out back to their step start."""
+        need[rg] = 1
+        cdel[rg] = np.nan
+        cgrad[rg] = np.nan
+        if nsub > 1:  # x and k have moved since the step start
+            at = np.searchsorted(rows, rg)
+            x[rg] = xs[at]
+            k[rg] = ks[at]
+
+    # past the last entry step, the paths of step c are those that ended c-1
+    last_entry = int(progress[todo].max())
+    # a wall too close for double precision is caught by the ``fail`` test,
+    # so floating-point warnings stay off for the whole chunk
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for c in range(int(progress[todo].min()), C):
+            if c <= last_entry:
+                rows = ((flags == FLAG_OK) & (need == 0) & (progress == c)).nonzero()[0]
+            if len(rows) == 0:
+                if c >= last_entry:
+                    break
+                continue
+            gr = rows
+            rem = dt_full[:len(rows)]
+            delta, gdel = cdel[rows], cgrad.take(rows, axis=0)
+            lost = False  # a path of this step was flagged or rolled back
+            nsub = 0
+            while True:
+                nsub += 1
+                if nsub > max_sub:
+                    flags[gr] = FLAG_BOUNDARY_OVERFLOW
+                    lost = True
+                    break
+                kg = k.take(gr, axis=0)
+                E = 1.0 / (vn * delta)
+                gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
+                mu = (b - _rowdot(A2, gV)) + kg
+                speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
+                for i in range(1, d):
+                    speed2 = speed2 + mu[:, i] * mu[:, i]
+                speed = np.sqrt(speed2)
+                dts = np.where(speed * rem <= h_max, rem, h_max / speed)
+                # too close to the wall to evaluate, or a collapsed sub-step
+                fail = (delta < delta_floor) | (E > exp_cap) | (dts < dt * 1e-12)
+                if np.count_nonzero(fail):
+                    flags[gr[fail]] = FLAG_BOUNDARY_OVERFLOW
+                    lost = True
+                    gr, rem, kg, gV, mu, dts = _take(~fail, gr, rem, kg, gV, mu, dts)
+                    if len(gr) == 0:
+                        break
+                if nsub == 1:
+                    zz = z[:, c].take(gr, axis=0)
+                else:
+                    exh = cursor[gr] >= pool_len
+                    if np.count_nonzero(exh):
+                        roll_back(gr[exh])
+                        lost = True
+                        gr, rem, kg, gV, mu, dts = _take(~exh, gr, rem, kg, gV, mu, dts)
+                        if len(gr) == 0:
+                            break
+                    zz = pool[gr, cursor[gr], :]
+                    cursor[gr] += 1
+                sq = np.sqrt(dts)
+                moves += len(gr)
+                xg = x.take(gr, axis=0)
+                xp = xg + (sq[:, None] * _rowdot(S, zz) + mu * dts[:, None])
+                dprop, gprop = sd._value_and_grad(xp)
+                rej = (~(dprop >= delta_guard)).nonzero()[0]
+                if len(rej):
+                    keep = np.ones(len(gr), dtype=bool)
+                    tries = 0
+                    while len(rej):
+                        tries += 1
+                        redraws += len(rej)
+                        if tries > resample_cap:
+                            flags[gr[rej]] = FLAG_BOUNDARY_OVERFLOW
+                            keep[rej] = False
+                            break
+                        exh = cursor[gr[rej]] >= pool_len
+                        if np.count_nonzero(exh):
+                            roll_back(gr[rej[exh]])
+                            keep[rej[exh]] = False
+                            rej = rej[~exh]
+                            if len(rej) == 0:
+                                break
+                        rg = gr[rej]
+                        zz[rej] = pool[rg, cursor[rg], :]
+                        cursor[rg] += 1
+                        xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(S, zz[rej])
+                                             + mu[rej] * dts[rej, None])
+                        dprop[rej], gprop[rej] = sd._value_and_grad(xp[rej])
+                        rej = rej[~(dprop[rej] >= delta_guard)]
+                    if not keep.all():
+                        lost = True
+                        gr, rem, kg, gV, dts, xp, dprop, gprop = _take(
+                            keep, gr, rem, kg, gV, dts, xp, dprop, gprop)
+                        if len(gr) == 0:
+                            break
+                rem = rem - dts
+                more = rem > 0.0
+                if nsub == 1 and np.count_nonzero(more):
+                    # the step start, for a rollback in a later sub-step
+                    xs, ks = x.take(rows, axis=0), k.take(rows, axis=0)
+                x[gr] = xp
+                k[gr] = kg - _rowdot(NU, gV) * dts[:, None]
+                cdel[gr], cgrad[gr] = dprop, gprop
+                if not np.count_nonzero(more):
+                    break
+                gr, rem, delta, gdel = _take(more, gr, rem, dprop, gprop)
+            if lost:
+                rows = rows[(flags[rows] == FLAG_OK) & (need[rows] == 0)]
+            if len(rows):
+                s = gstep0 + c + 1
+                if s >= first_snap and (s - first_snap) % snap_every == 0:
+                    slot = (s - first_snap) // snap_every
+                    out_x[rows, slot, :] = x[rows]
+                    out_k[rows, slot, :] = k[rows]
+                    out_ell[rows, slot] = 0.0
+                progress[rows] = c + 1
+    counters[0] += moves
+    counters[1] += redraws

@@ -623,26 +623,30 @@ class SmoothDistance:
         self.sharpness = float(sharpness)
         d = domain.d
 
-        if domain.kind == "interval":
-            if domain.unbounded:
-                self.c1 = self.c2 = 1.0
-                self._cap = 0.0
-                self.breakpoints_1d = []
-            else:
-                w = domain.inradius
-                a = self.cap_fraction * w
-                self._cap = a
-                self.c1 = 1.0 - 3.0 * a / (8.0 * w)
-                self.c2 = 1.0
-                mid = float(domain.centroid[0])
-                self.breakpoints_1d = [mid - a, mid + a]
-        elif domain.kind == "ball":
-            w = domain.radius
+        self._half_line = domain.kind == "interval" and domain.unbounded
+        if self._half_line:
+            self.c1 = self.c2 = 1.0
+            self.breakpoints_1d = []
+        elif domain.kind in ("interval", "ball"):
+            if not 0.0 < self.cap_fraction < 1.0:
+                raise GeometryError(
+                    f"cap_fraction must lie in (0, 1), got {cap_fraction!r}")
+            w = domain.inradius
             a = self.cap_fraction * w
             self._cap = a
             self.c1 = 1.0 - 3.0 * a / (8.0 * w)
             self.c2 = 1.0
-            self.breakpoints_1d = []
+            self._w = w
+            self._mid = np.asarray(domain.centroid, dtype=float)
+            # phi(s) = phi0 + 3 s^2 / phi2 - s^4 / phi4 and
+            # phi'(s) / s = dphi0 - s^2 / dphi2 inside the cap
+            self._phi0, self._phi2, self._phi4 = 3 * a / 8, 4 * a, 8 * a**3
+            self._dphi0, self._dphi2 = 3.0 / (2 * a), 2 * a**3
+            if domain.kind == "interval":
+                mid = float(self._mid[0])
+                self.breakpoints_1d = [mid - a, mid + a]
+            else:
+                self.breakpoints_1d = []
         elif domain.kind == "box":
             self.c1 = float((2 * d) ** (-1.0 / self.sharpness))
             self.c2 = 1.0
@@ -661,34 +665,49 @@ class SmoothDistance:
         else:
             raise GeometryError(f"no smooth distance for domain kind {domain.kind!r}")
 
-    # quartic cap: phi(s) = 3a/8 + 3 s^2/(4a) - s^4/(8 a^3) for s < a, else s.
-    # C2 at s = a (phi(a)=a, phi'(a)=1, phi''(a)=0) and smooth at s = 0.
-    def _cap_phi(self, s):
-        a = self._cap
-        inside = s < a
-        out = np.where(inside, 3 * a / 8 + 3 * s**2 / (4 * a) - s**4 / (8 * a**3), s)
-        return out
+    def _centre_offset(self, pts):
+        """x - centre and its length s, for a bounded interval or a ball."""
+        u = pts - self._mid
+        if self.domain.kind == "interval":
+            return u, np.abs(u[:, 0])
+        return u, np.linalg.norm(u, axis=1)
 
-    def _cap_dphi_over_s(self, s):
-        """phi'(s)/s, which stays smooth through s = 0."""
+    def _capped_delta(self, s, s2, inside):
+        """delta = w - phi(s), with phi the quartic cap where ``inside``."""
+        # s**4 is one correctly rounded pow, not s2 * s2
+        return self._w - np.where(
+            inside, self._phi0 + 3 * s2 / self._phi2 - s**4 / self._phi4, s)
+
+    def _value_and_grad(self, pts):
+        """delta and grad delta at (m, d) points of an interval, a half-line
+        or a ball, from one distance s to the centre.
+
+        delta = w - phi(s) with the quartic cap
+        phi(s) = 3a/8 + 3 s^2/(4a) - s^4/(8 a^3) for s < a and phi(s) = s
+        beyond; phi is C2 at s = a (phi(a)=a, phi'(a)=1, phi''(a)=0) and
+        smooth at s = 0.  grad delta = -(phi'(s)/s) (x - centre), where
+        phi'(s)/s stays finite through s = 0.  On the half-line delta is
+        x - lo.  The gradient kernel and ``_grad`` evaluate this method;
+        ``_value`` shares its offset and delta steps without the gradient.
+        """
+        if self._half_line:
+            return pts[:, 0] - self.domain.lo, np.ones_like(pts)
         a = self._cap
+        u, s = self._centre_offset(pts)
+        s2 = s**2
         inside = s < a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            outer = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        return np.where(inside, 3.0 / (2 * a) - s**2 / (2 * a**3), outer)
+        # beyond the cap s >= a, and the maximum keeps 1/s finite where unused
+        dphi_over_s = np.where(inside, self._dphi0 - s2 / self._dphi2,
+                               1.0 / np.maximum(s, a))
+        return self._capped_delta(s, s2, inside), -dphi_over_s[:, None] * u
 
     def _value(self, pts):
         dom = self.domain
-        if dom.kind == "interval":
-            x = pts[:, 0]
-            if dom.unbounded:
-                return x - dom.lo
-            mid = (dom.lo + dom.hi) / 2.0
-            s = np.abs(x - mid)
-            return dom.inradius - self._cap_phi(s)
-        if dom.kind == "ball":
-            s = np.linalg.norm(pts - dom.center, axis=1)
-            return dom.radius - self._cap_phi(s)
+        if self._half_line:
+            return pts[:, 0] - dom.lo
+        if dom.kind in ("interval", "ball"):
+            s = self._centre_offset(pts)[1]
+            return self._capped_delta(s, s**2, s < self._cap)
         if dom.kind == "box":
             beta = self.sharpness
             f = np.concatenate([pts - dom.lo, dom.hi - pts], axis=1)  # (m, 2d)
@@ -716,18 +735,8 @@ class SmoothDistance:
 
     def _grad(self, pts):
         dom = self.domain
-        if dom.kind == "interval":
-            x = pts[:, 0]
-            if dom.unbounded:
-                return np.ones_like(pts)
-            mid = (dom.lo + dom.hi) / 2.0
-            u = x - mid
-            s = np.abs(u)
-            return (-self._cap_dphi_over_s(s) * u)[:, None]
-        if dom.kind == "ball":
-            u = pts - dom.center
-            s = np.linalg.norm(u, axis=1)
-            return -self._cap_dphi_over_s(s)[:, None] * u
+        if dom.kind in ("interval", "ball"):
+            return self._value_and_grad(pts)[1]
         if dom.kind == "box":
             beta = self.sharpness
             val = self._value(pts)

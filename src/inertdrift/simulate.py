@@ -76,6 +76,13 @@ def _as_int(value, name, low):
     return int(value)
 
 
+def _check_positive(value, name):
+    """ValueError unless ``value`` is a positive finite number."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and 0.0 < value < np.inf):
+        raise ValueError("%s must be a positive finite number, got %r" % (name, value))
+
+
 def _as_vector(value, d, name):
     v = np.atleast_1d(np.asarray(value, dtype=float))
     if v.shape != (d,) or not np.all(np.isfinite(v)):
@@ -116,8 +123,10 @@ class SimConfig:
 
     ``dt_base`` is the outer step; the gradient family may sub-divide it
     adaptively (``adaptive``) so that no sub-move exceeds
-    ``h_max_fraction`` of the domain inradius.  Snapshots are recorded at
-    every ``snap_every``-th step whose time exceeds ``burn_in``.
+    ``h_max_fraction`` of the domain inradius, and redraws proposals whose
+    smoothed distance falls below ``delta_guard`` (None: the potential's
+    resolvable wall layer).  Snapshots are recorded at every
+    ``snap_every``-th step whose time exceeds ``burn_in``.
     """
 
     family: str
@@ -151,6 +160,11 @@ class SimConfig:
                           ("chunk_size", 1), ("max_substeps", 1),
                           ("resample_cap", 0)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
+        if not isinstance(self.adaptive, bool):
+            raise ValueError("adaptive must be true or false, got %r" % (self.adaptive,))
+        _check_positive(self.h_max_fraction, "h_max_fraction")
+        if self.delta_guard is not None:
+            _check_positive(self.delta_guard, "delta_guard")
         q = self.t_end / self.dt_base
         if abs(q - round(q)) > 1e-6 * max(1.0, abs(q)):
             raise ValueError("t_end must be an integer multiple of dt_base")

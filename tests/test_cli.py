@@ -141,6 +141,23 @@ def test_bad_integer_sim_field_exits_2_before_simulating(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delta_guard", -0.1), ("delta_guard", float("nan")), ("delta_guard", 0),
+    ("h_max_fraction", -0.05), ("h_max_fraction", 0),
+    ("h_max_fraction", float("nan")), ("adaptive", 1), ("adaptive", "no"),
+])
+def test_bad_wall_layer_sim_field_exits_2_before_simulating(
+    tmp_path, capsys, field, value
+):
+    cfg = base_config(potential={"kind": "regularized_vn", "n": 8})
+    cfg["sim"].update({"family": "gradient", field: value})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "sim: %s must be" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block, field, value", [
     ("residual", "count", "abc"), ("residual", "count", 2.5),
     ("residual", "count", 0), ("residual", "seed", -1),

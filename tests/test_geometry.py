@@ -260,6 +260,81 @@ def test_halfline_smooth_distance_is_exact():
     assert rd.declared_constants == (1.0, 1.0)
 
 
+def _separate_cap_formulas(rd, pts):
+    """Reference: delta and grad delta of the interval, half-line and ball
+    from separate cap functions, phi(s) and phi'(s)/s, each recomputing s."""
+    dom = rd.domain
+    if dom.kind == "interval" and dom.unbounded:
+        return pts[:, 0] - dom.lo, np.ones_like(pts)
+    a = rd.cap_fraction * dom.inradius
+
+    def cap_phi(s):
+        inside = s < a
+        return np.where(inside, 3 * a / 8 + 3 * s**2 / (4 * a) - s**4 / (8 * a**3), s)
+
+    def cap_dphi_over_s(s):
+        inside = s < a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outer = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+        return np.where(inside, 3.0 / (2 * a) - s**2 / (2 * a**3), outer)
+
+    if dom.kind == "interval":
+        u = pts[:, 0] - (dom.lo + dom.hi) / 2.0
+        s = np.abs(u)
+        return dom.inradius - cap_phi(s), (-cap_dphi_over_s(s) * u)[:, None]
+    u = pts - dom.center
+    s = np.linalg.norm(u, axis=1)
+    return dom.radius - cap_phi(s), -cap_dphi_over_s(s)[:, None] * u
+
+
+def _around(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+FUSED_CASES = [
+    # centre -1 + 1 = 0, cap radius exactly 0.1, endpoints at -1 and 1
+    (Interval(-1.0, 1.0),
+     [0.0, -0.0] + _around(0.1) + _around(-0.1) + [0.5, -0.7]
+     + [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)]),
+    (Interval(0.0, 1.0),
+     [0.5, 0.55, 0.45, 0.3, 0.8, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+     + _around(0.5 + 0.05) + _around(0.5 - 0.05)),
+    (Interval(0.0, np.inf), [0.0, -0.0, np.nextafter(0.0, 1.0), 0.5, 3.7, 1e300]),
+    (Ball([0.0, 0.0], 1.0),
+     [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+     + [[v, 0.0] for v in _around(0.1)] + [[0.0, -v] for v in _around(0.1)]
+     + [[np.nextafter(1.0, 0.0), 0.0], [0.0, -np.nextafter(1.0, 0.0)],
+        [0.6, -0.7], [0.03, 0.04]]),
+    (Ball([0.3, -0.2, 1.0], 2.5),
+     [[0.3, -0.2, 1.0], [0.55, -0.2, 1.0], [0.3, -0.2, 1.0 + 0.25],
+      [0.3, -0.2, np.nextafter(3.5, 0.0)], [1.0, 0.5, -0.5]]),
+]
+
+
+@pytest.mark.parametrize("dom, pts", FUSED_CASES,
+                         ids=["interval-sym", "interval", "halfline", "disc", "ball3"])
+def test_fused_smooth_distance_matches_separate_formulas_bitwise(dom, pts):
+    rd = SmoothDistance(dom)
+    pts = np.asarray(pts, dtype=float).reshape(-1, dom.d)
+    value, grad = rd._value_and_grad(pts)
+    ref_value, ref_grad = _separate_cap_formulas(rd, pts)
+    # bit patterns, so that the sign of a zero counts too
+    assert np.array_equal(value.view(np.int64), ref_value.view(np.int64))
+    assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
+    assert np.array_equal(rd._value(pts).view(np.int64), value.view(np.int64))
+    assert np.array_equal(rd._grad(pts).view(np.int64), grad.view(np.int64))
+    assert np.all(np.isfinite(grad))
+    if dom.kind != "interval" or not dom.unbounded:
+        centre = np.all(pts == dom.centroid, axis=1)
+        assert centre.any() and np.all(grad[centre] == 0.0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.1, 1.0, float("nan")])
+def test_smooth_distance_cap_fraction_must_lie_in_0_1(fraction):
+    with pytest.raises(GeometryError, match="cap_fraction"):
+        SmoothDistance(Interval(0.0, 1.0), cap_fraction=fraction)
+
+
 # ---------------------------------------------------------------------------
 # level-set domain
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ by half the local time, dl = 0.025; v = Gamma n still adds 0.025 while
 v = a0 u adds 0.05, preserving the K increment when v scales with u.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -252,6 +253,16 @@ def test_config_validation_errors():
     ]:
         with pytest.raises(ValueError, match=name):
             SimConfig(**{**good, name: bad})
+    # the gradient family's wall-layer settings
+    for name, bad in [
+        ("delta_guard", -0.1), ("delta_guard", 0.0), ("delta_guard", np.nan),
+        ("delta_guard", np.inf), ("delta_guard", True), ("delta_guard", "0.1"),
+        ("h_max_fraction", -0.05), ("h_max_fraction", 0.0),
+        ("h_max_fraction", np.nan), ("h_max_fraction", None),
+        ("adaptive", 1), ("adaptive", "false"), ("adaptive", None),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{**good, "family": "gradient", name: bad})
     whole = SimConfig(**{**good, "n_paths": 4.0, "seed": np.int64(2)})
     assert type(whole.n_paths) is int and type(whole.seed) is int
     assert whole.as_dict()["n_paths"] == 4
@@ -442,6 +453,12 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
 
 def _gradient_case(name):
     """(cs, potential, config) of the generic-versus-numpy parity cases."""
+    if name == "halfline":
+        half = Interval(0.0, np.inf)
+        cs = make_coefficients("identity", half, gamma=[[1.0]])
+        pot = Potential("regularized_vn", distance=SmoothDistance(half), n=2)
+        return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
+                                  n_paths=6, seed=4, snap_every=5, x0=(0.5,))
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
     if name == "disc":
@@ -468,7 +485,38 @@ def _gradient_case(name):
                               x0=(0.3,), delta_guard=0.05)
 
 
-@pytest.mark.parametrize("name", ["mild", "refills", "disc", "redraws"])
+# sha256 of the numpy kernel's x, k and flags arrays, and its event
+# counters, pinned because both backends evaluate the wall through the same
+# SmoothDistance formula, which parity alone would not catch changing
+GRADIENT_GOLDEN = {
+    "mild": ("9d832dd55a6d5da0798242b4de68cdf2fb260d639cbab4793ae711bcfdab244c",
+             "01aec0aed341878af17feae9ffb48a37b3cd5f32385fb1b29fce1eaa15e59d6e",
+             "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+             (6022, 0, 0)),
+    "refills": ("b761f04b45599d3691a9629f328e7002ded86b69f4333f36886b4571fdc4c7f5",
+                "d0e83f22484ba5a64156ed68a5342b44c745ddea6948ed389c1eb1f8d821a1e4",
+                "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+                (2155, 0, 153)),
+    "disc": ("43bb7e3d9dc6c1ff174e18b355a0274e16e337a0b1827037619635fbfcf1191d",
+             "9c1406bd9beb6017094ebc0c2c3813627c15d44771463e4dc60c3ff78df1587c",
+             "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
+             (2500, 0, 0)),
+    "redraws": ("384087723728381e13e2b70b9755974377eb17c83f6615df1691a93bddf20d3a",
+                "3478994db62641ea6c93d1c345a440a0eb80879cadb2d81203eb146c62a7304e",
+                "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+                (1612, 4, 13)),
+    "halfline": ("1e3c52c16acbc397ab6781580116d8dc28d8c11bf0e16a6f536775b418e29fb8",
+                 "c3ab74347aae9b865f6708aff294e95201e3b9b823569748af369e97fdad6b01",
+                 "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+                 (3000, 0, 0)),
+}
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["mild", "refills", "disc", "redraws", "halfline"])
 def test_generic_gradient_matches_numpy_bitwise(name):
     # the generic stepper applies step_gradient to the kernels' base
     # normals and reserve pool, so the draw protocol and the arithmetic agree
@@ -478,6 +526,16 @@ def test_generic_gradient_matches_numpy_bitwise(name):
     for field in ("x", "k", "ell", "flags"):
         assert np.array_equal(getattr(g_gen, field), getattr(g_np, field)), field
     assert g_gen.diagnostics == g_np.diagnostics
+    x_sha, k_sha, flags_sha, events = GRADIENT_GOLDEN[name]
+    assert (_sha256(g_np.x), _sha256(g_np.k), _sha256(g_np.flags)) == (
+        x_sha, k_sha, flags_sha)
+    substeps, redraws, refills = events
+    assert g_np.diagnostics == {
+        "contacts": 0, "substeps_total": substeps,
+        "resampled_proposals": redraws, "pool_refills": refills,
+        "boundary_overflow_paths": 0, "reflect_failure_paths": 0,
+        "weight_overflow_paths": 0,
+    }
     assert g_gen.diagnostics["substeps_total"] >= cfg.n_paths * cfg.n_steps
     if name == "mild":
         assert np.all(g_np.ell == 0.0) and g_np.flags.sum() == 0
