@@ -4,7 +4,7 @@ diffusions coupled to an inert boundary-driven drift.
 Modules
 -------
 geometry
-    Domains (interval, ball, box, ellipsoid, level set) and the smoothed
+    Domains (interval, ball, box, ellipsoid) and the smoothed
     boundary distance with certified comparability constants.
 coefficients
     Diffusion data sigma/A/rho, the divergence-form drift, conormal and
@@ -41,7 +41,6 @@ from .geometry import (
     Ellipsoid,
     GeometryError,
     Interval,
-    LevelSet,
     SmoothDistance,
     make_domain,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "GeometryError",
     "GirsanovWeight",
     "Interval",
-    "LevelSet",
     "Potential",
     "PotentialOverflowError",
     "SimConfig",

@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 _VALIDATION_SEED = 20260817
+# interior sample size of the construction-time ellipticity and density checks
+_VALIDATION_POINTS = 256
+# finite-difference step of ``drift_b``, as a fraction of the domain scale
+_FD_STEP_FRACTION = 1e-5
 
 
 class CoefficientError(ValueError):
@@ -74,18 +78,6 @@ def _wrap_matrix(fn, d, vectorized):
     return batched
 
 
-def _wrap_tensor3(fn, d, vectorized):
-    if vectorized:
-        def batched(pts):
-            return np.asarray(fn(pts), dtype=float).reshape(pts.shape[0], d, d, d)
-    else:
-        def batched(pts):
-            return np.stack(
-                [np.asarray(fn(p), dtype=float).reshape(d, d, d) for p in pts]
-            )
-    return batched
-
-
 class CoefficientSet:
     """Immutable bundle of diffusion and inert-drift coefficients on a domain.
 
@@ -111,30 +103,15 @@ class CoefficientSet:
         Scale used by ``"a0_conormal"``.
     conormal_convention : {"full", "half"}, optional
         Whether the conormal is A n (default) or A n / 2.
-    derivative_mode : {"fd", "analytic"}, optional
-        How ``drift_b`` differentiates rho * A: central differences with step
-        ``fd_step`` (falling back to one-sided stencils next to the boundary,
-        counted in ``diagnostics``), or user-supplied callbacks.
-    grad_rho : callable, optional
-        Analytic gradient of rho (point -> (d,)); required by the analytic
-        mode when rho is not constant.
-    grad_a : callable, optional
-        Analytic derivative tensor of A: point -> (d, d, d) array T with
-        T[i, j, k] = d_i a_jk; required by the analytic mode when sigma is
-        not constant.
-    drift_fn : callable, optional
-        Closed-form drift b(x); bypasses both derivative modes.
     drift_const : array_like, optional
         Declares the drift to be this constant vector; enables the fast
         ensemble kernels.  (When sigma and rho are both constant the zero
-        drift is inferred automatically.)
+        drift is inferred automatically.)  Otherwise ``drift_b``
+        differentiates rho * A by central differences with step 1e-5 times
+        the domain scale, falling back to one-sided stencils next to the
+        boundary (counted in ``diagnostics``).
     vectorized : bool, optional
         Declare all supplied callables batch-aware.
-    fd_step : float, optional
-        Finite-difference step (default 1e-5 times the domain scale).
-    validation_points : int, optional
-        Interior sample size for the construction-time ellipticity and
-        density checks (default 256).
     name : str, optional
         Label recorded in run manifests.
 
@@ -152,14 +129,8 @@ class CoefficientSet:
         inert_field="gamma_normal",
         a0=1.0,
         conormal_convention="full",
-        derivative_mode="fd",
-        grad_rho=None,
-        grad_a=None,
-        drift_fn=None,
         drift_const=None,
         vectorized=False,
-        fd_step=None,
-        validation_points=256,
         name="custom",
     ):
         self.domain = domain
@@ -172,13 +143,6 @@ class CoefficientSet:
                 % (conormal_convention,)
             )
         self.conormal_convention = conormal_convention
-
-        if derivative_mode not in ("fd", "analytic"):
-            raise CoefficientError(
-                "derivative_mode must be 'fd' or 'analytic', got %r"
-                % (derivative_mode,)
-            )
-        self.derivative_mode = derivative_mode
 
         # --- gamma ----------------------------------------------------------
         G = np.asarray(gamma, dtype=float)
@@ -249,18 +213,7 @@ class CoefficientSet:
             )
         self.a0 = float(a0)
 
-        # --- derivatives ------------------------------------------------------
-        self._drift_fn = (
-            _wrap_vector(drift_fn, d, vectorized) if drift_fn is not None else None
-        )
-        self._grad_rho_fn = (
-            _wrap_vector(grad_rho, d, vectorized) if grad_rho is not None else None
-        )
-        self._grad_a_fn = (
-            _wrap_tensor3(grad_a, d, vectorized) if grad_a is not None else None
-        )
-        if drift_const is not None and drift_fn is not None:
-            raise CoefficientError("pass either drift_fn or drift_const, not both")
+        # --- drift ------------------------------------------------------------
         if drift_const is not None:
             bc = np.asarray(drift_const, dtype=float)
             if bc.shape != (d,) or not np.all(np.isfinite(bc)):
@@ -268,35 +221,18 @@ class CoefficientSet:
                     "drift_const must be a finite length-%d vector" % d
                 )
             self._drift_const = bc.copy()
-        elif (
-            self._sigma_const is not None
-            and self._rho_const is not None
-            and drift_fn is None
-        ):
+        elif self._sigma_const is not None and self._rho_const is not None:
             # constant sigma and rho make every divergence term vanish
             self._drift_const = np.zeros(d)
         else:
             self._drift_const = None
         if self._drift_const is not None:
             self._drift_const.setflags(write=False)
-        if derivative_mode == "analytic" and self._drift_fn is None:
-            if self._rho_const is None and self._grad_rho_fn is None:
-                raise CoefficientError(
-                    "analytic derivative mode needs grad_rho for a "
-                    "non-constant rho"
-                )
-            if self._sigma_const is None and self._grad_a_fn is None:
-                raise CoefficientError(
-                    "analytic derivative mode needs grad_a for a "
-                    "non-constant sigma"
-                )
 
-        self.fd_step = (
-            float(fd_step) if fd_step is not None else 1e-5 * _domain_scale(domain)
-        )
+        self.fd_step = _FD_STEP_FRACTION * _domain_scale(domain)
         self._diagnostics = {"one_sided_stencil_points": 0}
 
-        self._validate_on_grid(int(validation_points))
+        self._validate_on_grid(_VALIDATION_POINTS)
 
     # -- construction-time validation ------------------------------------------
     def _validation_grid(self, n):
@@ -418,30 +354,11 @@ class CoefficientSet:
     def drift_b(self, x):
         """Divergence-form drift b_k = (1/(2 rho)) sum_i d_i(rho a_ik)."""
         pts, single = _as_batch(x, self.domain.d)
-        if self._drift_fn is not None:
-            vals = self._drift_fn(pts)
-        elif self._drift_const is not None:
+        if self._drift_const is not None:
             vals = np.broadcast_to(self._drift_const, pts.shape).copy()
-        elif self.derivative_mode == "analytic":
-            vals = self._drift_analytic(pts)
         else:
             vals = self._drift_fd(pts)
         return _unbatch(vals, single)
-
-    def _drift_analytic(self, pts):
-        m, d = pts.shape
-        a = self._a_batch(pts)
-        rho = self._rho_batch(pts)
-        gr = (
-            self._grad_rho_fn(pts)
-            if self._grad_rho_fn is not None
-            else np.zeros((m, d))
-        )
-        term = np.einsum("mi,mik->mk", gr, a)
-        if self._grad_a_fn is not None:
-            ga = self._grad_a_fn(pts)
-            term = term + rho[:, None] * np.einsum("miik->mk", ga)
-        return term / (2.0 * rho[:, None])
 
     def _drift_fd(self, pts):
         dom = self.domain
@@ -460,9 +377,9 @@ class CoefficientSet:
             if np.any(stuck):
                 j = int(np.argmax(stuck))
                 raise CoefficientError(
-                    "drift_b: finite-difference stencil around %s does not fit "
-                    "in the closure (step %.3e); reduce fd_step"
-                    % (pts[j], h)
+                    "drift_b: no finite-difference stencil of step %.3e around "
+                    "%s fits in the closure; evaluate the drift at points at "
+                    "least one step inside the domain" % (h, pts[j])
                 )
             gp = self._g_row(plus, i)
             gm = self._g_row(minus, i)

@@ -23,7 +23,6 @@ __all__ = [
     "Ball",
     "Box",
     "Ellipsoid",
-    "LevelSet",
     "SmoothDistance",
     "GeometryError",
     "make_domain",
@@ -31,7 +30,7 @@ __all__ = [
 
 
 class GeometryError(ValueError):
-    """Raised for invalid geometric queries (bad points, non-convergence)."""
+    """Raised for invalid geometric queries (bad points, unsupported domains)."""
 
 
 def _as_batch(x, d):
@@ -463,114 +462,6 @@ class Ellipsoid(Domain):
         return self.center - self.radii, self.center + self.radii
 
 
-class LevelSet(Domain):
-    """Domain {phi > 0} for a user level function with gradient callback.
-
-    ``phi`` and ``grad_phi`` must accept ``(m, d)`` batches.  The signed
-    distance is the distance to the boundary point reached by damped Newton
-    descent of ``phi`` (tolerance ``newton_tol * reference length`` on the
-    level value), signed by ``phi``; it is first-order exact near the
-    boundary.  Pass a bounding box and one known interior point.
-    """
-
-    kind = "level_set"
-
-    def __init__(self, phi, grad_phi, bbox_lo, bbox_hi, interior_point,
-                 newton_tol=1e-12, max_newton=80):
-        bbox_lo = np.atleast_1d(np.asarray(bbox_lo, dtype=float))
-        bbox_hi = np.atleast_1d(np.asarray(bbox_hi, dtype=float))
-        super().__init__(bbox_lo.shape[0])
-        self.phi = phi
-        self.grad_phi = grad_phi
-        self.bbox_lo = bbox_lo
-        self.bbox_hi = bbox_hi
-        self.interior_point = np.atleast_1d(np.asarray(interior_point, dtype=float))
-        self.newton_tol = float(newton_tol)
-        self.max_newton = int(max_newton)
-        if not self.phi(self.interior_point.reshape(1, -1))[0] > 0:
-            raise GeometryError("interior_point is not inside {phi > 0}")
-        self._inradius = None
-
-    def _phi_scale(self):
-        g = np.linalg.norm(self.grad_phi(self.interior_point.reshape(1, -1))[0])
-        return max(g, 1.0) * self.reference_length
-
-    def _newton_project(self, pts):
-        """Damped Newton walk of each point onto {phi = 0}."""
-        y = pts.copy()
-        tol = self.newton_tol * self._phi_scale()
-        for _ in range(self.max_newton):
-            v = self.phi(y)
-            live = np.abs(v) > tol
-            if not np.any(live):
-                return y
-            g = self.grad_phi(y[live])
-            gn2 = np.sum(g * g, axis=1)
-            if np.any(gn2 < 1e-300):
-                bad = np.where(live)[0][gn2 < 1e-300][0]
-                raise GeometryError(
-                    f"level-set projection: vanishing gradient at {pts[bad]}"
-                )
-            step = -(v[live] / gn2)[:, None] * g
-            # damping: halve until |phi| decreases
-            trial = y[live] + step
-            tv = self.phi(trial)
-            for _ in range(30):
-                worse = np.abs(tv) > np.abs(v[live])
-                if not np.any(worse):
-                    break
-                step[worse] *= 0.5
-                trial[worse] = y[live][worse] + step[worse]
-                tv[worse] = self.phi(trial[worse])
-            yl = y[live]
-            yl[:] = trial
-            y[live] = yl
-        v = self.phi(y)
-        if np.any(np.abs(v) > tol):
-            i = int(np.argmax(np.abs(v)))
-            raise GeometryError(
-                "level-set projection did not converge at point %s "
-                "(level residual %.3e, tolerance %.3e)" % (pts[i], float(abs(v[i])), tol)
-            )
-        return y
-
-    def _sd(self, pts):
-        v = self.phi(pts)
-        q = self._newton_project(pts)
-        dist = np.linalg.norm(q - pts, axis=1)
-        return np.sign(v) * dist
-
-    def _project(self, pts):
-        return self._newton_project(pts)
-
-    def _normal_at(self, pts):
-        g = self.grad_phi(pts)
-        norms = np.linalg.norm(g, axis=1)
-        return g / norms[:, None]
-
-    @property
-    def diameter(self):
-        return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
-
-    @property
-    def inradius(self):
-        if self._inradius is None:
-            # coarse grid estimate; adequate for the feature-size guard
-            axes = [np.linspace(lo, hi, 17) for lo, hi in zip(self.bbox_lo, self.bbox_hi)]
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
-            grid = grid[self.phi(grid) > 0]
-            self._inradius = float(np.max(self._sd(grid))) if grid.size else 0.0
-        return self._inradius
-
-    @property
-    def centroid(self):
-        rng = np.random.default_rng(0)
-        return self.sample_interior(4096, rng).mean(axis=0)
-
-    def bounding_box(self):
-        return self.bbox_lo.copy(), self.bbox_hi.copy()
-
-
 def make_domain(kind, **params):
     """Construct a domain by kind name and numeric parameters (config entry point)."""
     kind = str(kind)
@@ -601,26 +492,29 @@ class SmoothDistance:
       exact distance (c1 = 1 - 3a/(8w) with cap radius a and inradius w, c2 = 1).
       The half-line (interval with infinite right end) needs no cap: delta is
       exactly ``x - lo``.
-    * box: power-mean soft minimum of the 2d face distances with sharpness
-      ``beta``:  ``delta = (sum_i f_i^-beta)^(-1/beta)``, smooth in the open box,
-      with c1 = (2d)^(-1/beta), c2 = 1.  The softmin's curvature grows like
-      beta^2 / (boundary distance)^2, so finite-difference gradient
+    * box: power-mean soft minimum of the 2d face distances with
+      ``beta = sharpness``:  ``delta = (sum_i f_i^-beta)^(-1/beta)``, smooth in
+      the open box, with c1 = (2d)^(-1/beta), c2 = 1.  The softmin's curvature
+      grows like beta^2 / (boundary distance)^2, so finite-difference gradient
       certification at step 1e-5 * diameter holds outside a collar of
       ~4% of the diameter (the analytic gradient itself is exact everywhere
       in the open box).
-    * ellipsoid / level_set: the level function rescaled by a regularized
-      gradient norm, ``delta = phi / sqrt(|grad phi|^2 + (2 phi / scale)^2)``;
-      sandwich constants are measured on a construction-time interior sample
-      and declared with a safety margin.
+    * ellipsoid: the level function rescaled by a regularized gradient norm,
+      ``delta = phi / sqrt(|grad phi|^2 + (2 phi / scale)^2)`` with scale the
+      smallest semi-axis; sandwich constants are measured on
+      ``scan_points`` interior points and declared with a safety margin.
 
     ``breakpoints_1d`` lists interior points where delta is only C2 (used to
-    split 1D quadrature panels).
+    split 1D quadrature panels).  ``cap_fraction`` (0.1), ``sharpness`` (8)
+    and ``scan_points`` (4096) are class constants.
     """
 
-    def __init__(self, domain, cap_fraction=0.1, sharpness=8.0, scan_points=4096):
+    cap_fraction = 0.1
+    sharpness = 8.0
+    scan_points = 4096
+
+    def __init__(self, domain):
         self.domain = domain
-        self.cap_fraction = float(cap_fraction)
-        self.sharpness = float(sharpness)
         d = domain.d
 
         self._half_line = domain.kind == "interval" and domain.unbounded
@@ -628,9 +522,6 @@ class SmoothDistance:
             self.c1 = self.c2 = 1.0
             self.breakpoints_1d = []
         elif domain.kind in ("interval", "ball"):
-            if not 0.0 < self.cap_fraction < 1.0:
-                raise GeometryError(
-                    f"cap_fraction must lie in (0, 1), got {cap_fraction!r}")
             w = domain.inradius
             a = self.cap_fraction * w
             self._cap = a
@@ -651,13 +542,10 @@ class SmoothDistance:
             self.c1 = float((2 * d) ** (-1.0 / self.sharpness))
             self.c2 = 1.0
             self.breakpoints_1d = []
-        elif domain.kind in ("ellipsoid", "level_set"):
-            if domain.kind == "ellipsoid":
-                self._scale = float(np.min(domain.radii))
-            else:
-                self._scale = float(np.min(domain.bbox_hi - domain.bbox_lo)) / 2.0
+        elif domain.kind == "ellipsoid":
+            self._scale = float(np.min(domain.radii))
             rng = np.random.default_rng(1234)
-            pts = domain.sample_interior(scan_points, rng)
+            pts = domain.sample_interior(self.scan_points, rng)
             ratios = self._value(pts) / domain.signed_distance(pts)
             self.c1 = float(np.min(ratios)) * 0.8
             self.c2 = float(np.max(ratios)) * 1.25
@@ -720,18 +608,11 @@ class SmoothDistance:
                 out[pos] = fmin[pos] * np.sum((mn / fp) ** beta, axis=1) ** (-1.0 / beta)
             out[~pos] = fmin[~pos]
             return out
-        # ellipsoid / level_set: phi / sqrt(|grad phi|^2 + (2 phi / scale)^2)
-        phi, gphi = self._phi_and_grad(pts)
+        # ellipsoid: phi / sqrt(|grad phi|^2 + (2 phi / scale)^2)
+        phi = 1.0 - np.sum(((pts - dom.center) / dom.radii) ** 2, axis=1)
+        gphi = -2.0 * (pts - dom.center) / dom.radii**2
         g = np.sqrt(np.sum(gphi**2, axis=1) + (2.0 * phi / self._scale) ** 2)
         return phi / g
-
-    def _phi_and_grad(self, pts):
-        dom = self.domain
-        if dom.kind == "ellipsoid":
-            phi = 1.0 - np.sum(((pts - dom.center) / dom.radii) ** 2, axis=1)
-            gphi = -2.0 * (pts - dom.center) / dom.radii**2
-            return phi, gphi
-        return dom.phi(pts), dom.grad_phi(pts)
 
     def _grad(self, pts):
         dom = self.domain
@@ -747,29 +628,18 @@ class SmoothDistance:
                 grad[:, i] += (val / flo) ** (beta + 1.0)
                 grad[:, i] -= (val / fhi) ** (beta + 1.0)
             return grad
-        if dom.kind == "ellipsoid":
-            # analytic quotient rule for delta = phi/g
-            c, r = dom.center, dom.radii
-            p = pts - c
-            phi = 1.0 - np.sum((p / r) ** 2, axis=1)
-            gphi = -2.0 * p / r**2
-            u = np.sum(gphi**2, axis=1)
-            du = 8.0 * p / r**4
-            v = (2.0 * phi / self._scale) ** 2
-            dv = (8.0 / self._scale**2) * phi[:, None] * gphi
-            g = np.sqrt(u + v)
-            dg = (du + dv) / (2.0 * g[:, None])
-            return gphi / g[:, None] - (phi / g**2)[:, None] * dg
-        # level_set: Richardson-extrapolated central differences on the value
-        h = 1e-6 * dom.reference_length
-        grad = np.zeros_like(pts)
-        for i in range(dom.d):
-            e = np.zeros(dom.d)
-            e[i] = 1.0
-            d1 = (self._value(pts + h * e) - self._value(pts - h * e)) / (2 * h)
-            d2 = (self._value(pts + 0.5 * h * e) - self._value(pts - 0.5 * h * e)) / h
-            grad[:, i] = (4.0 * d2 - d1) / 3.0
-        return grad
+        # ellipsoid: analytic quotient rule for delta = phi/g
+        c, r = dom.center, dom.radii
+        p = pts - c
+        phi = 1.0 - np.sum((p / r) ** 2, axis=1)
+        gphi = -2.0 * p / r**2
+        u = np.sum(gphi**2, axis=1)
+        du = 8.0 * p / r**4
+        v = (2.0 * phi / self._scale) ** 2
+        dv = (8.0 / self._scale**2) * phi[:, None] * gphi
+        g = np.sqrt(u + v)
+        dg = (du + dv) / (2.0 * g[:, None])
+        return gphi / g[:, None] - (phi / g**2)[:, None] * dg
 
     def value(self, x):
         pts, single = _as_batch(x, self.domain.d)

@@ -695,6 +695,10 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
     Per chunk it draws each path's base normals (and, for the gradient
     family, a reserve pool, refilled for the paths that exhaust it until
     all of them finish the chunk) and hands them to the backend's stepper.
+    A path that asks for more than ``max_substeps * (resample_cap + 1) / C``
+    refills on one step, for pool length C, would be handed more normals
+    than one attempt at the step can draw before its own budgets stop it;
+    it is flagged ``boundary_overflow`` instead of retrying forever.
     """
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
     steps = cfg.n_steps
@@ -711,6 +715,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
     step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend)
 
     chunk = cfg.chunk_size
+    draw_cap = cfg.max_substeps * (cfg.resample_cap + 1)
     pool_refills = 0
     for start in range(0, steps, chunk):
         C = min(chunk, steps - start)
@@ -722,16 +727,24 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
         cursor = np.zeros(P, dtype=np.int64)
         progress = np.zeros(P, dtype=np.int64)
         need = np.zeros(P, dtype=np.int64)
+        stuck_at = np.full(P, -1)  # the step of a path's last refill
+        refills = np.zeros(P, dtype=np.int64)  # refills on that step
         while True:
             step(x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
                  progress, need, start)
             idx = np.flatnonzero(need)
             if len(idx) == 0:
                 break
+            need[idx] = 0
+            same = progress[idx] == stuck_at[idx]
+            refills[idx] = np.where(same, refills[idx] + 1, 1)
+            stuck_at[idx] = progress[idx]
+            over = refills[idx] * C > draw_cap
+            flags[idx[over]] = FLAG_BOUNDARY_OVERFLOW
+            idx = idx[~over]
             for p in idx:
                 rngs[p].standard_normal(out=pool[p])
             cursor[idx] = 0
-            need[idx] = 0
             pool_refills += len(idx)
     return TrajectoryBatch(
         times=cfg.snapshot_times,

@@ -100,8 +100,8 @@ class StationaryMeasure:
     Position normalizers are computed by composite Gauss-Legendre
     quadrature on intervals and boxes, polar quadrature on discs (an
     ellipsoid is mapped to the unit disc first), and antithetic Monte
-    Carlo above two dimensions or for level-set domains (the standard
-    error is stored on ``c_x_standard_error``).
+    Carlo above two dimensions (the standard error is stored on
+    ``c_x_standard_error``).
     """
 
     def __init__(self, cs, potential=None, v_scale=1.0, nodes_per_panel=24,
@@ -217,10 +217,9 @@ class StationaryMeasure:
         if self.potential is None or self.potential.distance is None:
             return []
         sd = self.potential.distance
-        if self.domain.kind == "interval":
-            return list(sd.breakpoints_1d)
-        if self.domain.kind in ("ball", "ellipsoid"):
-            return [sd._cap] if sd._cap > 0.0 else []
+        # the ball's cap is a radius; the ellipsoid's delta has no cap
+        if self.domain.kind == "ball":
+            return [sd._cap]
         return list(sd.breakpoints_1d)
 
     def _mass_radial(self, nodes_per_panel, n_angles, cuts):

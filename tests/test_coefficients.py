@@ -85,29 +85,6 @@ def test_finite_difference_drift_recovers_quadratic_diffusion_gradient():
     np.testing.assert_allclose(b[:, 1], 0.0, atol=1e-8)
 
 
-def test_analytic_derivative_callbacks_match_finite_differences():
-    dom = Box([-1.0, -1.0], [1.0, 1.0])
-
-    def sigma_fn(p):
-        return np.diag([math.sqrt(1.0 + p[0] ** 2), 1.0])
-
-    def grad_a_fn(p):
-        t = np.zeros((2, 2, 2))  # t[i, j, k] = d_i a_jk
-        t[0, 0, 0] = 2.0 * p[0]
-        return t
-
-    fd = CoefficientSet(dom, gamma=GAMMA_2D, sigma=sigma_fn)
-    an = CoefficientSet(
-        dom,
-        gamma=GAMMA_2D,
-        sigma=sigma_fn,
-        derivative_mode="analytic",
-        grad_a=grad_a_fn,
-    )
-    pts = np.array([[0.3, 0.1], [-0.45, 0.2], [0.8, 0.8]])
-    np.testing.assert_allclose(fd.drift_b(pts), an.drift_b(pts), atol=1e-8)
-
-
 def test_one_sided_stencil_near_boundary_flagged():
     cs = CoefficientSet(
         Interval(0.0, 1.0),

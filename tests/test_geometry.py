@@ -15,7 +15,6 @@ from inertdrift.geometry import (
     Ellipsoid,
     GeometryError,
     Interval,
-    LevelSet,
     SmoothDistance,
     make_domain,
 )
@@ -327,58 +326,6 @@ def test_fused_smooth_distance_matches_separate_formulas_bitwise(dom, pts):
     if dom.kind != "interval" or not dom.unbounded:
         centre = np.all(pts == dom.centroid, axis=1)
         assert centre.any() and np.all(grad[centre] == 0.0)
-
-
-@pytest.mark.parametrize("fraction", [0.0, -0.1, 1.0, float("nan")])
-def test_smooth_distance_cap_fraction_must_lie_in_0_1(fraction):
-    with pytest.raises(GeometryError, match="cap_fraction"):
-        SmoothDistance(Interval(0.0, 1.0), cap_fraction=fraction)
-
-
-# ---------------------------------------------------------------------------
-# level-set domain
-# ---------------------------------------------------------------------------
-
-def _annulus_free_disc():
-    # disc of radius 1.2 centered at origin, written as a level set
-    def phi(p):
-        return 1.44 - np.sum(p**2, axis=1)
-
-    def gphi(p):
-        return -2.0 * p
-
-    return LevelSet(phi, gphi, [-1.2, -1.2], [1.2, 1.2], [0.0, 0.0])
-
-
-def test_level_set_signed_distance_matches_analytic_disc():
-    dom = _annulus_free_disc()
-    rng = np.random.default_rng(31)
-    pts = rng.uniform(-1.1, 1.1, size=(50, 2))
-    want = 1.2 - np.linalg.norm(pts, axis=1)
-    got = dom.signed_distance(pts)
-    assert np.allclose(got, want, atol=1e-9)
-
-
-def test_level_set_projection_nonconvergence_reports_point():
-    def phi(p):
-        return 1.0 - np.sum(p**2, axis=1)
-
-    def bad_grad(p):
-        return np.zeros_like(p)  # Newton cannot move
-
-    dom = LevelSet(phi, bad_grad, [-1, -1], [1, 1], [0.0, 0.0], max_newton=5)
-    with pytest.raises(GeometryError, match="level-set projection"):
-        dom.signed_distance(np.array([[0.5, 0.5]]))
-
-
-def test_level_set_smooth_distance_sandwich():
-    dom = _annulus_free_disc()
-    rd = SmoothDistance(dom)
-    rng = np.random.default_rng(37)
-    pts = dom.sample_interior(2000, rng)
-    ratios = rd.value(pts) / dom.signed_distance(pts)
-    c1, c2 = rd.declared_constants
-    assert np.all(ratios >= c1) and np.all(ratios <= c2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,14 @@ v = a0 u adds 0.05, preserving the K increment when v scales with u.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import inertdrift
 from inertdrift import (
     Ball,
     CoefficientSet,
@@ -597,6 +601,47 @@ def test_gradient_substep_budget_flag_is_deterministic(interval_cs, unit_interva
     assert not b.ok.any()
     assert b.diagnostics["boundary_overflow_paths"] == 3
     assert b.flag_counts()["boundary_overflow"] == 3
+
+
+# every proposal of every step is thrown out of D, so each attempt needs
+# resample_cap + 1 = 51 reserve normals from a pool of C = 20
+_POOL_OVERRUN_SCRIPT = """
+import hashlib, json
+from inertdrift import (Interval, Potential, SimConfig, SmoothDistance,
+                        make_coefficients, run_ensemble)
+iv = Interval(0.0, 1.0)
+cs = make_coefficients("identity", iv, gamma=[[1.0]])
+pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
+cfg = SimConfig(family="gradient", dt_base=0.05, t_end=1.0, adaptive=False,
+                delta_guard=1e-12, n_paths=16, seed=5, max_substeps=1)
+out = {}
+for backend in ("numpy", "generic"):
+    b = run_ensemble(cs, cfg, potential=pot, backend=backend)
+    out[backend] = {
+        "x": hashlib.sha256(b.x.tobytes()).hexdigest(),
+        "k": hashlib.sha256(b.k.tobytes()).hexdigest(),
+        "flags": b.flags.tolist(),
+        "diagnostics": b.diagnostics,
+    }
+print(json.dumps(out))
+"""
+
+
+def test_pool_overrun_is_flagged_not_retried_forever():
+    # a subprocess with a timeout, so a regression fails instead of hanging
+    src = os.path.dirname(os.path.dirname(inertdrift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _POOL_OVERRUN_SCRIPT],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["numpy"] == out["generic"]
+    assert out["numpy"]["flags"] == [1] * 16
+    diag = out["numpy"]["diagnostics"]
+    assert diag["boundary_overflow_paths"] == 16
+    # two refills per path: the third would hand a path 3 * 20 > 1 * 51
+    # reserve normals on one step
+    assert diag["pool_refills"] == 32
 
 
 def test_gradient_kernel_single_step_matches_step_api(interval_cs, wall_n2):

@@ -20,6 +20,7 @@ from inertdrift import (
     Ball,
     Box,
     CoefficientError,
+    Ellipsoid,
     GeometryError,
     Interval,
     Potential,
@@ -174,6 +175,21 @@ def test_smooth_wall_mass_increases_with_sharpness(interval_cs, unit_interval):
         masses.append(1.0 / StationaryMeasure(interval_cs, potential=pot).c_x)
     assert all(a < b for a, b in zip(masses, masses[1:]))
     assert masses[-1] < np.exp(-1.0)  # the pointwise ceiling
+
+
+def test_smooth_wall_on_ellipsoid_has_no_radial_cut():
+    # the ellipsoid's delta has no centre cap (only the ball's has one)
+    ell = Ellipsoid([0.0, 0.0], [1.0, 0.5])
+    cs = make_coefficients("identity", ell, gamma=np.eye(2))
+    pot = Potential("regularized_vn", distance=SmoothDistance(ell), n=2)
+    sm = StationaryMeasure(cs, potential=pot, nodes_per_panel=8, n_angles=64)
+    # the mass at the default nodes_per_panel=24, n_angles=512
+    assert 1.0 / sm.c_x == pytest.approx(1.38752032008e-4, rel=2e-9)
+    f = bump_basis(ell, cs.gamma, count=1, seed=5)[0]
+    assert abs(stationarity_residual(sm, f, x_nodes=16, y_nodes=8)) <= 1e-5
+    off = StationaryMeasure(cs, potential=pot, v_scale=1.1, nodes_per_panel=8,
+                            n_angles=64)
+    assert abs(stationarity_residual(off, f, x_nodes=16, y_nodes=8)) > 1e-2
 
 
 def test_monte_carlo_normalizer_reports_standard_error():
