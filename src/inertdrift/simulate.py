@@ -695,10 +695,13 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
     Per chunk it draws each path's base normals (and, for the gradient
     family, a reserve pool, refilled for the paths that exhaust it until
     all of them finish the chunk) and hands them to the backend's stepper.
-    A path that asks for more than ``max_substeps * (resample_cap + 1) / C``
-    refills on one step, for pool length C, would be handed more normals
-    than one attempt at the step can draw before its own budgets stop it;
-    it is flagged ``boundary_overflow`` instead of retrying forever.
+    A refill sends the path back to its step start on a fresh pool of C
+    normals, while one attempt at a step draws fewer than
+    ``max_substeps * (resample_cap + 1)`` before its own budgets stop it;
+    so with C at least that, a refilled attempt never runs out.  With a
+    shorter pool, a path refilled again on the same step until its
+    refills times C exceed that budget is flagged ``boundary_overflow``
+    instead of retrying forever.
     """
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
     steps = cfg.n_steps
@@ -739,7 +742,8 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
             same = progress[idx] == stuck_at[idx]
             refills[idx] = np.where(same, refills[idx] + 1, 1)
             stuck_at[idx] = progress[idx]
-            over = refills[idx] * C > draw_cap
+            # a step's first refill only replaces what earlier steps used
+            over = (refills[idx] > 1) & (refills[idx] * C > draw_cap)
             flags[idx[over]] = FLAG_BOUNDARY_OVERFLOW
             idx = idx[~over]
             for p in idx:

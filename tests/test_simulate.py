@@ -644,6 +644,36 @@ def test_pool_overrun_is_flagged_not_retried_forever():
     assert diag["pool_refills"] == 32
 
 
+# the stiff wall of the "refills" parity case with resample_cap=0, so the
+# pool (C normals) is longer than the max_substeps normals an attempt can
+# draw: a step's first refill must go through, as the uncapped retry did
+@pytest.mark.parametrize("chunk, max_substeps, flags, refills, x_sha", [
+    (25, 20, [0, 0, 0, 0, 0, 0], 48,
+     "dc36d22227d586ad3d8d7a6892fb86db8cc7a128515891257625d62305e6afc5"),
+    (10, 9, [0, 1, 1, 1, 1, 0], 58,
+     "0e0e4fc1cc99ffa6592a3ff81d28a9dba402e1bfbeae505a180ef34febef5fc9"),
+])
+def test_pool_longer_than_attempt_budget_refills_without_flagging(
+    chunk, max_substeps, flags, refills, x_sha
+):
+    iv = Interval(0.0, 1.0)
+    cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
+    cfg = SimConfig(family="gradient", dt_base=0.01, t_end=0.5, burn_in=0.1,
+                    n_paths=6, seed=4, snap_every=5, chunk_size=chunk,
+                    resample_cap=0, max_substeps=max_substeps)
+    assert cfg.max_substeps * (cfg.resample_cap + 1) < chunk
+    g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
+    g_gen = run_ensemble(cs, cfg, potential=pot, backend="generic")
+    for field in ("x", "k", "flags"):  # flagged paths record NaN
+        np.testing.assert_array_equal(getattr(g_gen, field),
+                                      getattr(g_np, field), err_msg=field)
+    assert g_gen.diagnostics == g_np.diagnostics
+    assert g_np.flags.tolist() == flags
+    assert g_np.diagnostics["pool_refills"] == refills
+    assert _sha256(g_np.x) == x_sha
+
+
 def test_gradient_kernel_single_step_matches_step_api(interval_cs, wall_n2):
     # one mild base step consumes exactly the first base normal per path,
     # so the chunked kernel and the single-step operation must agree
