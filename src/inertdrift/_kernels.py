@@ -5,8 +5,11 @@ ensemble through one chunk of pregenerated noise, step-synchronously.
 Each performs the same floating-point operations in the same order as the
 generic per-path steppers in :mod:`inertdrift.simulate`, so the two
 backends agree bit for bit on the interval and for the gradient family
-(tested); on the ball the generic reflection map rounds the contact
-differently in the last digits.
+(tested).  The reflected kernel takes its contact rule from the domain
+(``_exit`` and ``_land`` in :mod:`inertdrift.geometry`), the landing that
+``skorokhod.reflect_step`` also uses; on the ball the generic stepper
+still differs in the last digits, because it evaluates the push and the
+inert field at projected points.
 
 Every kernel takes the mutable state arrays, the chunk's noise, the
 global index of the chunk's first step, and ``params``: one plain tuple of
@@ -33,10 +36,6 @@ import numpy as np
 # package branches on it.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-# Domain tags understood by the kernels.
-DOM_INTERVAL = 0
-DOM_BALL = 1
-
 # Per-path status flags.
 FLAG_OK = 0
 FLAG_BOUNDARY_OVERFLOW = 1
@@ -53,6 +52,20 @@ FLAG_NAMES = {
 LOG_WEIGHT_CAP = 700.0
 
 
+def _rowdot(M, V):
+    """out[:, i] = sum_j M[i, j] V[:, j], summed left to right from +0.0
+    (``p + 0.0`` turns a product of -0.0 into +0.0, as ``0.0 + p`` does)."""
+    out = V[:, 0, None] * M[:, 0] + 0.0
+    for j in range(1, V.shape[1]):
+        out = out + V[:, j, None] * M[:, j]
+    return out
+
+
+def _take(keep, *arrays):
+    """Each array restricted to the rows that ``keep`` selects."""
+    return tuple(a[keep] for a in arrays)
+
+
 # ---------------------------------------------------------------------------
 # reflected family (with or without the inert drift / Girsanov weight)
 # ---------------------------------------------------------------------------
@@ -63,13 +76,15 @@ def reflected_chunk(
 ):
     """Advance every live path of a reflected-family run through one chunk.
 
-    On contact the interval pushes along u back to its endpoint and the
-    ball solves the quadratic for the closed-form landing point; K gains
-    v dL in both.  With ``do_weight`` the Girsanov log-weight is updated
-    from the step-start K before the move.
+    A proposal that leaves the domain is pushed back along u = UM n, with n
+    the inward normal where it crossed, by the domain's contact rule
+    (``_exit`` and ``_land``, which ``skorokhod.reflect_step`` also calls),
+    and K gains v dL with v = VM n at the landing point.  With
+    ``do_weight`` the Girsanov log-weight is updated from the step-start K
+    before the move.
     """
-    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, dkind, dlo, dhi,
-     dcenter, dradius, first_snap, snap_every) = params
+    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, domain, first_snap,
+     snap_every) = params
     P, C, d = z.shape
     for c in range(C):
         alive = flags == FLAG_OK
@@ -77,99 +92,34 @@ def reflected_chunk(
             break
         Z = z[:, c, :]
         if do_weight:
+            w, dB = _rowdot(SI, k), sqrt_dt * Z
             acc1 = np.zeros(P)
             acc2 = np.zeros(P)
             for i in range(d):
-                wi = np.zeros(P)
-                for j in range(d):
-                    wi = wi + SI[i, j] * k[:, j]
-                acc1 = acc1 + wi * (sqrt_dt * Z[:, i])
-                acc2 = acc2 + wi * wi
+                acc1 = acc1 + w[:, i] * dB[:, i]
+                acc2 = acc2 + w[:, i] * w[:, i]
             logw[alive] = logw[alive] + (acc1 - 0.5 * acc2 * dt)[alive]
             ovf = alive & (logw > LOG_WEIGHT_CAP)
             if ovf.any():
                 flags[ovf] = FLAG_WEIGHT_OVERFLOW
                 alive = alive & ~ovf
-        y = np.empty((P, d))
-        for i in range(d):
-            tmp = np.zeros(P)
-            for j in range(d):
-                tmp = tmp + S[i, j] * Z[:, j]
-            kk = k[:, i] if use_k else 0.0
-            y[:, i] = x[:, i] + (sqrt_dt * tmp + (b[i] + kk) * dt)
+        y = x + (sqrt_dt * _rowdot(S, Z) + (b + (k if use_k else 0.0)) * dt)
+        out, normal = domain._exit(y)
+        stay = alive & ~out
+        x[stay] = y[stay]
         dl = np.zeros(P)
         done = alive.copy()
-        if dkind == DOM_INTERVAL:
-            yy = y[:, 0]
-            below = alive & (yy < dlo)
-            above = alive & (yy > dhi)
-            inside = alive & ~below & ~above
-            x[inside, 0] = yy[inside]
-            if below.any():
-                dlb = (dlo - yy[below]) / UM[0, 0]
-                x[below, 0] = dlo
-                k[below, 0] += VM[0, 0] * dlb
-                dl[below] = dlb
-            if above.any():
-                dla = (dhi - yy[above]) / (-UM[0, 0])
-                x[above, 0] = dhi
-                k[above, 0] += (-VM[0, 0]) * dla
-                dl[above] = dla
-        else:
-            off = y - dcenter
-            rr2 = np.zeros(P)
-            for i in range(d):
-                rr2 = rr2 + off[:, i] * off[:, i]
-            rr = np.sqrt(np.where(rr2 > 0.0, rr2, 1.0))
-            rr = np.where(rr2 > 0.0, rr, 0.0)
-            out = alive & (rr > dradius)
-            inside = alive & ~out
-            x[inside] = y[inside]
-            if out.any():
-                rows = np.where(out)[0]
-                uo = off[rows]
-                rro = rr[rows]
-                yo = y[rows]
-                m = len(rows)
-                nxm = np.empty((m, d))
-                for i in range(d):
-                    nxm[:, i] = -(uo[:, i] / rro)
-                pum = np.empty((m, d))
-                a_ = np.zeros(m)
-                b_ = np.zeros(m)
-                for i in range(d):
-                    pi = np.zeros(m)
-                    for j in range(d):
-                        pi = pi + UM[i, j] * nxm[:, j]
-                    pum[:, i] = pi
-                    a_ = a_ + pi * pi
-                    b_ = b_ + uo[:, i] * pi
-                cc = rr2[rows] - dradius * dradius
-                disc = b_ * b_ - a_ * cc
-                bad = disc <= 0.0
-                if bad.any():
-                    flags[rows[bad]] = FLAG_REFLECT_FAILURE
-                    done[rows[bad]] = False
-                good = ~bad
-                grows = rows[good]
-                if len(grows):
-                    dlg = (-b_[good] - np.sqrt(disc[good])) / a_[good]
-                    land = np.empty((len(grows), d))
-                    nn2 = np.zeros(len(grows))
-                    for i in range(d):
-                        land[:, i] = (yo[good, i] + dlg * pum[good, i]) - dcenter[i]
-                        nn2 = nn2 + land[:, i] * land[:, i]
-                    nn = np.sqrt(nn2)
-                    nl = np.empty_like(land)
-                    for i in range(d):
-                        x[grows, i] = dcenter[i] + dradius * (land[:, i] / nn)
-                        nl[:, i] = -(land[:, i] / nn)
-                    for i in range(d):
-                        vi = np.zeros(len(grows))
-                        for j in range(d):
-                            vi = vi + VM[i, j] * nl[:, j]
-                        k[grows, i] += vi * dlg
-                    dl[grows] = dlg
+        hit = out & alive
+        if hit.any():
+            rows = hit.nonzero()[0]
+            land, dlh, nl, ok = domain._land(y[rows], _rowdot(UM, normal[alive[out]]))
+            if not ok.all():
+                flags[rows[~ok]] = FLAG_REFLECT_FAILURE
+                done[rows[~ok]] = False
+                rows, land, dlh, nl = _take(ok, rows, land, dlh, nl)
+            x[rows] = land
+            k[rows] += _rowdot(VM, nl) * dlh[:, None]
+            dl[rows] = dlh
         counters[0] += int((dl[done] > 0.0).sum())
         ell[done] = ell[done] + dl[done]
         s = gstep0 + c + 1
@@ -183,20 +133,6 @@ def reflected_chunk(
 # ---------------------------------------------------------------------------
 # gradient family (smooth wall potential, no reflection)
 # ---------------------------------------------------------------------------
-
-
-def _rowdot(M, V):
-    """out[:, i] = sum_j M[i, j] V[:, j], summed left to right from +0.0
-    (``p + 0.0`` turns a product of -0.0 into +0.0, as ``0.0 + p`` does)."""
-    out = V[:, 0, None] * M[:, 0] + 0.0
-    for j in range(1, V.shape[1]):
-        out = out + V[:, j, None] * M[:, j]
-    return out
-
-
-def _take(keep, *arrays):
-    """Each array restricted to the rows that ``keep`` selects."""
-    return tuple(a[keep] for a in arrays)
 
 
 def gradient_chunk(

@@ -2,8 +2,10 @@
 and smooth interior distance functions.
 
 Every domain exposes a signed distance (positive inside, zero on the
-boundary, negative outside), inward unit normals on the boundary, and a
-projection onto the boundary.  ``SmoothDistance`` supplies the smooth
+boundary, negative outside), inward unit normals on the boundary, a
+projection onto the boundary, and the contact rule of the reflected
+steppers (``_land``; intervals and balls add ``_exit`` for the numpy
+kernel).  ``SmoothDistance`` supplies the smooth
 interior distance used by the wall-potential family, together with its
 gradient and the multiplicative sandwich constants relating it to the true
 distance.
@@ -53,6 +55,58 @@ def _unbatch(values, single):
     return values[0] if single else values
 
 
+def _rowsum(a):
+    """a[:, 0] + a[:, 1] + ..., summed left to right from +0.0."""
+    out = a[:, 0] + 0.0
+    for j in range(1, a.shape[1]):
+        out = out + a[:, j]
+    return out
+
+
+def _unit_rows(v):
+    """Each row of ``v`` divided by its length."""
+    return v / np.sqrt(_rowsum(v * v))[:, None]
+
+
+def _slab_land(lo, hi, y, push):
+    """The contact rule of intervals and boxes: where each line y + s push
+    enters the closed slab product [lo_i, hi_i].
+
+    Coordinate i lies in [lo_i, hi_i] for s between the times at which it
+    crosses lo_i and hi_i; dl is the latest entry time, and the line meets
+    the closure (``ok``) when that comes before every exit time.  A
+    coordinate on a face with a zero push component gives 0/0 and never
+    leaves, so the reductions skip NaN.  The binding coordinates, those
+    that enter at dl, land exactly on their faces, whose inward normals,
+    averaged as ``Box`` has them at edges, are returned; the others are
+    clipped into the closure against rounding.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - y) / push
+        t_hi = (hi - y) / push
+        enter = np.minimum(t_lo, t_hi)
+        dl = np.fmax.reduce(enter, axis=1)
+        ok = (dl < np.inf) & (dl <= np.fmin.reduce(np.maximum(t_lo, t_hi), axis=1))
+        land = y + dl[:, None] * push
+        bind = enter == dl[:, None]
+        normal = np.where(bind, np.sign(push), 0.0)
+        if y.shape[1] > 1:  # several faces bind at an edge or a corner
+            normal = _unit_rows(normal)
+    land = np.where(bind, np.where(push > 0.0, lo, hi), land)
+    return np.minimum(np.maximum(land, lo), hi), dl, normal, ok
+
+
+def _ray_sphere(off, push, r2):
+    """Smaller root s of |off + s push|^2 = r2, and whether the line meets
+    the sphere: (-b - sqrt(b^2 - a c)) / a with a = |push|^2,
+    b = off . push and c = |off|^2 - r2."""
+    a = _rowsum(push * push)
+    b = _rowsum(off * push)
+    disc = b * b - a * (_rowsum(off * off) - r2)
+    ok = disc > 0.0
+    return (-b - np.sqrt(np.where(ok, disc, 0.0))) / a, ok
+
+
 class Domain:
     """Base class for bounded open domains (plus the 1D half-line special case)."""
 
@@ -70,6 +124,15 @@ class Domain:
 
     def _normal_at(self, pts):
         """Inward unit normal for points assumed on (or very near) the boundary."""
+        raise NotImplementedError
+
+    def _land(self, y, push):
+        """The contact rule: push each point of ``y`` outside the closure
+        back along its row of ``push`` to the point where the line
+        y + s push enters the closure.  Returns the landing points, s (the
+        local-time increment dL, negative where the push points away from
+        the domain), the inward normals there, and ``ok``, False where the
+        line misses the closure."""
         raise NotImplementedError
 
     # -- shared API ------------------------------------------------------------
@@ -192,6 +255,16 @@ class Interval(Domain):
         nearer_lo = (x - self.lo) <= (self.hi - x)
         return np.where(nearer_lo, 1.0, -1.0)[:, None]
 
+    def _exit(self, y):
+        """Which points of ``y`` lie outside [lo, hi], and the inward normal
+        at the endpoint each one crossed."""
+        below = y[:, 0] < self.lo
+        out = below | (y[:, 0] > self.hi)
+        return out, np.where(below[out], 1.0, -1.0)[:, None]
+
+    def _land(self, y, push):
+        return _slab_land(self.lo, self.hi, y, push)
+
     @property
     def diameter(self):
         return self.hi - self.lo
@@ -247,6 +320,19 @@ class Ball(Domain):
         w = pts - self.center
         r = np.linalg.norm(w, axis=1)
         return -w / r[:, None]
+
+    def _exit(self, y):
+        """Which points of ``y`` lie outside the closed ball, and the inward
+        normal at their radial projection onto the sphere."""
+        off = y - self.center
+        r = np.sqrt(_rowsum(off * off))
+        out = r > self.radius
+        return out, -(off[out] / r[out, None])
+
+    def _land(self, y, push):
+        dl, ok = _ray_sphere(y - self.center, push, self.radius * self.radius)
+        unit = _unit_rows((y + dl[:, None] * push) - self.center)
+        return self.center + self.radius * unit, dl, -unit, ok
 
     @property
     def diameter(self):
@@ -325,6 +411,9 @@ class Box(Domain):
             # for an exterior point, which inward_normal's guard already rejects
             raise GeometryError("normal: point not matched to any face")
         return n / norms[:, None]
+
+    def _land(self, y, push):
+        return _slab_land(self.lo, self.hi, y, push)
 
     @property
     def diameter(self):
@@ -446,6 +535,14 @@ class Ellipsoid(Domain):
         norms = np.linalg.norm(g, axis=1)
         return g / norms[:, None]
 
+    def _land(self, y, push):
+        """The ball's landing quadratic in radius-scaled coordinates, where
+        the ellipsoid is the unit sphere."""
+        r = self.radii
+        dl, ok = _ray_sphere((y - self.center) / r, push / r, 1.0)
+        unit = _unit_rows(((y + dl[:, None] * push) - self.center) / r)
+        return self.center + r * unit, dl, _unit_rows(-unit / r), ok
+
     @property
     def diameter(self):
         return float(2.0 * np.max(self.radii))
@@ -533,7 +630,7 @@ class SmoothDistance:
             # phi'(s) / s = dphi0 - s^2 / dphi2 inside the cap
             self._phi0, self._phi2, self._phi4 = 3 * a / 8, 4 * a, 8 * a**3
             self._dphi0, self._dphi2 = 3.0 / (2 * a), 2 * a**3
-            if domain.kind == "interval":
+            if d == 1:
                 mid = float(self._mid[0])
                 self.breakpoints_1d = [mid - a, mid + a]
             else:

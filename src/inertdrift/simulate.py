@@ -33,8 +33,10 @@ per-path steppers built on the single-step operations below) only consume
 noise, and both report one diagnostics schema (:func:`_diagnostics`).
 Results are reproducible for a fixed (seed, backend) pair.  The two
 backends are bit-identical on the interval and, for the gradient family,
-on the disc; on the disc the reflected families agree to rounding (the
-generic reflection map rounds the contact differently; all tested).
+on the disc.  Both reflected steppers land with the domain's contact rule
+(``_land`` in :mod:`.geometry`); on the disc they agree to rounding,
+because the generic stepper evaluates the push and v at projected points
+(all tested).
 """
 
 import dataclasses
@@ -47,8 +49,6 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import (
-    DOM_BALL,
-    DOM_INTERVAL,
     FLAG_BOUNDARY_OVERFLOW,
     FLAG_NAMES,
     FLAG_OK,
@@ -647,16 +647,11 @@ def _reflected_params(cs, domain, cfg, x0):
     the kernel unpacks them."""
     Smat = cs.sigma(x0)
     UM, VM = _push_matrices(cs, x0)
-    if domain.kind == "interval":
-        geometry = (DOM_INTERVAL, float(domain.lo), float(domain.hi), None, None)
-    else:
-        geometry = (DOM_BALL, None, None, np.asarray(domain.center, float),
-                    float(domain.radius))
     return (
         cfg.dt_base, np.sqrt(cfg.dt_base), Smat, np.linalg.inv(Smat),
         np.asarray(cs.constant_drift, float), UM, VM,
         cfg.family == "reflected", cfg.family == "driftless_weighted",
-        *geometry, cfg.first_snapshot_step, cfg.snap_every,
+        domain, cfg.first_snapshot_step, cfg.snap_every,
     )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ConstrainedPath",
@@ -159,6 +158,9 @@ def reflect_step(domain, x, increment, push_dir, max_step=None):
     minimal: ``x_new = x + increment + push * dl`` where ``push`` is the
     push field evaluated at the boundary contact (the projection of the
     unconstrained point).  ``dl = 0`` exactly when the move stays inside.
+    The landing is the domain's contact rule (``domain._land``), the one
+    the numpy reflected kernel calls; raises SkorokhodError when the push
+    cannot return the point to the closure.
 
     The per-step push-back is only locally valid, so callers stepping a
     whole path should cap increments by passing ``max_step`` (the path
@@ -174,54 +176,16 @@ def reflect_step(domain, x, increment, push_dir, max_step=None):
             "refine the time grid" % (step_len, max_step)
         )
     y = x + inc
-    sd_y = float(domain.signed_distance(y))
-    if sd_y >= 0.0:
+    if float(domain.signed_distance(y)) >= 0.0:
         return y, 0.0
-
     contact = np.atleast_1d(domain.project_to_boundary(y)).reshape(d)
     push = _resolve_push(push_dir, contact, d)
-
-    # 1D intervals: the push root is a linear equation, solved exactly.
-    if domain.kind == "interval":
-        lo, hi = domain.lo, domain.hi
-        target = lo if y[0] < lo else hi
-        if (target - y[0]) * push[0] <= 0.0:
-            raise SkorokhodError(
-                "push direction %s cannot return %s to the closure" % (push, y)
-            )
-        dl = (target - y[0]) / push[0]
-        return np.array([target]), float(dl)
-
-    # general case: bracket the smallest s >= 0 with sd(y + s * push) = 0
-    push_norm = float(np.linalg.norm(push))
-    scale = domain.reference_length
-
-    def phi(s):
-        return float(domain.signed_distance(y + s * push))
-
-    s_lo = 0.0
-    s_hi = -sd_y / push_norm  # sd is 1-Lipschitz: guaranteed lower bound
-    val = phi(s_hi)
-    expansions = 0
-    while val < 0.0:
-        s_lo = s_hi
-        s_hi *= 1.6
-        expansions += 1
-        if expansions > 80 or s_hi * push_norm > 4.0 * scale:
-            raise SkorokhodError(
-                "no return to the closure along push %s from %s "
-                "(start sd %.3e, searched up to s = %.3e); the push may "
-                "point outward" % (push, y, sd_y, s_hi)
-            )
-        val = phi(s_hi)
-    if val == 0.0:
-        dl = s_hi
-    else:
-        dl = brentq(phi, s_lo, s_hi, xtol=1e-15 * scale, rtol=4 * np.finfo(float).eps)
-    x_new = y + dl * push
-    if float(domain.signed_distance(x_new)) < 0.0:
-        x_new = np.atleast_1d(domain.project_to_boundary(x_new)).reshape(d)
-    return x_new, float(dl)
+    land, dl, _, ok = domain._land(y[None, :], push[None, :])
+    if not ok[0] or dl[0] < 0.0:
+        raise SkorokhodError(
+            "push direction %s cannot return %s to the closure" % (push, y)
+        )
+    return land[0], float(dl[0])
 
 
 # ---------------------------------------------------------------------------

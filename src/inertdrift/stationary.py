@@ -98,10 +98,10 @@ class StationaryMeasure:
     pi^(d/2) sqrt(det Gamma).
 
     Position normalizers are computed by composite Gauss-Legendre
-    quadrature on intervals and boxes, polar quadrature on discs (an
-    ellipsoid is mapped to the unit disc first), and antithetic Monte
-    Carlo above two dimensions (the standard error is stored on
-    ``c_x_standard_error``).
+    quadrature on the bounding segment of any 1-D domain and on 2-D boxes,
+    polar quadrature on discs (an ellipsoid is mapped to the unit disc
+    first), and antithetic Monte Carlo above two dimensions (the standard
+    error is stored on ``c_x_standard_error``).
     """
 
     def __init__(self, cs, potential=None, v_scale=1.0, nodes_per_panel=24,
@@ -186,12 +186,12 @@ class StationaryMeasure:
     def _x_mass(self, nodes_per_panel, n_angles, mc_samples, mc_seed):
         dom = self.domain
         cuts = self._radial_cuts()
-        if dom.kind == "interval":
-            edges = _wall_refined_edges(dom.lo, dom.hi, cuts)
+        if dom.d == 1:  # the bounding segment, cut where delta is only C2
+            lo, hi = dom.bounding_box()
+            edges = _wall_refined_edges(float(lo[0]), float(hi[0]), cuts)
             nodes, weights = _panel_quadrature(edges, nodes_per_panel)
-            vals = self.x_weight(nodes[:, None])
-            return float(np.sum(weights * vals))
-        if dom.kind == "box" and dom.d <= 2:
+            return float(np.sum(weights * self.x_weight(nodes[:, None])))
+        if dom.kind == "box" and dom.d == 2:
             axes = [
                 _panel_quadrature(
                     _wall_refined_edges(dom.lo[i], dom.hi[i], cuts),
@@ -199,16 +199,13 @@ class StationaryMeasure:
                 )
                 for i in range(dom.d)
             ]
-            if dom.d == 1:
-                nodes, weights = axes[0]
-                return float(np.sum(weights * self.x_weight(nodes[:, None])))
             nx, wx = axes[0]
             ny, wy = axes[1]
             xx, yy = np.meshgrid(nx, ny, indexing="ij")
             pts = np.column_stack([xx.ravel(), yy.ravel()])
             vals = self.x_weight(pts).reshape(len(nx), len(ny))
             return float(wx @ vals @ wy)
-        if dom.kind in ("ball", "ellipsoid") and dom.d <= 2:
+        if dom.kind in ("ball", "ellipsoid") and dom.d == 2:
             return self._mass_radial(nodes_per_panel, n_angles, cuts)
         return self._mass_monte_carlo(mc_samples, mc_seed)
 
@@ -217,8 +214,8 @@ class StationaryMeasure:
         if self.potential is None or self.potential.distance is None:
             return []
         sd = self.potential.distance
-        # the ball's cap is a radius; the ellipsoid's delta has no cap
-        if self.domain.kind == "ball":
+        # a disc's cap is a radius; the ellipsoid's delta has no cap
+        if self.domain.kind == "ball" and self.domain.d > 1:
             return [sd._cap]
         return list(sd.breakpoints_1d)
 
@@ -231,10 +228,6 @@ class StationaryMeasure:
             center, radii = dom.center, dom.radii
             jac = float(np.prod(radii)) / float(np.min(radii)) ** 2
             rmax = float(np.min(radii))
-        if dom.d == 1:
-            edges = _wall_refined_edges(center[0] - rmax, center[0] + rmax, cuts)
-            nodes, weights = _panel_quadrature(edges, nodes_per_panel)
-            return float(np.sum(weights * self.x_weight(nodes[:, None])))
         # map to the round disc of radius rmax, then integrate in polar
         # coordinates: trapezoid in the (periodic, analytic) angle,
         # wall-refined panels in the radius
@@ -465,7 +458,7 @@ def stationarity_residual(sm, f, x_nodes=None, y_nodes=None, max_block=200_000):
         x_nodes = 400 if d == 1 else 48
     if y_nodes is None:
         y_nodes = 80 if d == 1 else 24
-    cuts = sm._radial_cuts() if domain.kind == "interval" else []
+    cuts = sm._radial_cuts() if d == 1 else []
     ax_x = [
         _split_axis_quadrature(x_lo[i], x_hi[i], cuts, x_nodes)
         for i in range(d)

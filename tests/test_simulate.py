@@ -29,7 +29,9 @@ import pytest
 import inertdrift
 from inertdrift import (
     Ball,
+    Box,
     CoefficientSet,
+    Ellipsoid,
     GirsanovWeight,
     Interval,
     Potential,
@@ -411,6 +413,26 @@ def test_interior_k_changes_only_with_contact(interval_cs, unit_interval):
     assert b.diagnostics["contacts"] > 0
 
 
+@pytest.mark.parametrize("dom,x0", [
+    (Box([0.0, 0.0], [1.0, 2.0]), (0.05, 1.95)),
+    (Ellipsoid([0.1, 0.0], [1.0, 0.5]), (0.1, 0.42)),
+], ids=["box", "ellipsoid"])
+def test_generic_reflected_run_on_box_and_ellipsoid(dom, x0):
+    # only the generic backend reflects off these domains
+    cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
+                           a_diag=[2.0, 0.5])
+    cfg = SimConfig(family="reflected", dt_base=5e-4, t_end=0.1, n_paths=3,
+                    seed=3, snap_every=1, x0=x0)
+    b = run_ensemble(cs, cfg, domain=dom)
+    assert b.diagnostics["contacts"] > 0 and not b.flags.any()
+    sd = dom.signed_distance(b.x.reshape(-1, 2))
+    assert np.all(sd >= -dom.tol_bd)
+    k_moved = np.any(np.diff(b.k, axis=1) != 0.0, axis=2)
+    ell_grew = np.diff(b.ell, axis=1) > 0.0
+    assert np.all(~k_moved | ell_grew) and np.all(np.diff(b.ell, axis=1) >= 0.0)
+    assert k_moved.any()
+
+
 def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
     kw = dict(
         family="reflected",
@@ -433,8 +455,9 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
     assert b_vec.diagnostics == b_gen.diagnostics
     assert b_vec.diagnostics["contacts"] > 0
 
-    # on the disc the generic reflection map rounds the closed-form ball
-    # contact differently in the last digits; the events are the same
+    # on the disc both land with the ball's contact rule, but the generic
+    # stepper evaluates u and v at projected points, so the last digits
+    # differ (largest gap 1.4e-15); the events are the same
     ball = Ball([0.0, 0.0], 1.0)
     cs = make_coefficients("identity", ball, gamma=np.diag([2.0, 1.0]))
     for kw in (dict(family="reflected", t_end=0.5, burn_in=0.1),
@@ -451,8 +474,108 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
             assert np.all(c_vec.log_weights != 0.0)
         for name in fields:
             np.testing.assert_allclose(getattr(c_vec, name), getattr(c_gen, name),
-                                       rtol=0.0, atol=1e-12, err_msg=name)
+                                       rtol=0.0, atol=1.5e-14, err_msg=name)
         assert np.nanmax(np.linalg.norm(c_vec.x, axis=2)) <= 1.0
+
+
+def _reflected_case(name, family):
+    """(cs, domain, config) of the reflected-kernel golden cases."""
+    if name in ("interval", "halfline"):
+        dom = Interval(0.0, 1.0) if name == "interval" else Interval(0.0, np.inf)
+        cs = make_coefficients("identity", dom, gamma=[[1.0]])
+        kw = dict(dt_base=1e-3, t_end=0.5, burn_in=0.1, n_paths=6, seed=7,
+                  snap_every=10)
+        if name == "halfline":
+            kw["x0"] = (0.2,)
+        k0 = (0.5,)
+    else:
+        if name == "disc":
+            dom = Ball([0.0, 0.0], 1.0)
+            cs = make_coefficients("identity", dom, gamma=np.diag([2.0, 1.0]))
+            k0 = (0.5, 1.0)
+        elif name == "anisotropic_disc":  # u = A n / 2 and v = a0 u
+            dom = Ball([0.2, -0.1], 0.8)
+            cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
+                                   a_diag=[2.0, 0.5], inert_field="a0_conormal",
+                                   a0=1.5, conormal_convention="half")
+            k0 = (0.5, -1.0)
+        else:
+            dom = Ball([0.0, 0.0, 0.0], 1.0)
+            cs = make_coefficients("identity", dom,
+                                   gamma=np.diag([1.0, 2.0, 0.5]))
+            k0 = (0.3, -0.2, 0.4)
+        kw = dict(dt_base=5e-4, t_end=0.5, burn_in=0.1, n_paths=8, seed=5,
+                  snap_every=20)
+    if family == "driftless_weighted":
+        kw["k0"] = k0
+    return cs, dom, SimConfig(family=family, **kw)
+
+
+# sha256 of the numpy reflected kernel's x, k, ell and log_weights arrays
+# (None for the reflected family), and its contact count, recorded before
+# the contact rule moved into the domains
+REFLECTED_GOLDEN = {
+    ("interval", "reflected"): (
+        "db02efab6af20298ad59285ad2d56f165ecaa3acba1110e4e33d0d491c027d23",
+        "87619074334eef1ce977ce3dac6520a1cf1519cb09cdc2df8b2bfcb87b2bf00d",
+        "1a0647c60943c982c6bd8a9c75659227c856578f47a2699f30609b10fae6ae2f",
+        None, 125),
+    ("interval", "driftless_weighted"): (
+        "812e46ca063503c66e82aa4a1942dc5c83c94708f76fad165f635af68a3815a3",
+        "c9f4ba634c5695c0df72a74944fe795601608458e9be81956906f4021df92509",
+        "699712c698fe6fc0a6706d3c479bb79c631fc4637500660fd755dfb1b4c40294",
+        "edfdc563c626441992f2fb8f56083cccfd51f52f1843fdd9e7b520fd2fe83e88", 133),
+    ("halfline", "reflected"): (
+        "1d0b72f921979f2570cf263b5a196145e5eff32fac8a31666d871591bb3a1a63",
+        "2edd62f0d26506a46ee5ae6e3cece5cec7b0523609aa0f2e0b81eed0944ee15f",
+        "2edd62f0d26506a46ee5ae6e3cece5cec7b0523609aa0f2e0b81eed0944ee15f",
+        None, 65),
+    ("halfline", "driftless_weighted"): (
+        "8ef6796b9a89c7548921d532f9c011d504d97a20b6d3794fc2b98c48c4963a72",
+        "f675f2d01d80c3ce1984b25ec2bdc02c3ad7f490e20463e8a6e717af31c47f30",
+        "363e9e36c1dd4c29b2113696721159f79eb7dedab8c28a8b1fec149a14e93e36",
+        "6dda2b7057cef41e58ba53fb5e18ae439bcf3800f5ab0b115d19fe3bd833db20", 72),
+    ("disc", "reflected"): (
+        "192bd05e14c4acc3d3bb82d7edaac275770cda699c26d4418db95783bbab6990",
+        "10ae1e216852e47dc4f17ccff363e514a78bb6b6832ab89c4a0125ecd159c901",
+        "6225617e8a5e6dd318e2cd3b7e8a5768b09609eab5071734f6fb57f519c3fbd8",
+        None, 41),
+    ("disc", "driftless_weighted"): (
+        "12a3920fa9afd7fdeed24525b20d1be45c4993b9013b6331e48ea4a775a4010c",
+        "294d424d5fa9adb7b80391bc919a6473074f6cc6e1b2d31289a44479229b0379",
+        "d0d09780add894ab38b70ea0fda37c47b989be89f48d97ca2d33252467b85f20",
+        "e754f9bc334f5e2d7560a3de040f52d1578e6a164938ba2ea590aa6581ddd6f5", 44),
+    ("anisotropic_disc", "reflected"): (
+        "59e5335e14c3ad7cbc3ae60f39a3f2a6f12110a738087b0bade1e014d6b64d6c",
+        "30a056220df341a2dbaf51769b73e343b083ab7441455852e8f075ab555e4b1e",
+        "8c528324d8b2b883b2bf6f785422694bf3e57b84a10af1c2af45c013b4e001f1",
+        None, 113),
+    ("anisotropic_disc", "driftless_weighted"): (
+        "90c11b2c4f6ab438947399ac470748c985a57c1318d622e13fa64b990f67af0c",
+        "41ca811c1a6a269dccf6cc395445cea521d039467bbdd6f37cc8bb9d8c534000",
+        "c3d4617494af988defeb6d0e9515de8674b3addce86eea838d4b7ceab4dfc80d",
+        "c3fd1e8ccf923d8c4035b06cb78c4c8eff2b5bc6924b7910cb2f67f447093fff", 117),
+    ("ball3d", "reflected"): (
+        "3ca59116534a3cfb0bb009c4537eae5ca443126a59f993a85fcc447eceb6456a",
+        "ce963c6799bcb9528fc1dc11d8cda09b38bb3ce2f8d5054cb05379351c38e520",
+        "cecdfcb0fd15694a6e1792bf66794c4aff513b1a152eda82d8a42a089aaf5c5c",
+        None, 160),
+    ("ball3d", "driftless_weighted"): (
+        "d27ec2d5832da40150b76cfdf492bf6a79e8ff5823ef78b334c74f00c92a4034",
+        "ce34945c4351e2caec652547b1d55f0d45cf3700fea766f3d8369578d1b645e8",
+        "043b3e7a2dd8df3264b300d042e474e132e866d5600dd19eb82288b6e055e057",
+        "487195df7900e65d5695688afa0e4a1962838de77869af4141d60eb3ae502115", 193),
+}
+
+
+@pytest.mark.parametrize("name,family", sorted(REFLECTED_GOLDEN))
+def test_reflected_kernel_golden_digests(name, family):
+    cs, dom, cfg = _reflected_case(name, family)
+    b = run_ensemble(cs, cfg, domain=dom, backend="numpy")
+    lw = None if b.log_weights is None else _sha256(b.log_weights)
+    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), lw,
+            b.diagnostics["contacts"]) == REFLECTED_GOLDEN[name, family]
+    assert not b.flags.any()
 
 
 def _gradient_case(name):

@@ -5,6 +5,9 @@ Oracles used here:
     g = f + ell, computed directly from the sampled driving path;
   * ball with normal push: the constrained point is the Euclidean projection
     onto the closed ball and the local-time increment is the overshoot;
+  * box and ellipsoid steps: the landing is on the boundary, equals
+    y + push * dl, and is the first such point (y + push * dl * (1 - 1e-9)
+    is still outside);
   * refinement stability: solves on dyadically refined grids are compared
     against a much finer reference solve of the same continuous path.
 """
@@ -14,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from inertdrift.geometry import Ball, Interval
+from inertdrift.geometry import Ball, Box, Ellipsoid, Interval
 from inertdrift.skorokhod import (
     ConstrainedPath,
     DrivingPath,
@@ -79,6 +82,54 @@ def test_outward_push_fails_with_diagnostics():
     dom = Ball([0.0, 0.0], 1.0)
     with pytest.raises(SkorokhodError, match="push"):
         reflect_step(dom, [0.9, 0.0], [0.2, 0.0], lambda p: np.array([1.0, 0.0]))
+
+
+def _check_landing(dom, x, inc, push_dir):
+    """reflect_step's landing, checked on the boundary, on the push line,
+    and minimal; returns (x_new, dl)."""
+    y = np.asarray(x, float) + inc
+    push = push_dir(dom.project_to_boundary(y)) if callable(push_dir) else push_dir
+    x_new, dl = reflect_step(dom, x, inc, push_dir)
+    assert dl > 0.0
+    assert abs(dom.signed_distance(x_new)) <= dom.tol_bd
+    np.testing.assert_allclose(x_new, y + dl * np.asarray(push), rtol=0, atol=1e-14)
+    assert dom.signed_distance(y + (1.0 - 1e-9) * dl * np.asarray(push)) < 0.0
+    return x_new, dl
+
+
+def test_box_steps_land_on_the_first_boundary_point():
+    box = Box([0.0, 0.0], [1.0, 2.0])
+    # a face hit along the face normal: the overshoot, onto the face exactly
+    x_new, dl = _check_landing(box, [0.05, 1.0], np.array([-0.1, 0.02]),
+                               box.inward_normal)
+    assert x_new[0] == 0.0 and dl == pytest.approx(0.05, abs=1e-15)
+    # a corner crossing pushed along the averaged corner normal: the lower
+    # face binds, the left one was reached earlier
+    x_new, dl = _check_landing(box, [0.05, 0.05], np.array([-0.1, -0.08]),
+                               box.inward_normal)
+    assert x_new[0] == 0.0 and x_new[1] == pytest.approx(0.02, abs=1e-15)
+    assert dl == pytest.approx(0.05 * np.sqrt(2.0), abs=1e-15)
+    # an oblique push with a zero component past the top face
+    x_new, dl = _check_landing(box, [0.5, 1.95], np.array([0.1, 0.1]),
+                               np.array([0.0, -2.0]))
+    assert x_new[1] == 2.0 and x_new[0] == 0.6
+    assert dl == pytest.approx(0.025, abs=1e-15)
+    # a push that points outward, has no component across the face, or
+    # leaves through the top face before it reaches the left one
+    for x, push in (([0.05, 1.0], [-1.0, 0.0]), ([0.05, 1.0], [0.0, 1.0]),
+                    ([0.05, 1.99], [1.0, 1.0])):
+        with pytest.raises(SkorokhodError, match="push"):
+            reflect_step(box, x, [-0.1, 0.0], np.array(push))
+
+
+def test_ellipsoid_steps_land_on_the_first_boundary_point():
+    ell = Ellipsoid([0.1, 0.0], [1.0, 0.5])
+    A = np.diag([2.0, 0.5])
+    for x, inc in (([0.1, 0.45], [0.05, 0.1]), ([1.0, 0.1], [0.15, -0.05])):
+        _check_landing(ell, x, np.array(inc), ell.inward_normal)
+        _check_landing(ell, x, np.array(inc), lambda p: A @ ell.inward_normal(p))
+    with pytest.raises(SkorokhodError, match="push"):
+        reflect_step(ell, [0.1, 0.45], [0.05, 0.1], lambda p: -ell.inward_normal(p))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,17 @@ def test_position_normalizer_smooth_wall_matches_adaptive_quadrature(
     assert fine.c_x == pytest.approx(sm.c_x, rel=1e-12)
 
 
+def test_one_dimensional_ball_normalizer_equals_the_interval_one():
+    # the same segment and wall: both integrate on [c - r, c + r] cut at the
+    # cap edges c +- a, where delta is only C2
+    masses = []
+    for dom in (Ball([0.3], 1.0), Interval(-0.7, 1.3)):
+        cs = make_coefficients("identity", dom, gamma=[[1.0]])
+        pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+        masses.append(1.0 / StationaryMeasure(cs, potential=pot).c_x)
+    assert masses[0] == pytest.approx(masses[1], rel=1e-12, abs=0.0)
+
+
 def test_smooth_wall_mass_increases_with_sharpness(interval_cs, unit_interval):
     masses = []
     for n in (1, 2, 4, 8):
