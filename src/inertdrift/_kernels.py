@@ -18,6 +18,12 @@ in :mod:`inertdrift.simulate` and unpacked in one statement; the host
 loop there draws all noise.  ``counters[0]`` counts contacts (reflected)
 or sub-moves (gradient), ``counters[1]`` redraws (gradient).
 
+The reflected kernel steps only the live rows: it copies their x, k, ell
+and log-weight into compact arrays once per chunk, with no per-step masks,
+and writes them back at the chunk end or when a row gets flagged.  It
+reads each step's noise column once, and caches the terms that depend on
+K, which moves only at contact, recomputing them for the contact rows.
+
 The gradient kernel evaluates the wall once per proposal through
 ``SmoothDistance._value_and_grad``, which shares its formula with the
 ``value`` and ``grad`` that the generic stepper calls, and carries delta
@@ -62,13 +68,24 @@ def _rowdot(M, V):
 
 
 def _take(keep, *arrays):
-    """Each array restricted to the rows that ``keep`` selects."""
-    return tuple(a[keep] for a in arrays)
+    """Each array restricted to the rows that ``keep`` selects (None stays
+    None)."""
+    return tuple(None if a is None else a[keep] for a in arrays)
 
 
 # ---------------------------------------------------------------------------
 # reflected family (with or without the inert drift / Girsanov weight)
 # ---------------------------------------------------------------------------
+
+
+def _weight_terms(k, SI, dt):
+    """w = S^-1 K and 0.5 |w|^2 dt, the Girsanov weight's terms that move
+    only with K; |w|^2 is summed left to right from +0.0."""
+    w = _rowdot(SI, k)
+    acc2 = np.zeros(len(k))
+    for i in range(k.shape[1]):
+        acc2 = acc2 + w[:, i] * w[:, i]
+    return w, 0.5 * acc2 * dt
 
 
 def reflected_chunk(
@@ -82,52 +99,76 @@ def reflected_chunk(
     and K gains v dL with v = VM n at the landing point.  With
     ``do_weight`` the Girsanov log-weight is updated from the step-start K
     before the move.
+
+    The live rows' x, k, ell and log-weight are copied into compact arrays
+    once per chunk and stepped there, and each step reads its noise column
+    once.  The terms that depend on K, (b + K) dt and the weight's w and
+    0.5 |w|^2 dt, are cached per row and recomputed for the contact rows
+    only, since K moves only there.  A row that gets flagged is written
+    back at once and dropped; the others are written back at the chunk end.
     """
     (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, domain, first_snap,
      snap_every) = params
-    P, C, d = z.shape
+    C, d = z.shape[1:]
+    rows = (flags == FLAG_OK).nonzero()[0]
+    xs, ks, ls, lw = x[rows], k[rows], ell[rows], logw[rows]
+    # one row per path even without the inert drift, so rows drop together
+    drift = (b + (ks if use_k else np.zeros_like(ks))) * dt
+    w, h = _weight_terms(ks, SI, dt) if do_weight else (None, None)
+    contacts = 0
+
+    def put(sel):
+        """Write the compact rows ``sel`` back into the state arrays."""
+        at = rows[sel]
+        x[at], k[at], ell[at], logw[at] = xs[sel], ks[sel], ls[sel], lw[sel]
+        return at
+
     for c in range(C):
-        alive = flags == FLAG_OK
-        if not alive.any():
+        if not len(rows):
             break
-        Z = z[:, c, :]
+        Z = z[rows, c]
         if do_weight:
-            w, dB = _rowdot(SI, k), sqrt_dt * Z
-            acc1 = np.zeros(P)
-            acc2 = np.zeros(P)
+            dB = sqrt_dt * Z
+            acc1 = np.zeros(len(rows))
             for i in range(d):
                 acc1 = acc1 + w[:, i] * dB[:, i]
-                acc2 = acc2 + w[:, i] * w[:, i]
-            logw[alive] = logw[alive] + (acc1 - 0.5 * acc2 * dt)[alive]
-            ovf = alive & (logw > LOG_WEIGHT_CAP)
+            lw = lw + (acc1 - h)
+            ovf = lw > LOG_WEIGHT_CAP
             if ovf.any():
-                flags[ovf] = FLAG_WEIGHT_OVERFLOW
-                alive = alive & ~ovf
-        y = x + (sqrt_dt * _rowdot(S, Z) + (b + (k if use_k else 0.0)) * dt)
+                flags[put(ovf)] = FLAG_WEIGHT_OVERFLOW
+                rows, xs, ks, ls, lw, drift, w, h, Z = _take(
+                    ~ovf, rows, xs, ks, ls, lw, drift, w, h, Z)
+        y = xs + (sqrt_dt * _rowdot(S, Z) + drift)
         out, normal = domain._exit(y)
-        stay = alive & ~out
-        x[stay] = y[stay]
-        dl = np.zeros(P)
-        done = alive.copy()
-        hit = out & alive
-        if hit.any():
-            rows = hit.nonzero()[0]
-            land, dlh, nl, ok = domain._land(y[rows], _rowdot(UM, normal[alive[out]]))
-            if not ok.all():
-                flags[rows[~ok]] = FLAG_REFLECT_FAILURE
-                done[rows[~ok]] = False
-                rows, land, dlh, nl = _take(ok, rows, land, dlh, nl)
-            x[rows] = land
-            k[rows] += _rowdot(VM, nl) * dlh[:, None]
-            dl[rows] = dlh
-        counters[0] += int((dl[done] > 0.0).sum())
-        ell[done] = ell[done] + dl[done]
+        hit = out.nonzero()[0]
+        if len(hit):
+            land, dl, nl, ok = domain._land(y[hit], _rowdot(UM, normal))
+            failed = not ok.all()
+            if failed:
+                keep = np.ones(len(rows), dtype=bool)
+                keep[hit[~ok]] = False
+                flags[put(~keep)] = FLAG_REFLECT_FAILURE
+                hit, land, dl, nl = _take(ok, hit, land, dl, nl)
+            y[hit] = land
+            ks[hit] += _rowdot(VM, nl) * dl[:, None]
+            ls[hit] += dl
+            contacts += int(np.count_nonzero(dl > 0.0))
+            if use_k:
+                drift[hit] = (b + ks[hit]) * dt
+            if do_weight:
+                w[hit], h[hit] = _weight_terms(ks[hit], SI, dt)
+            if failed:
+                rows, y, ks, ls, lw, drift, w, h = _take(
+                    keep, rows, y, ks, ls, lw, drift, w, h)
+        xs = y
         s = gstep0 + c + 1
         if s >= first_snap and (s - first_snap) % snap_every == 0:
             slot = (s - first_snap) // snap_every
-            out_x[done, slot, :] = x[done]
-            out_k[done, slot, :] = k[done]
-            out_ell[done, slot] = ell[done]
+            out_x[rows, slot] = xs
+            out_k[rows, slot] = ks
+            out_ell[rows, slot] = ls
+    put(slice(None))
+    counters[0] += contacts
 
 
 # ---------------------------------------------------------------------------

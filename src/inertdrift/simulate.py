@@ -275,8 +275,12 @@ class TrajectoryBatch:
         _write_csv(path, ",".join(cols), P, self.times, columns)
 
     def kish_ess(self):
-        """Kish effective sample size (sum w)^2 / sum w^2 of the weights."""
-        w = np.exp(self.log_weights - self.log_weights.max())
+        """Kish effective sample size (sum w)^2 / sum w^2 of the weights of
+        the paths that finished without a flag (0.0 when none did)."""
+        lw = self.log_weights[self.ok]
+        if not len(lw):
+            return 0.0
+        w = np.exp(lw - lw.max())
         return float(w.sum() ** 2 / (w * w).sum())
 
     def write_weights(self, path):

@@ -83,6 +83,7 @@ def interval_ensemble(interval_cs, unit_interval):
     return batch, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_1_product_form_stationarity_1d(
     interval_ensemble, interval_cs
 ):
@@ -109,6 +110,7 @@ def test_criterion_1_product_form_stationarity_1d(
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_anisotropic_disc_covariance():
     disc = Ball([0.0, 0.0], 1.0)
     cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
@@ -151,6 +153,7 @@ def test_criterion_2_anisotropic_disc_covariance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_generator_orthogonality(interval_cs):
     disc_cs = make_coefficients(
         "identity", Ball([0.0, 0.0], 1.0), gamma=np.diag([2.0, 1.0])
@@ -229,6 +232,7 @@ def test_criterion_4_constrained_path_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_reweighted_driftless_estimator(
     interval_cs, unit_interval
 ):
@@ -276,6 +280,7 @@ def test_criterion_5_reweighted_driftless_estimator(
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_smooth_wall_sweep(interval_cs, unit_interval):
     cfg = SimConfig(
         family="reflected",
@@ -314,6 +319,7 @@ def test_criterion_6_smooth_wall_sweep(interval_cs, unit_interval):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_no_explosion_proxy(interval_ensemble):
     batch, _ = interval_ensemble
     overflow = batch.flag_counts()["boundary_overflow"]

@@ -254,6 +254,7 @@ def test_angular_uniformity_needs_plane(interval_sm):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_reflected_run_passes_battery(unit_interval, interval_cs, interval_sm):
     cfg = SimConfig(
         family="reflected",
@@ -280,6 +281,7 @@ def test_reflected_run_passes_battery(unit_interval, interval_cs, interval_sm):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_weak_convergence_sweep(unit_interval, interval_cs):
     cfg = SimConfig(
         family="reflected",

@@ -271,6 +271,7 @@ def test_run_rejects_the_numba_backend(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.slow
 def test_shipped_interval_config_passes(tmp_path, capsys):
     path = os.path.join(CONFIG_DIR, "interval_gamma1.json")
     out = tmp_path / "out"
@@ -296,6 +297,7 @@ def test_inconclusive_passes_unless_strict(tmp_path, capsys):
                  "--no-histograms", "--strict"]) == 1
 
 
+@pytest.mark.slow
 def test_coarse_step_fails_the_ks_battery(tmp_path, capsys):
     cfg = base_config(tests=["ks"])
     cfg["sim"].update(t_end=30.0, n_paths=256, seed=9, burn_in=5.0,

@@ -45,6 +45,7 @@ from inertdrift import (
     step_gradient,
     step_reflected,
 )
+from inertdrift import _kernels, simulate
 from inertdrift.simulate import _CSV_BLOCK_ROWS, TrajectoryBatch
 
 FROZEN_X1 = 0.5147781121978613
@@ -480,16 +481,19 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
 
 def _reflected_case(name, family):
     """(cs, domain, config) of the reflected-kernel golden cases."""
-    if name in ("interval", "halfline"):
-        dom = Interval(0.0, 1.0) if name == "interval" else Interval(0.0, np.inf)
+    if name in ("interval", "halfline", "wide_interval"):
+        dom = Interval(0.0, np.inf) if name == "halfline" else Interval(0.0, 1.0)
         cs = make_coefficients("identity", dom, gamma=[[1.0]])
         kw = dict(dt_base=1e-3, t_end=0.5, burn_in=0.1, n_paths=6, seed=7,
                   snap_every=10)
         if name == "halfline":
             kw["x0"] = (0.2,)
+        if name == "wide_interval":  # several contacts on most steps
+            kw.update(dt_base=1e-4, t_end=0.2, burn_in=0.0, n_paths=512,
+                      snap_every=100)
         k0 = (0.5,)
     else:
-        if name == "disc":
+        if name in ("disc", "wide_disc"):
             dom = Ball([0.0, 0.0], 1.0)
             cs = make_coefficients("identity", dom, gamma=np.diag([2.0, 1.0]))
             k0 = (0.5, 1.0)
@@ -506,6 +510,8 @@ def _reflected_case(name, family):
             k0 = (0.3, -0.2, 0.4)
         kw = dict(dt_base=5e-4, t_end=0.5, burn_in=0.1, n_paths=8, seed=5,
                   snap_every=20)
+        if name == "wide_disc":
+            kw.update(t_end=0.2, burn_in=0.0, n_paths=512)
     if family == "driftless_weighted":
         kw["k0"] = k0
     return cs, dom, SimConfig(family=family, **kw)
@@ -565,6 +571,27 @@ REFLECTED_GOLDEN = {
         "ce34945c4351e2caec652547b1d55f0d45cf3700fea766f3d8369578d1b645e8",
         "043b3e7a2dd8df3264b300d042e474e132e866d5600dd19eb82288b6e055e057",
         "487195df7900e65d5695688afa0e4a1962838de77869af4141d60eb3ae502115", 193),
+    # 512 paths, recorded before the kernel stepped only the live rows
+    ("wide_interval", "reflected"): (
+        "f51eef6ab7dc299174391686923c5b3e9372ae1c6cd40abc9957745030b90f15",
+        "2cc3efb10c01f56ec90d112b2b92922861e2080c00df3c16cd47e543b0e7cf7d",
+        "d84c18c090a5926e2a02bf03ea781b2d3d644755bb28545729b475eabdceb33f",
+        None, 8042),
+    ("wide_interval", "driftless_weighted"): (
+        "75c8e24c5b94431043429989d886e8e519b2e4943d4256e90a5f95cdc5beaab8",
+        "e974bf370904919fcd4708cf8f10e4e138c2e7bca8edade1e9bbc23a78485def",
+        "a5a31530b89900ce9c0f7051d8a263e77cdc798f8d027d82bf60bafca61b6519",
+        "6864143de0640316cfaebc742ecddd4075d80cfcd2183d76b69b4ca5ccb1dcca", 8296),
+    ("wide_disc", "reflected"): (
+        "90ed77d489bff01e602bd7de847967af64a8fc1c7c0712ca36a3b53c536873ba",
+        "da983dc31484a2c39ef5ba00dd450cb67b513ee62e9442a71ba6e2aaf3469aec",
+        "4c3ae4b9fb6c333b14644a9686c372928308662e08357ed08a4c0198afdf4119",
+        None, 917),
+    ("wide_disc", "driftless_weighted"): (
+        "a75f258e1070ab7ddc5f0e2787fce0797dc87e4cbac7aa92c6dc38b61e8ab24a",
+        "31fc0bd9fa0fbc827913c1243902d1d3b288e75da0241a36e3b151eb7fac285e",
+        "f3042ce41d8fa87334619f8e31d9496f618afa1414d414ea2a78cba1212681f5",
+        "418d20b5ef27457244dfd16ddb2474b2389dec848e71929191fb70b4b1bc0103", 949),
 }
 
 
@@ -576,6 +603,93 @@ def test_reflected_kernel_golden_digests(name, family):
     assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), lw,
             b.diagnostics["contacts"]) == REFLECTED_GOLDEN[name, family]
     assert not b.flags.any()
+
+
+class _BrittleInterval(Interval):
+    """The unit interval with a contact rule that fails (``ok`` False) for
+    every proposal more than ``eps`` beyond the upper end."""
+
+    def __init__(self, eps):
+        super().__init__(0.0, 1.0)
+        self.eps = eps
+
+    def _land(self, y, push):
+        land, dl, normal, ok = super()._land(y, push)
+        return land, dl, normal, ok & (y[:, 0] < self.hi + self.eps)
+
+
+# sha256 of the numpy kernel's x, k, ell, log_weights (None for the
+# reflected family) and flags arrays, and its diagnostics, recorded before
+# the kernel stepped only the live rows
+FLAG_GOLDEN = {
+    ("reflect_failure", "driftless_weighted"): (
+        "b12db51eb8f930856b052964b244e3ea031201815aae275058f86ef551ff8e29",
+        "2bec96d7ef01040cb73de6e4403b72e75d6d52cbaf7413a4c683b2c0f227cca2",
+        "54d011296c941585e71c9de443abb78eee4b63a2d2733e7a448f64f7bff8d74a",
+        "e321cf85ca9ea92d5041eed1212cbb554d4a19cefecafd5f8a06ce22aab432a7",
+        "1b334f23639b7acdb72f5e784d8f6803f3abca4628fc38b9d008dfb5d331c356",
+        {"contacts": 90, "reflect_failure_paths": 4}),
+    ("reflect_failure", "reflected"): (
+        "1afd3d67f259961db6c03b84688b71e0f9b730293ee032d581c46890a7f14553",
+        "4e59462ab4f5d712bb5dd90a35856245c75ef3184b5c5fc5975b7155c1156023",
+        "a57655c71e3a854f97bcd4f09c395b25e62bab11c055d98ac82135823488ae74",
+        None,
+        "1b334f23639b7acdb72f5e784d8f6803f3abca4628fc38b9d008dfb5d331c356",
+        {"contacts": 77, "reflect_failure_paths": 4}),
+    ("weight_overflow", "driftless_weighted"): (
+        "4aefe090d0baddea3a78c88d201e899e1b6163f14c84572a865c69daf03a7314",
+        "17dacbb00fefc88c135c00c629a2ed626f6dda1b35eb2dfa91c89200b6ac695b",
+        "b95ee68c0bdd1ea115bcc7808c1965a59c1c063d29da90306d80774b171e15bd",
+        "f14ca2e6328b39240b148a35d3bcebf2cdd59a80a0d81a6ca0da50638a520abb",
+        "fcaa5080ce87b003adc356332f077c0969125cfa1eddcc2535c883a63e866e15",
+        {"contacts": 38, "weight_overflow_paths": 6}),
+}
+
+
+def _flag_case(name, family):
+    """(cs, domain, config) of a run whose paths get flagged mid-chunk; the
+    short chunks carry flagged paths into later chunks."""
+    dom = Interval(0.0, 1.0) if name == "weight_overflow" else _BrittleInterval(0.03)
+    cs = make_coefficients("identity", dom, gamma=[[1.0]])
+    kw = dict(k0=(1.5,) if name == "weight_overflow" else (1.0,))
+    return cs, dom, SimConfig(family=family, dt_base=1e-3, t_end=0.5,
+                              burn_in=0.1, n_paths=12, seed=3, snap_every=10,
+                              chunk_size=37,
+                              **(kw if family == "driftless_weighted" else {}))
+
+
+@pytest.mark.parametrize("name,family", sorted(FLAG_GOLDEN))
+def test_reflected_kernel_flag_paths(name, family, monkeypatch):
+    # weight_overflow: a low cap, read by the kernel and the generic stepper;
+    # reflect_failure: the contact rule refuses the far overshoots
+    if name == "weight_overflow":
+        monkeypatch.setattr(_kernels, "LOG_WEIGHT_CAP", 0.3)
+        monkeypatch.setattr(simulate, "LOG_WEIGHT_CAP", 0.3)
+    cs, dom, cfg = _flag_case(name, family)
+    b = run_ensemble(cs, cfg, domain=dom, backend="numpy")
+    g = run_ensemble(cs, cfg, domain=dom, backend="generic")
+    fields = ["x", "k", "ell", "flags"]
+    if family == "driftless_weighted":
+        fields.append("log_weights")
+    for field in fields:
+        assert np.array_equal(getattr(b, field), getattr(g, field),
+                              equal_nan=True), field
+    assert b.diagnostics == g.diagnostics
+    lw = None if b.log_weights is None else _sha256(b.log_weights)
+    *digests, events = FLAG_GOLDEN[name, family]
+    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), lw,
+            _sha256(b.flags)) == tuple(digests)
+    assert b.diagnostics == {key: events.get(key, 0) for key in DIAGNOSTIC_KEYS}
+    # several paths stop, some of them after their first snapshots, and a
+    # stopped path records nothing after it stops
+    code = {"weight_overflow": _kernels.FLAG_WEIGHT_OVERFLOW,
+            "reflect_failure": _kernels.FLAG_REFLECT_FAILURE}[name]
+    stopped = (b.flags == code).nonzero()[0]
+    assert len(stopped) >= 2 and np.all(b.flags[b.flags != code] == 0)
+    gone = np.isnan(b.x[stopped, :, 0])
+    assert np.all(gone[:, -1]) and np.all(np.diff(gone, axis=1) >= 0)
+    assert (~gone[:, 0]).any()
+    assert not np.isnan(b.x[b.flags == 0]).any()
 
 
 def _gradient_case(name):
@@ -990,6 +1104,20 @@ def _batch(times, x, k, ell, log_weights=None):
         flags=np.zeros(x.shape[0], dtype=np.int64), log_weights=log_weights,
         diagnostics={}, config=None, backend="numpy", run_info={},
     )
+
+
+def test_kish_ess_leaves_out_flagged_paths():
+    # a weight_overflow path's log-weight passes the cap; counting it would
+    # put the whole weight on that one path (ESS 1.0)
+    b = _batch([1.0], np.zeros((3, 1, 1)), np.zeros((3, 1, 1)),
+               np.zeros((3, 1)), log_weights=np.array([0.0, 0.1, 700.5]))
+    assert b.kish_ess() == pytest.approx(1.0, abs=1e-12)
+    b.flags[2] = _kernels.FLAG_WEIGHT_OVERFLOW
+    w = np.exp([0.0, 0.1])
+    assert b.kish_ess() == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-15)
+    assert round(b.kish_ess(), 3) == 1.995
+    b.flags[:] = _kernels.FLAG_WEIGHT_OVERFLOW
+    assert b.kish_ess() == 0.0
 
 
 def _assert_csv_matches_savetxt(batch, tmp_path):
