@@ -14,9 +14,13 @@ inert field at projected points.
 Every kernel takes the mutable state arrays, the chunk's noise, the
 global index of the chunk's first step, and ``params``: one plain tuple of
 the run's read-only constants, built once per run by the family's helper
-in :mod:`inertdrift.simulate` and unpacked in one statement; the host
-loop there draws all noise.  ``counters[0]`` counts contacts (reflected)
-or sub-moves (gradient), ``counters[1]`` redraws (gradient).
+in :mod:`inertdrift.simulate` and unpacked in one statement.  Each kernel
+finishes its chunk in one call.  The noise is drawn in
+:mod:`inertdrift.simulate`: the gradient kernel also takes the chunk's
+reserve pool and a ``refill`` callback that renews a spent path's pool
+there.  ``counters[0]`` counts contacts (reflected) or sub-moves
+(gradient), ``counters[1]`` redraws and ``counters[2]`` pool refills
+(gradient).
 
 The reflected kernel steps only the live rows: it copies their x, k, ell
 and log-weight into compact arrays once per chunk, with no per-step masks,
@@ -177,8 +181,8 @@ def reflected_chunk(
 
 
 def gradient_chunk(
-    sd, x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
-    progress, need, gstep0, params,
+    sd, x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor, refill,
+    gstep0, params,
 ):
     """Advance every live path of a gradient-family run through one chunk.
 
@@ -186,143 +190,140 @@ def gradient_chunk(
     per proposal: delta and its gradient at an accepted proposal are
     carried into the next sub-step or step.  Each step is sub-divided so no
     sub-move exceeds ``h_max`` and proposals below ``delta_guard`` are
-    redrawn, both from the reserve ``pool``; a path whose pool runs out
-    goes back to its step start, drops its carried values and sets
-    ``need``.  After a pool refill only the lagging paths re-enter the
-    early steps.
+    redrawn, both from the reserve ``pool``.  A path whose pool runs out
+    goes back to its step start; ``refill(rows, c)`` refills its pool or
+    flags it, and a refilled path redoes step c at once, before the step's
+    snapshot, from delta recomputed at its step start.
     """
     (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap,
      first_snap, snap_every, max_sub, resample_cap) = params
     P, C, d = z.shape
     pool_len = pool.shape[1]
-    todo = ((flags == FLAG_OK) & (progress < C)).nonzero()[0]
-    if len(todo) == 0:
-        return
+    rows = (flags == FLAG_OK).nonzero()[0]
     # delta and grad delta at every path's current point
     cdel = np.full(P, np.nan)
     cgrad = np.full((P, d), np.nan)
-    cdel[todo], cgrad[todo] = sd._value_and_grad(x[todo])
+    cdel[rows], cgrad[rows] = sd._value_and_grad(x[rows])
     moves = redraws = 0
     dt_full = np.full(P, dt)  # time left at a step start; sliced, never written
 
     def roll_back(rg):
         """Send paths whose pool ran out back to their step start."""
-        need[rg] = 1
-        cdel[rg] = np.nan
-        cgrad[rg] = np.nan
+        spent.append(rg)
         if nsub > 1:  # x and k have moved since the step start
-            at = np.searchsorted(rows, rg)
+            at = np.searchsorted(base, rg)
             x[rg] = xs[at]
             k[rg] = ks[at]
 
-    # past the last entry step, the paths of step c are those that ended c-1
-    last_entry = int(progress[todo].max())
     # a wall too close for double precision is caught by the ``fail`` test,
     # so floating-point warnings stay off for the whole chunk
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for c in range(int(progress[todo].min()), C):
-            if c <= last_entry:
-                rows = ((flags == FLAG_OK) & (need == 0) & (progress == c)).nonzero()[0]
+        for c in range(C):
             if len(rows) == 0:
-                if c >= last_entry:
-                    break
-                continue
+                break
             gr = rows
-            rem = dt_full[:len(rows)]
             delta, gdel = cdel[rows], cgrad.take(rows, axis=0)
             lost = False  # a path of this step was flagged or rolled back
-            nsub = 0
-            while True:
-                nsub += 1
-                if nsub > max_sub:
-                    flags[gr] = FLAG_BOUNDARY_OVERFLOW
-                    lost = True
-                    break
-                kg = k.take(gr, axis=0)
-                E = 1.0 / (vn * delta)
-                gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
-                mu = (b - _rowdot(A2, gV)) + kg
-                speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
-                for i in range(1, d):
-                    speed2 = speed2 + mu[:, i] * mu[:, i]
-                speed = np.sqrt(speed2)
-                dts = np.where(speed * rem <= h_max, rem, h_max / speed)
-                # too close to the wall to evaluate, or a collapsed sub-step
-                fail = (delta < delta_floor) | (E > exp_cap) | (dts < dt * 1e-12)
-                if np.count_nonzero(fail):
-                    flags[gr[fail]] = FLAG_BOUNDARY_OVERFLOW
-                    lost = True
-                    gr, rem, kg, gV, mu, dts = _take(~fail, gr, rem, kg, gV, mu, dts)
-                    if len(gr) == 0:
+            while len(gr):  # one attempt at step c, then one per refill
+                base = gr
+                rem = dt_full[:len(gr)]
+                spent = []
+                nsub = 0
+                while True:
+                    nsub += 1
+                    if nsub > max_sub:
+                        flags[gr] = FLAG_BOUNDARY_OVERFLOW
+                        lost = True
                         break
-                if nsub == 1:
-                    zz = z[:, c].take(gr, axis=0)
-                else:
-                    exh = cursor[gr] >= pool_len
-                    if np.count_nonzero(exh):
-                        roll_back(gr[exh])
+                    kg = k.take(gr, axis=0)
+                    E = 1.0 / (vn * delta)
+                    gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
+                    mu = (b - _rowdot(A2, gV)) + kg
+                    speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
+                    for i in range(1, d):
+                        speed2 = speed2 + mu[:, i] * mu[:, i]
+                    speed = np.sqrt(speed2)
+                    dts = np.where(speed * rem <= h_max, rem, h_max / speed)
+                    # too close to the wall to evaluate, or a collapsed sub-step
+                    fail = (delta < delta_floor) | (E > exp_cap) | (dts < dt * 1e-12)
+                    if np.count_nonzero(fail):
+                        flags[gr[fail]] = FLAG_BOUNDARY_OVERFLOW
                         lost = True
-                        gr, rem, kg, gV, mu, dts = _take(~exh, gr, rem, kg, gV, mu, dts)
+                        gr, rem, kg, gV, mu, dts = _take(
+                            ~fail, gr, rem, kg, gV, mu, dts)
                         if len(gr) == 0:
                             break
-                    zz = pool[gr, cursor[gr], :]
-                    cursor[gr] += 1
-                sq = np.sqrt(dts)
-                moves += len(gr)
-                xg = x.take(gr, axis=0)
-                xp = xg + (sq[:, None] * _rowdot(S, zz) + mu * dts[:, None])
-                dprop, gprop = sd._value_and_grad(xp)
-                rej = (~(dprop >= delta_guard)).nonzero()[0]
-                if len(rej):
-                    keep = np.ones(len(gr), dtype=bool)
-                    tries = 0
-                    while len(rej):
-                        tries += 1
-                        redraws += len(rej)
-                        if tries > resample_cap:
-                            flags[gr[rej]] = FLAG_BOUNDARY_OVERFLOW
-                            keep[rej] = False
-                            break
-                        exh = cursor[gr[rej]] >= pool_len
+                    if nsub == 1:
+                        zz = z[:, c].take(gr, axis=0)
+                    else:
+                        exh = cursor[gr] >= pool_len
                         if np.count_nonzero(exh):
-                            roll_back(gr[rej[exh]])
-                            keep[rej[exh]] = False
-                            rej = rej[~exh]
-                            if len(rej) == 0:
+                            roll_back(gr[exh])
+                            gr, rem, kg, gV, mu, dts = _take(
+                                ~exh, gr, rem, kg, gV, mu, dts)
+                            if len(gr) == 0:
                                 break
-                        rg = gr[rej]
-                        zz[rej] = pool[rg, cursor[rg], :]
-                        cursor[rg] += 1
-                        xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(S, zz[rej])
-                                             + mu[rej] * dts[rej, None])
-                        dprop[rej], gprop[rej] = sd._value_and_grad(xp[rej])
-                        rej = rej[~(dprop[rej] >= delta_guard)]
-                    if not keep.all():
-                        lost = True
-                        gr, rem, kg, gV, dts, xp, dprop, gprop = _take(
-                            keep, gr, rem, kg, gV, dts, xp, dprop, gprop)
-                        if len(gr) == 0:
-                            break
-                rem = rem - dts
-                more = rem > 0.0
-                if nsub == 1 and np.count_nonzero(more):
-                    # the step start, for a rollback in a later sub-step
-                    xs, ks = x.take(rows, axis=0), k.take(rows, axis=0)
-                x[gr] = xp
-                k[gr] = kg - _rowdot(NU, gV) * dts[:, None]
-                cdel[gr], cgrad[gr] = dprop, gprop
-                if not np.count_nonzero(more):
+                        zz = pool[gr, cursor[gr], :]
+                        cursor[gr] += 1
+                    sq = np.sqrt(dts)
+                    moves += len(gr)
+                    xg = x.take(gr, axis=0)
+                    xp = xg + (sq[:, None] * _rowdot(S, zz) + mu * dts[:, None])
+                    dprop, gprop = sd._value_and_grad(xp)
+                    rej = (~(dprop >= delta_guard)).nonzero()[0]
+                    if len(rej):
+                        keep = np.ones(len(gr), dtype=bool)
+                        tries = 0
+                        while len(rej):
+                            tries += 1
+                            redraws += len(rej)
+                            if tries > resample_cap:
+                                flags[gr[rej]] = FLAG_BOUNDARY_OVERFLOW
+                                lost = True
+                                keep[rej] = False
+                                break
+                            exh = cursor[gr[rej]] >= pool_len
+                            if np.count_nonzero(exh):
+                                roll_back(gr[rej[exh]])
+                                keep[rej[exh]] = False
+                                rej = rej[~exh]
+                                if len(rej) == 0:
+                                    break
+                            rg = gr[rej]
+                            zz[rej] = pool[rg, cursor[rg], :]
+                            cursor[rg] += 1
+                            xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(S, zz[rej])
+                                                 + mu[rej] * dts[rej, None])
+                            dprop[rej], gprop[rej] = sd._value_and_grad(xp[rej])
+                            rej = rej[~(dprop[rej] >= delta_guard)]
+                        if not keep.all():
+                            gr, rem, kg, gV, dts, xp, dprop, gprop = _take(
+                                keep, gr, rem, kg, gV, dts, xp, dprop, gprop)
+                            if len(gr) == 0:
+                                break
+                    rem = rem - dts
+                    more = rem > 0.0
+                    if nsub == 1 and np.count_nonzero(more):
+                        # the step start, for a rollback in a later sub-step
+                        xs, ks = x.take(base, axis=0), k.take(base, axis=0)
+                    x[gr] = xp
+                    k[gr] = kg - _rowdot(NU, gV) * dts[:, None]
+                    cdel[gr], cgrad[gr] = dprop, gprop
+                    if not np.count_nonzero(more):
+                        break
+                    gr, rem, delta, gdel = _take(more, gr, rem, dprop, gprop)
+                if not spent:
                     break
-                gr, rem, delta, gdel = _take(more, gr, rem, dprop, gprop)
+                lost = True
+                gr = refill(np.sort(np.concatenate(spent)), c)
+                delta, gdel = sd._value_and_grad(x[gr])
             if lost:
-                rows = rows[(flags[rows] == FLAG_OK) & (need[rows] == 0)]
-            if len(rows):
-                s = gstep0 + c + 1
-                if s >= first_snap and (s - first_snap) % snap_every == 0:
-                    slot = (s - first_snap) // snap_every
-                    out_x[rows, slot, :] = x[rows]
-                    out_k[rows, slot, :] = k[rows]
-                    out_ell[rows, slot] = 0.0
-                progress[rows] = c + 1
+                rows = rows[flags[rows] == FLAG_OK]
+            s = gstep0 + c + 1
+            if s >= first_snap and (s - first_snap) % snap_every == 0:
+                slot = (s - first_snap) // snap_every
+                out_x[rows, slot, :] = x[rows]
+                out_k[rows, slot, :] = k[rows]
+                out_ell[rows, slot] = 0.0
     counters[0] += moves
     counters[1] += redraws

@@ -232,8 +232,8 @@ def marginal_cdf_grid(sm, axis=0, n_grid=4097):
     """
     lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in sm.domain.bounding_box())
     cuts = []
-    if sm.domain.d == 1 and sm.potential is not None:
-        cuts = [c for c in sm.potential.distance.breakpoints_1d if lo[0] < c < hi[0]]
+    if sm.domain.d == 1:
+        cuts = [c for c in sm._radial_cuts() if lo[0] < c < hi[0]]
     grid = np.unique(
         np.concatenate(
             [

@@ -101,6 +101,13 @@ def _require(block, key, path, types, type_name):
     return value
 
 
+def _check_fields(block, path, known):
+    """ConfigError naming the first key of ``block`` outside ``known``."""
+    extra = sorted(set(block) - set(known))
+    if extra:
+        raise ConfigError("%s.%s is not a recognized field" % (path, extra[0]))
+
+
 def _int_field(value, path, low):
     try:
         return _as_int(value, path, low)
@@ -154,9 +161,7 @@ def _parse_domain(data, dim):
     for key in DOMAIN_PARAMS[kind]:
         params[key] = _require(block, key, "domain", (int, float, list),
                                "a number or list")
-    extra = set(block) - {"kind"} - set(DOMAIN_PARAMS[kind])
-    if extra:
-        raise ConfigError("domain.%s is not a recognized field" % sorted(extra)[0])
+    _check_fields(block, "domain", {"kind", *DOMAIN_PARAMS[kind]})
     try:
         domain = make_domain(kind, **params)
     except (GeometryError, TypeError, ValueError) as exc:
@@ -177,22 +182,20 @@ def _parse_coefficients(data, domain, dim):
     gamma = _parse_gamma(block, dim)
     kwargs = {}
     if "a_diag" in block:
-        kwargs["a_diag"] = block["a_diag"]
+        kwargs["a_diag"] = _require(block, "a_diag", "coefficients", list,
+                                    "a list of numbers")
     field = block.get("inert_field", "gamma_normal")
     if isinstance(field, dict):
-        kind = _require(field, "kind", "coefficients.inert_field", str, "a string")
-        kwargs["inert_field"] = kind
+        path = "coefficients.inert_field"
+        _check_fields(field, path, {"kind", "a0"})
+        kwargs["inert_field"] = _require(field, "kind", path, str, "a string")
         if "a0" in field:
-            kwargs["a0"] = float(field["a0"])
+            kwargs["a0"] = _require(field, "a0", path, (int, float), "a number")
     elif isinstance(field, str):
         kwargs["inert_field"] = field
     else:
         raise ConfigError("coefficients.inert_field must be a string or block")
-    extra = set(block) - {"preset", "gamma", "a_diag", "inert_field"}
-    if extra:
-        raise ConfigError(
-            "coefficients.%s is not a recognized field" % sorted(extra)[0]
-        )
+    _check_fields(block, "coefficients", {"preset", "gamma", "a_diag", "inert_field"})
     try:
         return make_coefficients(preset, domain, gamma, **kwargs)
     except CoefficientError as exc:
@@ -208,9 +211,7 @@ def _parse_potential(data, domain):
         raise ConfigError("potential.kind must be 'regularized_vn'")
     n = _require(block, "n", "potential", (int, float), "a positive integer")
     n = _int_field(n, "potential.n", 1)
-    extra = set(block) - {"kind", "n"}
-    if extra:
-        raise ConfigError("potential.%s is not a recognized field" % sorted(extra)[0])
+    _check_fields(block, "potential", {"kind", "n"})
     return Potential("regularized_vn", distance=SmoothDistance(domain), n=n)
 
 
@@ -218,9 +219,7 @@ def _parse_sim(data, dim):
     if "sim" not in data:
         return None
     block = _require(data, "sim", "config", dict, "a block")
-    unknown = set(block) - _SIM_FIELDS
-    if unknown:
-        raise ConfigError("sim.%s is not a recognized field" % sorted(unknown)[0])
+    _check_fields(block, "sim", _SIM_FIELDS)
     try:
         sim = SimConfig(**block)
     except (TypeError, ValueError) as exc:
@@ -248,13 +247,10 @@ def load_run_config(source):
             raise ConfigError("config is not valid JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = {
+    _check_fields(data, "config", {
         "dimension", "domain", "coefficients", "potential", "sim",
         "tests", "histogram", "residual", "sweep", "output_dir",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError("config.%s is not a recognized field" % sorted(unknown)[0])
+    })
 
     dim = _require(data, "dimension", "config", int, "an integer")
     if dim < 1:
@@ -299,9 +295,7 @@ def load_run_config(source):
     residual = {"count": 6, "seed": 0, "tolerance": None}
     if "residual" in data:
         block = _require(data, "residual", "config", dict, "a block")
-        for key in block:
-            if key not in residual:
-                raise ConfigError("residual.%s is not a recognized field" % key)
+        _check_fields(block, "residual", residual)
         residual.update(block)
     residual["count"] = _int_field(residual["count"], "residual.count", 1)
     residual["seed"] = _int_field(residual["seed"], "residual.seed", 0)
@@ -312,9 +306,7 @@ def load_run_config(source):
     sweep = {"n_list": [1, 2, 4, 8], "margin": None}
     if "sweep" in data:
         block = _require(data, "sweep", "config", dict, "a block")
-        for key in block:
-            if key not in sweep:
-                raise ConfigError("sweep.%s is not a recognized field" % key)
+        _check_fields(block, "sweep", sweep)
         sweep.update(block)
     sweep["n_list"] = _n_list_field(sweep["n_list"], "sweep.n_list")
     _number_field(sweep["margin"], "sweep.margin")

@@ -212,6 +212,8 @@ class CoefficientSet:
                 "callable, got %r" % (inert_field,)
             )
         self.a0 = float(a0)
+        if not np.isfinite(self.a0):
+            raise CoefficientError("a0 must be a finite number, got %r" % (a0,))
 
         # --- drift ------------------------------------------------------------
         if drift_const is not None:
@@ -466,8 +468,11 @@ def make_coefficients(preset, domain, gamma, *, a_diag=None, **kwargs):
     if preset == "anisotropic":
         if a_diag is None:
             raise CoefficientError("preset 'anisotropic' requires a_diag")
-        diag = np.asarray(a_diag, dtype=float)
-        if diag.shape != (domain.d,) or np.any(diag <= 0.0):
+        try:
+            diag = np.asarray(a_diag, dtype=float)
+        except (TypeError, ValueError):
+            diag = None
+        if diag is None or diag.shape != (domain.d,) or np.any(diag <= 0.0):
             raise CoefficientError(
                 "a_diag must give %d positive diagonal entries" % domain.d
             )

@@ -455,17 +455,6 @@ class Ellipsoid(Domain):
         self.center = center
         self.radii = radii
 
-    # positive-inside level function and its gradient
-    def level(self, x):
-        pts, single = _as_batch(x, self.d)
-        v = 1.0 - np.sum(((pts - self.center) / self.radii) ** 2, axis=1)
-        return _unbatch(v, single)
-
-    def level_grad(self, x):
-        pts, single = _as_batch(x, self.d)
-        g = -2.0 * (pts - self.center) / self.radii**2
-        return _unbatch(g, single)
-
     def _nearest_on_boundary(self, pts):
         """Nearest boundary points for a batch; returns (q, distance)."""
         p = pts - self.center

@@ -25,12 +25,14 @@ Three stepping families share one ensemble driver:
 Noise protocol, one for every backend: path p draws from its own PCG64
 stream, spawned as child p of ``SeedSequence(seed)``.  Per chunk the host
 loop :func:`_run` draws each stream's base normals (one d-vector per step)
-and, for the gradient family only, a reserve pool consumed by sub-steps
-and redraws; a path that exhausts its pool goes back to the start of its
-step, the host refills the pool, and the path redoes that step.  The
-chunk steppers (the numpy kernels of :mod:`._kernels`, or the generic
-per-path steppers built on the single-step operations below) only consume
-noise, and both report one diagnostics schema (:func:`_diagnostics`).
+and calls the chunk stepper (a numpy kernel of :mod:`._kernels`, or a
+generic per-path stepper built on the single-step operations below) once.
+The gradient stepper then draws each stream's reserve pool, consumed by
+sub-steps and redraws; a path that exhausts its pool goes back to the
+start of its step, gets a fresh pool from its stream through one shared
+``refill`` (:func:`_gradient_step`, which holds the refill budget), and
+redoes that step at once.  Both backends report one diagnostics schema
+(:func:`_diagnostics`).
 Results are reproducible for a fixed (seed, backend) pair.  The two
 backends are bit-identical on the interval and, for the gradient family,
 on the disc.  Both reflected steppers land with the domain's contact rule
@@ -673,82 +675,82 @@ def _gradient_params(cs, potential, cfg, x0, guard):
     )
 
 
-def _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend):
-    """The function that advances every path through one chunk of noise.
-    Kernels are looked up on :mod:`._kernels` at each call."""
-    if cfg.family == "gradient":
+def _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend, rngs):
+    """The function that advances every path through one chunk of noise in
+    one call.  Kernels are looked up on :mod:`._kernels` at each call."""
+    if cfg.family != "gradient":
         if backend == "generic":
-            return functools.partial(_generic_gradient_chunk, cs, potential, cfg, guard)
-        params = _gradient_params(cs, potential, cfg, x0, guard)
-        return lambda *state: _kernels.gradient_chunk(
-            potential.distance, *state, params)
+            return functools.partial(_generic_reflected_chunk, cs, domain, cfg)
+        params = _reflected_params(cs, domain, cfg, x0)
+        return lambda *state: _kernels.reflected_chunk(*state, params)
     if backend == "generic":
-        return functools.partial(_generic_reflected_chunk, cs, domain, cfg)
-    params = _reflected_params(cs, domain, cfg, x0)
-    return lambda *state: _kernels.reflected_chunk(*state, params)
+        chunk = functools.partial(_generic_gradient_chunk, cs, potential, cfg, guard)
+    else:
+        params = _gradient_params(cs, potential, cfg, x0, guard)
+        chunk = lambda *state: _kernels.gradient_chunk(
+            potential.distance, *state, params)
+    return functools.partial(_gradient_step, chunk, rngs,
+                             cfg.max_substeps * (cfg.resample_cap + 1))
+
+
+def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
+                   out_k, out_ell, counters, z, gstep0):
+    """Advance a gradient-family run through one chunk in one call of the
+    backend's stepper ``chunk``.
+
+    Each path's pool of C reserve normals is drawn right after its base
+    normals.  A path whose pool runs out on step c goes back to its step
+    start, and ``refill(rows, c)`` draws it a fresh pool (counted in
+    ``counters[2]``) on which it redoes step c.  One attempt at a step
+    draws fewer than ``draw_cap = max_substeps * (resample_cap + 1)``
+    normals, so with C at least that a refilled attempt never runs out.
+    With a shorter pool, a path refilled again on the same step once its
+    refills times C exceed ``draw_cap`` is flagged ``boundary_overflow``.
+    """
+    P, C, d = z.shape
+    pool = _draw(rngs, C, d)
+    cursor = np.zeros(P, dtype=np.int64)
+    stuck_at = np.full(P, -1)  # the step of a path's last refill
+    refills = np.zeros(P, dtype=np.int64)  # refills on that step
+
+    def refill(rows, c):
+        """Refill ``rows``, spent on step c, or flag them; return the refilled."""
+        n = np.where(stuck_at[rows] == c, refills[rows] + 1, 1)
+        refills[rows], stuck_at[rows] = n, c
+        # a step's first refill only replaces what earlier steps used
+        over = (n > 1) & (n * C > draw_cap)
+        flags[rows[over]] = FLAG_BOUNDARY_OVERFLOW
+        rows = rows[~over]
+        for p in rows:
+            rngs[p].standard_normal(out=pool[p])
+        cursor[rows] = 0
+        counters[2] += len(rows)
+        return rows
+
+    chunk(x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
+          refill, gstep0)
 
 
 def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
-    """The host loop shared by every backend and family.
-
-    Per chunk it draws each path's base normals (and, for the gradient
-    family, a reserve pool, refilled for the paths that exhaust it until
-    all of them finish the chunk) and hands them to the backend's stepper.
-    A refill sends the path back to its step start on a fresh pool of C
-    normals, while one attempt at a step draws fewer than
-    ``max_substeps * (resample_cap + 1)`` before its own budgets stop it;
-    so with C at least that, a refilled attempt never runs out.  With a
-    shorter pool, a path refilled again on the same step until its
-    refills times C exceed that budget is flagged ``boundary_overflow``
-    instead of retrying forever.
-    """
+    """The host loop shared by every backend and family: per chunk it draws
+    each path's base normals and calls the backend's stepper once, which
+    finishes the chunk (the gradient stepper draws and refills its own
+    reserve pool, see :func:`_gradient_step`)."""
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
-    steps = cfg.n_steps
     x = np.tile(x0, (P, 1))
     k = np.tile(k0, (P, 1))
     ell = np.zeros(P)
     logw = np.zeros(P)
     flags = np.zeros(P, dtype=np.int64)
-    counters = np.zeros(2, dtype=np.int64)  # contacts or sub-steps; redraws
+    counters = np.zeros(3, dtype=np.int64)  # contacts or sub-moves; redraws; refills
     out_x = np.full((P, S, d), np.nan)
     out_k = np.full((P, S, d), np.nan)
     out_ell = np.full((P, S), np.nan)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(P)]
-    step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend)
-
-    chunk = cfg.chunk_size
-    draw_cap = cfg.max_substeps * (cfg.resample_cap + 1)
-    pool_refills = 0
-    for start in range(0, steps, chunk):
-        C = min(chunk, steps - start)
-        z = _draw(rngs, C, d)
-        if cfg.family != "gradient":
-            step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)
-            continue
-        pool = _draw(rngs, C, d)
-        cursor = np.zeros(P, dtype=np.int64)
-        progress = np.zeros(P, dtype=np.int64)
-        need = np.zeros(P, dtype=np.int64)
-        stuck_at = np.full(P, -1)  # the step of a path's last refill
-        refills = np.zeros(P, dtype=np.int64)  # refills on that step
-        while True:
-            step(x, k, flags, out_x, out_k, out_ell, counters, z, pool, cursor,
-                 progress, need, start)
-            idx = np.flatnonzero(need)
-            if len(idx) == 0:
-                break
-            need[idx] = 0
-            same = progress[idx] == stuck_at[idx]
-            refills[idx] = np.where(same, refills[idx] + 1, 1)
-            stuck_at[idx] = progress[idx]
-            # a step's first refill only replaces what earlier steps used
-            over = (refills[idx] > 1) & (refills[idx] * C > draw_cap)
-            flags[idx[over]] = FLAG_BOUNDARY_OVERFLOW
-            idx = idx[~over]
-            for p in idx:
-                rngs[p].standard_normal(out=pool[p])
-            cursor[idx] = 0
-            pool_refills += len(idx)
+    step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend, rngs)
+    for start in range(0, cfg.n_steps, cfg.chunk_size):
+        z = _draw(rngs, min(cfg.chunk_size, cfg.n_steps - start), d)
+        step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)
     return TrajectoryBatch(
         times=cfg.snapshot_times,
         x=out_x,
@@ -756,7 +758,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
         ell=out_ell,
         flags=flags,
         log_weights=logw if cfg.family == "driftless_weighted" else None,
-        diagnostics=_diagnostics(cfg.family, counters, pool_refills, flags),
+        diagnostics=_diagnostics(cfg.family, counters, flags),
         config=cfg,
         backend=backend,
         run_info={
@@ -772,7 +774,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
     )
 
 
-def _diagnostics(family, counters, pool_refills, flags):
+def _diagnostics(family, counters, flags):
     """The one diagnostics schema: event counters (0 where the family has
     none) and, per failure flag, the number of paths that stopped on it."""
     events = int(counters[0])
@@ -780,7 +782,7 @@ def _diagnostics(family, counters, pool_refills, flags):
         "contacts": 0 if family == "gradient" else events,
         "substeps_total": events if family == "gradient" else 0,
         "resampled_proposals": int(counters[1]),
-        "pool_refills": int(pool_refills),
+        "pool_refills": int(counters[2]),
     }
     for code, name in FLAG_NAMES.items():
         if code != FLAG_OK:
@@ -845,17 +847,17 @@ class _PoolReader:
 
 
 def _generic_gradient_chunk(cs, potential, cfg, guard, x, k, flags, out_x,
-                            out_k, out_ell, counters, z, pool, cursor,
-                            progress, need, gstep0):
+                            out_k, out_ell, counters, z, pool, cursor, refill,
+                            gstep0):
     """Per-path gradient-family stepper, with the kernels' pool protocol: a
-    path whose pool runs out keeps its step-start state, sets ``need`` and
-    redoes that step after the host refills its pool."""
-    C = z.shape[1]
+    path whose pool runs out keeps its step-start state and, unless
+    ``refill`` flags it, redoes that step at once on its refilled pool."""
     h_max = _h_max(cfg, potential.domain)
     out = (out_x, out_k, out_ell)
-    for p in np.flatnonzero((flags == FLAG_OK) & (progress < C)):
+    for p in np.flatnonzero(flags == FLAG_OK):
         rng = _PoolReader(pool, cursor, p)
-        for c in range(progress[p], C):
+        c = 0
+        while c < len(z[p]) and flags[p] == FLAG_OK:
             try:
                 state = step_gradient(
                     cs, potential, SystemState(x=x[p], k=k[p]), cfg.dt_base,
@@ -865,10 +867,10 @@ def _generic_gradient_chunk(cs, potential, cfg, guard, x, k, flags, out_x,
                 )
             except PotentialOverflowError:
                 flags[p] = FLAG_BOUNDARY_OVERFLOW
-                break
+                continue
             except _PoolSpent:
-                need[p] = 1
-                break
+                refill(np.array([p]), c)
+                continue
             x[p], k[p] = state.x, state.k
             _record(cfg, gstep0 + c + 1, out, p, state.x, state.k, 0.0)
-            progress[p] = c + 1
+            c += 1

@@ -21,6 +21,7 @@ from inertdrift import (
     Ball,
     Box,
     Interval,
+    Potential,
     SimConfig,
     make_coefficients,
     run_ensemble,
@@ -134,6 +135,21 @@ def test_marginal_cdf_disc_matches_analytic(disc_sm):
     t = np.clip(grid, -1.0, 1.0)
     want = (t * np.sqrt(1.0 - t * t) + np.arcsin(t) + np.pi / 2) / np.pi
     assert np.max(np.abs(cdf - want)) <= 1e-5
+
+
+def test_marginal_cdf_user_potential_is_symmetric(unit_interval, interval_cs):
+    # a user potential has no smoothed distance to take cuts from
+    def V(pts):
+        return 4.0 * (pts[:, 0] - 0.5) ** 2
+
+    def gV(pts):
+        return 8.0 * (pts - 0.5)
+
+    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV,
+                    vectorized=True)
+    grid, cdf = an.marginal_cdf_grid(StationaryMeasure(interval_cs, potential=pot))
+    assert np.interp(0.5, grid, cdf) == pytest.approx(0.5, abs=1e-8)
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
 
 
 def test_marginal_cdf_rejects_high_dimension():

@@ -158,6 +158,33 @@ def test_bad_wall_layer_sim_field_exits_2_before_simulating(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coefficients, message", [
+    ('"inert_field": {"kind": "a0_conormal", "a0": null}',
+     "coefficients.inert_field.a0 must be a number"),
+    ('"inert_field": {"kind": "a0_conormal", "a0": "x"}',
+     "coefficients.inert_field.a0 must be a number"),
+    ('"inert_field": {"kind": "a0_conormal", "ao": 3}',
+     "coefficients.inert_field.ao is not a recognized field"),
+    ('"inert_field": {"kind": "a0_conormal", "a0": 1e999}',
+     "a0 must be a finite number"),
+    ('"a_diag": "ab"', "coefficients.a_diag must be a list of numbers"),
+])
+def test_bad_coefficients_block_exits_2_before_simulating(
+    tmp_path, capsys, coefficients, message
+):
+    # written as text, so 1e999 reaches the JSON parser as written
+    block = '{"preset": "anisotropic", "gamma": [[1.0]], %s}' % coefficients
+    if "a_diag" not in coefficients:
+        block = block.replace('"gamma"', '"a_diag": [1.0], "gamma"')
+    text = json.dumps(base_config(coefficients="BLOCK")).replace('"BLOCK"', block)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block, field, value", [
     ("residual", "count", "abc"), ("residual", "count", 2.5),
     ("residual", "count", 0), ("residual", "seed", -1),

@@ -169,6 +169,13 @@ def test_gamma_must_be_symmetric_positive_definite():
         CoefficientSet(dom, gamma=[[-1.0]])
 
 
+@pytest.mark.parametrize("a0", [float("inf"), -float("inf"), float("nan")])
+def test_a0_must_be_a_finite_number(a0):
+    with pytest.raises(CoefficientError, match="a0 must be a finite number"):
+        CoefficientSet(Interval(0.0, 1.0), gamma=[[1.0]],
+                       inert_field="a0_conormal", a0=a0)
+
+
 def test_gamma_solve_matches_direct_inverse():
     cs = CoefficientSet(Ball([0.0, 0.0], 1.0), gamma=GAMMA_2D)
     rng = np.random.default_rng(7)

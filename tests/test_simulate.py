@@ -790,6 +790,23 @@ def test_generic_gradient_matches_numpy_bitwise(name):
         assert g_gen.diagnostics["resampled_proposals"] > 0
 
 
+def test_gradient_kernel_finishes_each_chunk_in_one_call(monkeypatch):
+    # the "refills" case makes 153 pool refills over 5 chunks of 10 steps;
+    # a refilled path redoes its step inside the same kernel call
+    calls = []
+    real = _kernels.gradient_chunk
+
+    def counted(*args):
+        calls.append(args[-2])  # gstep0
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "gradient_chunk", counted)
+    cs, pot, cfg = _gradient_case("refills")
+    b = run_ensemble(cs, cfg, potential=pot, backend="numpy")
+    assert b.diagnostics["pool_refills"] == 153
+    assert calls == [0, 10, 20, 30, 40]
+
+
 DIAGNOSTIC_KEYS = {
     "contacts", "substeps_total", "resampled_proposals", "pool_refills",
     "boundary_overflow_paths", "reflect_failure_paths", "weight_overflow_paths",
