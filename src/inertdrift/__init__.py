@@ -14,8 +14,8 @@ skorokhod
     driving-path transform with local time.
 simulate
     Ensemble integrators for the reflected, reweighted-driftless, and
-    gradient (smooth wall) families, with a numpy kernel backend and a
-    generic per-path backend.
+    gradient (smooth wall) families, one chunked numpy kernel per family
+    for every domain and coefficient set.
 stationary
     The candidate product stationary law, its normalizers and sampler,
     the extended generator, and quadrature residual checks.
@@ -44,16 +44,7 @@ from .geometry import (
     SmoothDistance,
     make_domain,
 )
-from .simulate import (
-    GirsanovWeight,
-    SimConfig,
-    SystemState,
-    TrajectoryBatch,
-    girsanov_weight_step,
-    run_ensemble,
-    step_gradient,
-    step_reflected,
-)
+from .simulate import SimConfig, TrajectoryBatch, run_ensemble
 from .analysis import (
     TestReport,
     angular_uniformity,
@@ -99,7 +90,6 @@ __all__ = [
     "DrivingPath",
     "Ellipsoid",
     "GeometryError",
-    "GirsanovWeight",
     "Interval",
     "Potential",
     "PotentialOverflowError",
@@ -107,7 +97,6 @@ __all__ = [
     "SkorokhodError",
     "SmoothDistance",
     "StationaryMeasure",
-    "SystemState",
     "TestReport",
     "TrajectoryBatch",
     "angular_uniformity",
@@ -115,7 +104,6 @@ __all__ = [
     "bump_basis",
     "effective_sample_size",
     "generator_apply",
-    "girsanov_weight_step",
     "independence_test",
     "k_moment_tests",
     "ks_uniformity",
@@ -130,8 +118,6 @@ __all__ = [
     "sample_stationary",
     "solve_skorokhod",
     "stationarity_residual",
-    "step_gradient",
-    "step_reflected",
     "weak_convergence_sweep",
     "write_histogram_csv",
     "write_path_csv",

@@ -2,20 +2,19 @@
 
 One vectorized kernel per stepping family advances every path of an
 ensemble through one chunk of pregenerated noise, step-synchronously.
-Each performs the same floating-point operations in the same order as the
-generic per-path steppers in :mod:`inertdrift.simulate`, so the two
-backends agree bit for bit on the interval and for the gradient family
-(tested).  The reflected kernel takes its contact rule from the domain
-(``_exit`` and ``_land`` in :mod:`inertdrift.geometry`), the landing that
-``skorokhod.reflect_step`` also uses; on the ball the generic stepper
-still differs in the last digits, because it evaluates the push and the
-inert field at projected points.
+They step every domain kind (interval, half-line, ball, box, ellipsoid)
+and every coefficient set.  The reflected kernel takes its contact rule
+from the domain (``_exit`` and ``_land`` in :mod:`inertdrift.geometry`),
+the landing that ``skorokhod.reflect_step`` also uses.
 
 Every kernel takes the mutable state arrays, the chunk's noise, the
 global index of the chunk's first step, and ``params``: one plain tuple of
 the run's read-only constants, built once per run by the family's helper
-in :mod:`inertdrift.simulate` and unpacked in one statement.  Each kernel
-finishes its chunk in one call.  The noise is drawn in
+in :mod:`inertdrift.simulate` and unpacked in one statement.  A
+coefficient that varies with x comes as a function of the live rows'
+points instead of an array: sigma, b and the push matrix A (or A/2) are
+evaluated at the step start, and the inert field v at the landing point.
+Each kernel finishes its chunk in one call.  The noise is drawn in
 :mod:`inertdrift.simulate`: the gradient kernel also takes the chunk's
 reserve pool and a ``refill`` callback that renews a spent path's pool
 there.  ``counters[0]`` counts contacts (reflected) or sub-moves
@@ -25,17 +24,14 @@ there.  ``counters[0]`` counts contacts (reflected) or sub-moves
 The reflected kernel steps only the live rows: it copies their x, k, ell
 and log-weight into compact arrays once per chunk, with no per-step masks,
 and writes them back at the chunk end or when a row gets flagged.  It
-reads each step's noise column once, and caches the terms that depend on
-K, which moves only at contact, recomputing them for the contact rows.
+reads each step's noise column once.  With constant sigma and b it caches
+the terms that depend on K, which moves only at contact, recomputing them
+for the contact rows.
 
 The gradient kernel evaluates the wall once per proposal through
-``SmoothDistance._value_and_grad``, which shares its formula with the
-``value`` and ``grad`` that the generic stepper calls, and carries delta
-and grad delta of the accepted proposal into the next sub-step or step.
-
-Kernels cover constant-coefficient runs on intervals (bounded or
-half-line) and balls; everything else goes through the generic per-path
-steppers in :mod:`inertdrift.simulate`, which follow the same protocol.
+``SmoothDistance._value_and_grad``, which shares its formula with
+``value`` and ``grad``, and carries delta and grad delta of the accepted
+proposal into the next sub-step or step.
 """
 
 import importlib.util
@@ -63,11 +59,12 @@ LOG_WEIGHT_CAP = 700.0
 
 
 def _rowdot(M, V):
-    """out[:, i] = sum_j M[i, j] V[:, j], summed left to right from +0.0
+    """out[:, i] = sum_j M[i, j] V[:, j] for one (d, d) matrix M or a stack
+    of one (d, d) matrix per row, summed left to right from +0.0
     (``p + 0.0`` turns a product of -0.0 into +0.0, as ``0.0 + p`` does)."""
-    out = V[:, 0, None] * M[:, 0] + 0.0
+    out = V[:, 0, None] * M[..., 0] + 0.0
     for j in range(1, V.shape[1]):
-        out = out + V[:, j, None] * M[:, j]
+        out = out + V[:, j, None] * M[..., j]
     return out
 
 
@@ -100,25 +97,35 @@ def reflected_chunk(
     A proposal that leaves the domain is pushed back along u = UM n, with n
     the inward normal where it crossed, by the domain's contact rule
     (``_exit`` and ``_land``, which ``skorokhod.reflect_step`` also calls),
-    and K gains v dL with v = VM n at the landing point.  With
+    and K gains v dL, with v = VM n or v = VM(landing point, n).  With
     ``do_weight`` the Girsanov log-weight is updated from the step-start K
-    before the move.
+    before the move.  S, b and UM are arrays, or functions of the points
+    at the step start when they vary; SI, the inverse of a constant S, is
+    None then.
 
     The live rows' x, k, ell and log-weight are copied into compact arrays
     once per chunk and stepped there, and each step reads its noise column
-    once.  The terms that depend on K, (b + K) dt and the weight's w and
-    0.5 |w|^2 dt, are cached per row and recomputed for the contact rows
-    only, since K moves only there.  A row that gets flagged is written
-    back at once and dropped; the others are written back at the chunk end.
+    once.  With constant S and b the terms that depend on K, (b + K) dt and
+    the weight's w and 0.5 |w|^2 dt, are cached per row and recomputed for
+    the contact rows only, since K moves only there; a varying S or b
+    recomputes them at every step.  A row that gets flagged is written back
+    at once and dropped; the others are written back at the chunk end.
     """
     (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, domain, first_snap,
      snap_every) = params
+    vary_s, vary_b = callable(S), callable(b)
     C, d = z.shape[1:]
     rows = (flags == FLAG_OK).nonzero()[0]
     xs, ks, ls, lw = x[rows], k[rows], ell[rows], logw[rows]
-    # one row per path even without the inert drift, so rows drop together
-    drift = (b + (ks if use_k else np.zeros_like(ks))) * dt
-    w, h = _weight_terms(ks, SI, dt) if do_weight else (None, None)
+
+    def drift_of(bx, kx):
+        # one row per path even without the inert drift, so rows drop together
+        return (bx + (kx if use_k else np.zeros_like(kx))) * dt
+
+    drift = None if vary_b else drift_of(b, ks)
+    cached_w = do_weight and not vary_s
+    w, h = _weight_terms(ks, SI, dt) if cached_w else (None, None)
+    Sx = S
     contacts = 0
 
     def put(sel):
@@ -131,6 +138,12 @@ def reflected_chunk(
         if not len(rows):
             break
         Z = z[rows, c]
+        if vary_s:
+            Sx = S(xs)
+            if do_weight:
+                w, h = _weight_terms(ks, np.linalg.inv(Sx), dt)
+        if vary_b:
+            drift = drift_of(b(xs), ks)
         if do_weight:
             dB = sqrt_dt * Z
             acc1 = np.zeros(len(rows))
@@ -142,11 +155,14 @@ def reflected_chunk(
                 flags[put(ovf)] = FLAG_WEIGHT_OVERFLOW
                 rows, xs, ks, ls, lw, drift, w, h, Z = _take(
                     ~ovf, rows, xs, ks, ls, lw, drift, w, h, Z)
-        y = xs + (sqrt_dt * _rowdot(S, Z) + drift)
+                if vary_s:
+                    Sx = Sx[~ovf]
+        y = xs + (sqrt_dt * _rowdot(Sx, Z) + drift)
         out, normal = domain._exit(y)
         hit = out.nonzero()[0]
         if len(hit):
-            land, dl, nl, ok = domain._land(y[hit], _rowdot(UM, normal))
+            push = UM(xs[hit]) if callable(UM) else UM
+            land, dl, nl, ok = domain._land(y[hit], _rowdot(push, normal))
             failed = not ok.all()
             if failed:
                 keep = np.ones(len(rows), dtype=bool)
@@ -154,12 +170,13 @@ def reflected_chunk(
                 flags[put(~keep)] = FLAG_REFLECT_FAILURE
                 hit, land, dl, nl = _take(ok, hit, land, dl, nl)
             y[hit] = land
-            ks[hit] += _rowdot(VM, nl) * dl[:, None]
+            v = VM(land, nl) if callable(VM) else _rowdot(VM, nl)
+            ks[hit] += v * dl[:, None]
             ls[hit] += dl
             contacts += int(np.count_nonzero(dl > 0.0))
-            if use_k:
-                drift[hit] = (b + ks[hit]) * dt
-            if do_weight:
+            if use_k and not vary_b:
+                drift[hit] = drift_of(b, ks[hit])
+            if cached_w:
                 w[hit], h[hit] = _weight_terms(ks[hit], SI, dt)
             if failed:
                 rows, y, ks, ls, lw, drift, w, h = _take(
@@ -193,10 +210,13 @@ def gradient_chunk(
     redrawn, both from the reserve ``pool``.  A path whose pool runs out
     goes back to its step start; ``refill(rows, c)`` refills its pool or
     flags it, and a refilled path redoes step c at once, before the step's
-    snapshot, from delta recomputed at its step start.
+    snapshot, from delta recomputed at its step start.  S, b and A2 = A/2
+    are arrays, or functions of the points at the sub-step start when they
+    vary.
     """
     (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap,
      first_snap, snap_every, max_sub, resample_cap) = params
+    vary_s = callable(S)
     P, C, d = z.shape
     pool_len = pool.shape[1]
     rows = (flags == FLAG_OK).nonzero()[0]
@@ -236,9 +256,11 @@ def gradient_chunk(
                         lost = True
                         break
                     kg = k.take(gr, axis=0)
+                    xg = x.take(gr, axis=0)
                     E = 1.0 / (vn * delta)
                     gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
-                    mu = (b - _rowdot(A2, gV)) + kg
+                    mu = ((b(xg) if callable(b) else b)
+                          - _rowdot(A2(xg) if callable(A2) else A2, gV)) + kg
                     speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
                     for i in range(1, d):
                         speed2 = speed2 + mu[:, i] * mu[:, i]
@@ -249,8 +271,8 @@ def gradient_chunk(
                     if np.count_nonzero(fail):
                         flags[gr[fail]] = FLAG_BOUNDARY_OVERFLOW
                         lost = True
-                        gr, rem, kg, gV, mu, dts = _take(
-                            ~fail, gr, rem, kg, gV, mu, dts)
+                        gr, rem, kg, xg, gV, mu, dts = _take(
+                            ~fail, gr, rem, kg, xg, gV, mu, dts)
                         if len(gr) == 0:
                             break
                     if nsub == 1:
@@ -259,16 +281,16 @@ def gradient_chunk(
                         exh = cursor[gr] >= pool_len
                         if np.count_nonzero(exh):
                             roll_back(gr[exh])
-                            gr, rem, kg, gV, mu, dts = _take(
-                                ~exh, gr, rem, kg, gV, mu, dts)
+                            gr, rem, kg, xg, gV, mu, dts = _take(
+                                ~exh, gr, rem, kg, xg, gV, mu, dts)
                             if len(gr) == 0:
                                 break
                         zz = pool[gr, cursor[gr], :]
                         cursor[gr] += 1
                     sq = np.sqrt(dts)
                     moves += len(gr)
-                    xg = x.take(gr, axis=0)
-                    xp = xg + (sq[:, None] * _rowdot(S, zz) + mu * dts[:, None])
+                    Sx = S(xg) if vary_s else S
+                    xp = xg + (sq[:, None] * _rowdot(Sx, zz) + mu * dts[:, None])
                     dprop, gprop = sd._value_and_grad(xp)
                     rej = (~(dprop >= delta_guard)).nonzero()[0]
                     if len(rej):
@@ -292,7 +314,8 @@ def gradient_chunk(
                             rg = gr[rej]
                             zz[rej] = pool[rg, cursor[rg], :]
                             cursor[rg] += 1
-                            xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(S, zz[rej])
+                            Sr = Sx[rej] if vary_s else Sx
+                            xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(Sr, zz[rej])
                                                  + mu[rej] * dts[rej, None])
                             dprop[rej], gprop[rej] = sd._value_and_grad(xp[rej])
                             rej = rej[~(dprop[rej] >= delta_guard)]

@@ -296,8 +296,14 @@ class CoefficientSet:
         return self._rho_fn(pts)
 
     def _g_row(self, pts, i):
-        """Row i of rho(x) * A(x), the quantity the drift differentiates."""
-        return self._rho_batch(pts)[:, None] * self._a_batch(pts)[:, i, :]
+        """Row i of rho(x) * A(x), the quantity the drift differentiates;
+        a varying A contracts only row i, as ``_a_batch`` sums it."""
+        if self._a_const is not None:
+            a_i = np.broadcast_to(self._a_const[i], pts.shape)
+        else:
+            s = self._sigma_fn(pts)
+            a_i = np.einsum("mj,mjk->mk", s[:, :, i], s)
+        return self._rho_batch(pts)[:, None] * a_i
 
     # -- public evaluation ---------------------------------------------------------
     @property
@@ -373,8 +379,11 @@ class CoefficientSet:
             shift[i] = h
             plus = pts + shift
             minus = pts - shift
-            okp = np.atleast_1d(dom.in_closure(plus))
-            okm = np.atleast_1d(dom.in_closure(minus))
+            # within the boundary tolerance: at a boundary point of a curved
+            # domain, where the kernels land, both tangential stencil points
+            # leave the closure by about h^2 / (2 R)
+            okp = dom._sd(plus) >= -dom.tol_bd
+            okm = dom._sd(minus) >= -dom.tol_bd
             stuck = ~(okp | okm)
             if np.any(stuck):
                 j = int(np.argmax(stuck))
@@ -385,10 +394,8 @@ class CoefficientSet:
                 )
             gp = self._g_row(plus, i)
             gm = self._g_row(minus, i)
-            row = np.empty((m, d))
-            both = okp & okm
-            row[both] = (gp[both] - gm[both]) / (2.0 * h)
-            rest_idx = np.where(~both)[0]
+            row = (gp - gm) / (2.0 * h)
+            rest_idx = np.flatnonzero(~(okp & okm))
             if rest_idx.size:
                 g0 = self._g_row(pts[rest_idx], i)
                 fwd = okp[rest_idx]  # the minus point left the closure
@@ -469,8 +476,11 @@ def make_coefficients(preset, domain, gamma, *, a_diag=None, **kwargs):
         if a_diag is None:
             raise CoefficientError("preset 'anisotropic' requires a_diag")
         try:
-            diag = np.asarray(a_diag, dtype=float)
-        except (TypeError, ValueError):
+            diag = np.asarray(a_diag)
+        except ValueError:  # a ragged list
+            diag = None
+        # strings, booleans and None do not pass as numbers
+        if diag is not None and diag.dtype.kind not in "iuf":
             diag = None
         if diag is None or diag.shape != (domain.d,) or np.any(diag <= 0.0):
             raise CoefficientError(
@@ -479,7 +489,7 @@ def make_coefficients(preset, domain, gamma, *, a_diag=None, **kwargs):
         return CoefficientSet(
             domain,
             gamma=gamma,
-            sigma=np.diag(np.sqrt(diag)),
+            sigma=np.diag(np.sqrt(diag.astype(float))),
             name="anisotropic",
             **kwargs,
         )

@@ -4,8 +4,8 @@ and smooth interior distance functions.
 Every domain exposes a signed distance (positive inside, zero on the
 boundary, negative outside), inward unit normals on the boundary, a
 projection onto the boundary, and the contact rule of the reflected
-steppers (``_land``; intervals and balls add ``_exit`` for the numpy
-kernel).  ``SmoothDistance`` supplies the smooth
+kernel: ``_exit`` finds the points that left the closure and an inward
+normal there, and ``_land`` pushes them back.  ``SmoothDistance`` supplies the smooth
 interior distance used by the wall-potential family, together with its
 gradient and the multiplicative sandwich constants relating it to the true
 distance.
@@ -204,7 +204,7 @@ class Domain:
         have = 0
         while have < n:
             cand = rng.uniform(lo, hi, size=(max(n, 256), self.d))
-            keep = cand[self._sd(cand) > 0.0]
+            keep = cand[self.inside(cand)]
             take = min(n - have, keep.shape[0])
             out[have : have + take] = keep[:take]
             have += take
@@ -412,6 +412,14 @@ class Box(Domain):
             raise GeometryError("normal: point not matched to any face")
         return n / norms[:, None]
 
+    def _exit(self, y):
+        """Which points of ``y`` lie outside the closed box, and the inward
+        normals of the faces each one violates, averaged as at an edge."""
+        below = y < self.lo
+        above = y > self.hi
+        out = (below | above).any(axis=1)
+        return out, _unit_rows(below[out] * 1.0 - above[out])
+
     def _land(self, y, push):
         return _slab_land(self.lo, self.hi, y, push)
 
@@ -510,10 +518,21 @@ class Ellipsoid(Domain):
         dist = np.linalg.norm(q - p, axis=1)
         return q + self.center, dist
 
+    def _level(self, pts):
+        """1 - |(x - c)/r|^2: positive inside, zero on the boundary."""
+        return 1.0 - np.sum(((pts - self.center) / self.radii) ** 2, axis=1)
+
     def _sd(self, pts):
-        inside = 1.0 - np.sum(((pts - self.center) / self.radii) ** 2, axis=1) > 0.0
         _, dist = self._nearest_on_boundary(pts)
-        return np.where(inside, dist, -dist)
+        return np.where(self._level(pts) > 0.0, dist, -dist)
+
+    def inside(self, x):
+        """The sign of ``_sd`` from the level function alone, without the
+        nearest-point search."""
+        pts, single = _as_batch(x, self.d)
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("inside: point has non-finite components")
+        return _unbatch(self._level(pts) > 0.0, single)
 
     def _project(self, pts):
         q, _ = self._nearest_on_boundary(pts)
@@ -523,6 +542,13 @@ class Ellipsoid(Domain):
         g = -2.0 * (pts - self.center) / self.radii**2
         norms = np.linalg.norm(g, axis=1)
         return g / norms[:, None]
+
+    def _exit(self, y):
+        """Which points of ``y`` lie outside the closed ellipsoid, and the
+        inward normal -(y - c)/r^2 of the level set through each one."""
+        off = (y - self.center) / self.radii
+        out = _rowsum(off * off) > 1.0
+        return out, _unit_rows(-off[out] / self.radii)
 
     def _land(self, y, push):
         """The ball's landing quadratic in radius-scaled coordinates, where
@@ -653,19 +679,47 @@ class SmoothDistance:
             inside, self._phi0 + 3 * s2 / self._phi2 - s**4 / self._phi4, s)
 
     def _value_and_grad(self, pts):
-        """delta and grad delta at (m, d) points of an interval, a half-line
-        or a ball, from one distance s to the centre.
+        """delta and grad delta at (m, d) points, sharing their terms.
 
-        delta = w - phi(s) with the quartic cap
+        Interval, half-line and ball: delta = w - phi(s), from one distance s
+        to the centre, with the quartic cap
         phi(s) = 3a/8 + 3 s^2/(4a) - s^4/(8 a^3) for s < a and phi(s) = s
         beyond; phi is C2 at s = a (phi(a)=a, phi'(a)=1, phi''(a)=0) and
         smooth at s = 0.  grad delta = -(phi'(s)/s) (x - centre), where
         phi'(s)/s stays finite through s = 0.  On the half-line delta is
-        x - lo.  The gradient kernel and ``_grad`` evaluate this method;
-        ``_value`` shares its offset and delta steps without the gradient.
+        x - lo.  ``_value`` shares the offset and delta steps.
+
+        Box: the soft minimum of ``_value``, with
+        grad delta = sum_i ((delta/f_lo_i)^(beta+1) - (delta/f_hi_i)^(beta+1)) e_i
+        for the face distances f.  Ellipsoid: delta = phi / g from the
+        formula of ``_value`` and its gradient by the quotient rule.  The
+        gradient kernel and ``_grad`` evaluate this method.
         """
+        dom = self.domain
+        if dom.kind == "box":
+            beta = self.sharpness
+            val = self._value(pts)
+            grad = np.zeros_like(pts)
+            for i in range(dom.d):
+                flo = pts[:, i] - dom.lo[i]
+                fhi = dom.hi[i] - pts[:, i]
+                grad[:, i] += (val / flo) ** (beta + 1.0)
+                grad[:, i] -= (val / fhi) ** (beta + 1.0)
+            return val, grad
+        if dom.kind == "ellipsoid":
+            p = pts - dom.center
+            r = dom.radii
+            phi = dom._level(pts)
+            gphi = -2.0 * p / r**2
+            u = np.sum(gphi**2, axis=1)
+            du = 8.0 * p / r**4
+            v = (2.0 * phi / self._scale) ** 2
+            dv = (8.0 / self._scale**2) * phi[:, None] * gphi
+            g = np.sqrt(u + v)
+            dg = (du + dv) / (2.0 * g[:, None])
+            return phi / g, gphi / g[:, None] - (phi / g**2)[:, None] * dg
         if self._half_line:
-            return pts[:, 0] - self.domain.lo, np.ones_like(pts)
+            return pts[:, 0] - dom.lo, np.ones_like(pts)
         a = self._cap
         u, s = self._centre_offset(pts)
         s2 = s**2
@@ -695,37 +749,13 @@ class SmoothDistance:
             out[~pos] = fmin[~pos]
             return out
         # ellipsoid: phi / sqrt(|grad phi|^2 + (2 phi / scale)^2)
-        phi = 1.0 - np.sum(((pts - dom.center) / dom.radii) ** 2, axis=1)
+        phi = dom._level(pts)
         gphi = -2.0 * (pts - dom.center) / dom.radii**2
         g = np.sqrt(np.sum(gphi**2, axis=1) + (2.0 * phi / self._scale) ** 2)
         return phi / g
 
     def _grad(self, pts):
-        dom = self.domain
-        if dom.kind in ("interval", "ball"):
-            return self._value_and_grad(pts)[1]
-        if dom.kind == "box":
-            beta = self.sharpness
-            val = self._value(pts)
-            grad = np.zeros_like(pts)
-            for i in range(dom.d):
-                flo = pts[:, i] - dom.lo[i]
-                fhi = dom.hi[i] - pts[:, i]
-                grad[:, i] += (val / flo) ** (beta + 1.0)
-                grad[:, i] -= (val / fhi) ** (beta + 1.0)
-            return grad
-        # ellipsoid: analytic quotient rule for delta = phi/g
-        c, r = dom.center, dom.radii
-        p = pts - c
-        phi = 1.0 - np.sum((p / r) ** 2, axis=1)
-        gphi = -2.0 * p / r**2
-        u = np.sum(gphi**2, axis=1)
-        du = 8.0 * p / r**4
-        v = (2.0 * phi / self._scale) ** 2
-        dv = (8.0 / self._scale**2) * phi[:, None] * gphi
-        g = np.sqrt(u + v)
-        dg = (du + dv) / (2.0 * g[:, None])
-        return gphi / g[:, None] - (phi / g**2)[:, None] * dg
+        return self._value_and_grad(pts)[1]
 
     def value(self, x):
         pts, single = _as_batch(x, self.domain.d)

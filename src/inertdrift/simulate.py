@@ -22,23 +22,18 @@ Three stepping families share one ensemble driver:
     fraction of the inradius, and proposals that would land beyond the
     resolvable wall layer are redrawn.
 
-Noise protocol, one for every backend: path p draws from its own PCG64
-stream, spawned as child p of ``SeedSequence(seed)``.  Per chunk the host
-loop :func:`_run` draws each stream's base normals (one d-vector per step)
-and calls the chunk stepper (a numpy kernel of :mod:`._kernels`, or a
-generic per-path stepper built on the single-step operations below) once.
-The gradient stepper then draws each stream's reserve pool, consumed by
-sub-steps and redraws; a path that exhausts its pool goes back to the
-start of its step, gets a fresh pool from its stream through one shared
-``refill`` (:func:`_gradient_step`, which holds the refill budget), and
-redoes that step at once.  Both backends report one diagnostics schema
-(:func:`_diagnostics`).
-Results are reproducible for a fixed (seed, backend) pair.  The two
-backends are bit-identical on the interval and, for the gradient family,
-on the disc.  Both reflected steppers land with the domain's contact rule
-(``_land`` in :mod:`.geometry`); on the disc they agree to rounding,
-because the generic stepper evaluates the push and v at projected points
-(all tested).
+Noise protocol: path p draws from its own PCG64 stream, spawned as child
+p of ``SeedSequence(seed)``.  Per chunk the host loop :func:`_run` draws
+each stream's base normals (one d-vector per step) and calls the family's
+numpy kernel (:mod:`._kernels`) once.  The kernels step every domain kind
+and every coefficient set; coefficients that vary with x are evaluated on
+the live rows at each step.  The gradient kernel also takes each stream's
+reserve pool, consumed by sub-steps and redraws; a path that exhausts its
+pool goes back to the start of its step, gets a fresh pool from its stream
+through one shared ``refill`` (:func:`_gradient_step`, which holds the
+refill budget), and redoes that step at once.  Every family reports one
+diagnostics schema (:func:`_diagnostics`).  Results are reproducible for a
+fixed seed.
 """
 
 import dataclasses
@@ -50,16 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import (
-    FLAG_BOUNDARY_OVERFLOW,
-    FLAG_NAMES,
-    FLAG_OK,
-    FLAG_REFLECT_FAILURE,
-    FLAG_WEIGHT_OVERFLOW,
-    LOG_WEIGHT_CAP,
-)
-from .coefficients import Potential, PotentialOverflowError
-from .skorokhod import SkorokhodError, reflect_step
+from ._kernels import FLAG_BOUNDARY_OVERFLOW, FLAG_NAMES, FLAG_OK
+from .coefficients import Potential
 
 FAMILIES = ("reflected", "gradient", "driftless_weighted")
 
@@ -90,33 +77,6 @@ def _as_vector(value, d, name):
     if v.shape != (d,) or not np.all(np.isfinite(v)):
         raise ValueError("%s must be a finite length-%d vector" % (name, d))
     return v
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """One path's instantaneous state: position, inert drift, local time."""
-
-    x: np.ndarray
-    k: np.ndarray
-    ell: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, float)))
-        object.__setattr__(self, "k", np.atleast_1d(np.asarray(self.k, float)))
-        if self.x.shape != self.k.shape:
-            raise ValueError("state x and k must have matching shapes")
-
-
-@dataclass(frozen=True)
-class GirsanovWeight:
-    """Multiplicative reweighting factor, tracked in log space."""
-
-    log_weight: float = 0.0
-
-    @property
-    def weight(self):
-        return float(np.exp(self.log_weight))
 
 
 @dataclass(frozen=True)
@@ -374,157 +334,17 @@ def _version_info():
     return {"inertdrift": _pkg_version, "numpy": np.__version__}
 
 
-# ---------------------------------------------------------------------------
-# single-step reference operations (arbitrary coefficients, one path)
-# ---------------------------------------------------------------------------
-
-
-def step_reflected(cs, domain, state, dt, noise, use_inert_drift=True,
-                   max_step=None):
-    """One Euler step of the reflected family from ``state``.
-
-    ``noise`` holds d standard normals; the Brownian increment is
-    sqrt(dt) * sigma(x) @ noise.  With ``use_inert_drift=False`` the inert
-    drift K is left out of the move (driftless variant) but still absorbs
-    v dL on contact.  Contact pushes along the conormal of ``cs`` and adds
-    v(x_contact) dL to K, evaluated at the landing point.
-    """
-    x = np.atleast_1d(np.asarray(state.x, float))
-    k = np.atleast_1d(np.asarray(state.k, float))
-    z = _as_vector(noise, domain.d, "noise")
-    drift = cs.drift_b(x)
-    if use_inert_drift:
-        drift = drift + k
-    inc = np.sqrt(dt) * (cs.sigma(x) @ z) + drift * dt
-    x_new, dl = reflect_step(
-        domain, x, inc, push_dir=lambda xi: cs.conormal_u(xi), max_step=max_step
-    )
-    k_new = k + cs.inert_v(x_new) * dl if dl > 0.0 else k
-    return SystemState(x=x_new, k=k_new, ell=state.ell + dl, t=state.t + dt)
-
-
-def girsanov_weight_step(cs, state, weight, dB, dt):
-    """One multiplicative update of the reweighting factor.
-
-    ``dB`` is the realized Brownian increment (already scaled by
-    sqrt(dt)); the integrand sigma^{-1} K is evaluated at the step start,
-    matching the stepping kernels, which makes the reweighted driftless
-    chain reproduce the reflected chain's law exactly in discrete time.
-    """
-    x = np.atleast_1d(np.asarray(state.x, float))
-    k = np.atleast_1d(np.asarray(state.k, float))
-    dB = _as_vector(dB, x.shape[0], "dB")
-    w = np.linalg.solve(cs.sigma(x), k)
-    lw = weight.log_weight + (float(w @ dB) - 0.5 * float(w @ w) * dt)
-    return GirsanovWeight(log_weight=lw)
-
-
-def step_gradient(
-    cs,
-    potential,
-    state,
-    dt,
-    noise,
-    h_max=None,
-    delta_guard=None,
-    rng=None,
-    max_substeps=MAX_SUBSTEPS,
-    resample_cap=RESAMPLE_CAP,
-    counts=None,
-):
-    """One (possibly sub-divided) step of the gradient family.
-
-    The base step ``dt`` is split so that no sub-move's drift displacement
-    exceeds ``h_max`` (default: no cap); proposals leaving the domain or
-    landing with smoothed distance below ``delta_guard`` are redrawn.
-    Extra normals needed by sub-steps or redraws come from ``rng``; the
-    base move uses ``noise`` directly, so with no cap and no redraw this
-    is one plain Euler step.  Raises PotentialOverflowError when the
-    wall-layer budgets (``max_substeps``, ``resample_cap``, the distance
-    floor) are exhausted.  An integer array ``counts``, when given, gains
-    one in ``counts[0]`` per sub-move and in ``counts[1]`` per redraw, at
-    the points where the chunk kernels count them.
-    """
-    domain = potential.domain
-    d = domain.d
-    x = np.atleast_1d(np.asarray(state.x, float)).copy()
-    k = np.atleast_1d(np.asarray(state.k, float)).copy()
-    z = _as_vector(noise, d, "noise")
-    if h_max is None:
-        h_max = np.inf
-    if delta_guard is None:
-        delta_guard = _default_delta_guard(potential)
-    gamma_half = 0.5 * cs.gamma
-
-    def extra_noise(use):
-        if rng is None:
-            raise ValueError("%s needs extra noise: pass rng= to step_gradient" % use)
-        return rng.standard_normal(d)
-
-    remaining = float(dt)
-    first = True
-    nsub = 0
-    while remaining > 0.0:
-        nsub += 1
-        if nsub > max_substeps:
-            raise PotentialOverflowError(
-                "sub-step budget exhausted near the boundary; refine dt_base"
-            )
-        gV = potential.grad(x)  # raises on floor/exponent violations
-        mu = cs.drift_b(x) - 0.5 * (cs.a_matrix(x) @ gV) + k
-        speed = float(np.linalg.norm(mu))
-        if speed * remaining <= h_max:
-            dts = remaining
-        else:
-            dts = h_max / speed
-        if dts < dt * 1e-12:
-            raise PotentialOverflowError(
-                "sub-step size collapsed near the boundary; refine dt_base"
-            )
-        if first:
-            zz = z
-            first = False
-        else:
-            zz = extra_noise("sub-stepping")
-        if counts is not None:
-            counts[0] += 1
-        sig = cs.sigma(x)
-        tries = 0
-        while True:
-            xp = x + (np.sqrt(dts) * (sig @ zz) + mu * dts)
-            accept = bool(domain.inside(xp))
-            if accept and potential.distance is not None:
-                accept = float(potential.distance.value(xp)) >= delta_guard
-            if accept:
-                break
-            tries += 1
-            if counts is not None:
-                counts[1] += 1
-            if tries > resample_cap:
-                raise PotentialOverflowError(
-                    "proposal redraw budget exhausted near the boundary; "
-                    "refine dt_base"
-                )
-            zz = extra_noise("proposal redraw")
-        k = k - (gamma_half @ gV) * dts
-        x = xp
-        remaining -= dts
-    return SystemState(x=x, k=k, ell=state.ell, t=state.t + dt)
-
-
 def _default_delta_guard(potential):
     """Resolvable wall layer: states closer than this are resampled.
 
     The stationary weight exp(-exp(1/(n delta))) at delta = 1/(60 n) is
     exp(-e^60), so the redraw region carries no measurable mass.
     """
-    if potential.kind == "regularized_vn":
-        guard = 1.0 / (60.0 * potential.n)
-        inr = potential.domain.inradius
-        if np.isfinite(inr):
-            guard = min(guard, 0.25 * inr)
-        return guard
-    return 10.0 * potential.delta_floor
+    guard = 1.0 / (60.0 * potential.n)
+    inr = potential.domain.inradius
+    if np.isfinite(inr):
+        guard = min(guard, 0.25 * inr)
+    return guard
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +356,21 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     """Integrate an ensemble and return its snapshot TrajectoryBatch.
 
     ``domain`` is required for the reflected families; ``potential`` for
-    the gradient family (its domain is used).  ``backend`` picks the
-    implementation: "numpy" for the chunked kernels, which need constant
-    coefficients on an interval or a ball, or "generic" for the per-path
-    steppers that handle arbitrary coefficients; the default is "numpy"
-    where the kernels apply and "generic" otherwise.
+    the gradient family (its domain is used), which must be the
+    ``regularized_vn`` wall: the gradient kernel evaluates that formula.
+    The chunked numpy kernels step every domain and coefficient set, so
+    ``backend`` may only be None or "numpy", the one backend.
     """
     cfg = config
+    if backend not in (None, "numpy"):
+        raise ValueError("backend must be None or 'numpy', got %r" % (backend,))
     if cfg.family == "gradient":
         if potential is None:
             raise ValueError("the gradient family needs potential=")
+        if potential.kind != "regularized_vn":
+            raise ValueError(
+                "the gradient family steps the regularized_vn wall potential "
+                "only, got %r" % (potential.kind,))
         if domain is not None and domain is not potential.domain:
             raise ValueError("domain and potential.domain disagree")
         domain = potential.domain
@@ -570,11 +395,7 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
             if cfg.delta_guard is not None
             else _default_delta_guard(potential)
         )
-        start_delta = (
-            float(potential.distance.value(x0))
-            if potential.distance is not None
-            else np.inf
-        )
+        start_delta = float(potential.distance.value(x0))
         if start_delta < guard:
             raise ValueError(
                 "x0 sits inside the resolvable wall layer (smoothed distance "
@@ -582,20 +403,7 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
             )
     else:
         guard = None
-
-    eligible = _kernel_family(cfg.family, cs, domain, potential)
-    if backend is None:
-        backend = "numpy" if eligible else "generic"
-    if backend not in ("numpy", "generic"):
-        raise ValueError(
-            "backend must be 'numpy' or 'generic', got %r" % (backend,))
-    if backend == "numpy" and not eligible:
-        raise ValueError(
-            "the numpy kernels need constant sigma and drift on an interval or "
-            "ball; use backend='generic'"
-        )
-
-    return _run(cs, domain, potential, cfg, x0, k0, guard, backend)
+    return _run(cs, domain, potential, cfg, x0, k0, guard)
 
 
 def _domain_info(domain):
@@ -606,22 +414,13 @@ def _domain_info(domain):
     elif domain.kind == "ball":
         info["center"] = [float(c) for c in domain.center]
         info["radius"] = float(domain.radius)
+    elif domain.kind == "box":
+        info["lo"] = [float(c) for c in domain.lo]
+        info["hi"] = [float(c) for c in domain.hi]
+    else:
+        info["center"] = [float(c) for c in domain.center]
+        info["radii"] = [float(r) for r in domain.radii]
     return info
-
-
-def _kernel_family(family, cs, domain, potential):
-    """True when the chunked constant-coefficient kernels apply."""
-    if domain.kind not in ("interval", "ball"):
-        return False
-    if not cs.is_constant_sigma or cs.constant_drift is None:
-        return False
-    if family == "gradient":
-        return (
-            potential is not None
-            and potential.kind == "regularized_vn"
-            and potential.distance is not None
-        )
-    return cs.inert_field in ("gamma_normal", "a0_conormal")
 
 
 def _draw(rngs, C, d):
@@ -632,17 +431,6 @@ def _draw(rngs, C, d):
     return out
 
 
-def _push_matrices(cs, ref_point):
-    conv = 1.0 if cs.conormal_convention == "full" else 0.5
-    A = cs.a_matrix(ref_point)
-    UM = conv * A
-    if cs.inert_field == "gamma_normal":
-        VM = np.asarray(cs.gamma, float)
-    else:
-        VM = cs.a0 * UM
-    return UM, VM
-
-
 def _h_max(cfg, domain):
     """Largest drift displacement of one gradient-family sub-move."""
     return cfg.h_max_fraction * domain.inradius if cfg.adaptive else np.inf
@@ -650,12 +438,29 @@ def _h_max(cfg, domain):
 
 def _reflected_params(cs, domain, cfg, x0):
     """Read-only constants of a reflected-family kernel run, in the order
-    the kernel unpacks them."""
-    Smat = cs.sigma(x0)
-    UM, VM = _push_matrices(cs, x0)
+    the kernel unpacks them.  A coefficient that varies with x is passed as
+    a function of the live rows' points; with constant sigma every matrix
+    is evaluated once, at x0."""
+    conv = 1.0 if cs.conormal_convention == "full" else 0.5
+    if cs.is_constant_sigma:
+        S = cs.sigma(x0)
+        SI = np.linalg.inv(S)
+        UM = conv * cs.a_matrix(x0)
+    else:
+        S, SI = cs._sigma_batch, None
+        UM = lambda pts: conv * cs._a_batch(pts)
+    if cs.inert_field == "gamma_normal":
+        VM = np.asarray(cs.gamma, float)
+    elif cs.inert_field == "custom":
+        VM = lambda land, normal: cs._inert_fn(land)
+    elif cs.is_constant_sigma:
+        VM = cs.a0 * UM
+    else:
+        VM = lambda land, normal: _kernels._rowdot(cs.a0 * UM(land), normal)
+    b = cs.constant_drift
     return (
-        cfg.dt_base, np.sqrt(cfg.dt_base), Smat, np.linalg.inv(Smat),
-        np.asarray(cs.constant_drift, float), UM, VM,
+        cfg.dt_base, np.sqrt(cfg.dt_base), S, SI,
+        cs.drift_b if b is None else np.asarray(b, float), UM, VM,
         cfg.family == "reflected", cfg.family == "driftless_weighted",
         domain, cfg.first_snapshot_step, cfg.snap_every,
     )
@@ -663,11 +468,17 @@ def _reflected_params(cs, domain, cfg, x0):
 
 def _gradient_params(cs, potential, cfg, x0, guard):
     """Read-only constants of a gradient-family kernel run, in the order
-    the kernel unpacks them; the kernel reads the wall's geometry from
-    ``potential.distance`` itself."""
+    the kernel unpacks them, with varying coefficients passed as functions
+    as in :func:`_reflected_params`; the kernel reads the wall's geometry
+    from ``potential.distance`` itself."""
+    if cs.is_constant_sigma:
+        S, A2 = cs.sigma(x0), 0.5 * cs.a_matrix(x0)
+    else:
+        S, A2 = cs._sigma_batch, lambda pts: 0.5 * cs._a_batch(pts)
+    b = cs.constant_drift
     return (
-        cfg.dt_base, cs.sigma(x0), np.asarray(cs.constant_drift, float),
-        0.5 * cs.a_matrix(x0), 0.5 * np.asarray(cs.gamma, float),
+        cfg.dt_base, S, cs.drift_b if b is None else np.asarray(b, float),
+        A2, 0.5 * np.asarray(cs.gamma, float),
         float(potential.n), _h_max(cfg, potential.domain), float(guard),
         float(potential.delta_floor), float(Potential.EXPONENT_CAP),
         cfg.first_snapshot_step, cfg.snap_every,
@@ -675,20 +486,15 @@ def _gradient_params(cs, potential, cfg, x0, guard):
     )
 
 
-def _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend, rngs):
+def _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs):
     """The function that advances every path through one chunk of noise in
     one call.  Kernels are looked up on :mod:`._kernels` at each call."""
     if cfg.family != "gradient":
-        if backend == "generic":
-            return functools.partial(_generic_reflected_chunk, cs, domain, cfg)
         params = _reflected_params(cs, domain, cfg, x0)
         return lambda *state: _kernels.reflected_chunk(*state, params)
-    if backend == "generic":
-        chunk = functools.partial(_generic_gradient_chunk, cs, potential, cfg, guard)
-    else:
-        params = _gradient_params(cs, potential, cfg, x0, guard)
-        chunk = lambda *state: _kernels.gradient_chunk(
-            potential.distance, *state, params)
+    params = _gradient_params(cs, potential, cfg, x0, guard)
+    chunk = lambda *state: _kernels.gradient_chunk(
+        potential.distance, *state, params)
     return functools.partial(_gradient_step, chunk, rngs,
                              cfg.max_substeps * (cfg.resample_cap + 1))
 
@@ -696,7 +502,7 @@ def _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend, rngs):
 def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
                    out_k, out_ell, counters, z, gstep0):
     """Advance a gradient-family run through one chunk in one call of the
-    backend's stepper ``chunk``.
+    gradient kernel, ``chunk``.
 
     Each path's pool of C reserve normals is drawn right after its base
     normals.  A path whose pool runs out on step c goes back to its step
@@ -731,11 +537,11 @@ def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
           refill, gstep0)
 
 
-def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
-    """The host loop shared by every backend and family: per chunk it draws
-    each path's base normals and calls the backend's stepper once, which
-    finishes the chunk (the gradient stepper draws and refills its own
-    reserve pool, see :func:`_gradient_step`)."""
+def _run(cs, domain, potential, cfg, x0, k0, guard):
+    """The host loop shared by every family: per chunk it draws each path's
+    base normals and calls the family's kernel once, which finishes the
+    chunk (the gradient kernel's reserve pool is drawn and refilled by
+    :func:`_gradient_step`)."""
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
     x = np.tile(x0, (P, 1))
     k = np.tile(k0, (P, 1))
@@ -747,7 +553,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
     out_k = np.full((P, S, d), np.nan)
     out_ell = np.full((P, S), np.nan)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(P)]
-    step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, backend, rngs)
+    step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs)
     for start in range(0, cfg.n_steps, cfg.chunk_size):
         z = _draw(rngs, min(cfg.chunk_size, cfg.n_steps - start), d)
         step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)
@@ -760,7 +566,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard, backend):
         log_weights=logw if cfg.family == "driftless_weighted" else None,
         diagnostics=_diagnostics(cfg.family, counters, flags),
         config=cfg,
-        backend=backend,
+        backend="numpy",
         run_info={
             "family": cfg.family,
             "coefficients": cs.name,
@@ -788,89 +594,3 @@ def _diagnostics(family, counters, flags):
         if code != FLAG_OK:
             out[name + "_paths"] = int((flags == code).sum())
     return out
-
-
-def _record(cfg, s, out, p, *values):
-    """Store path p's (x, k, ell) in ``out`` if global step s is recorded."""
-    first, every = cfg.first_snapshot_step, cfg.snap_every
-    if s >= first and (s - first) % every == 0:
-        for array, value in zip(out, values):
-            array[p, (s - first) // every] = value
-
-
-def _generic_reflected_chunk(cs, domain, cfg, x, k, ell, logw, flags, out_x,
-                             out_k, out_ell, counters, z, gstep0):
-    """Per-path reflected-family stepper for arbitrary coefficients."""
-    dt = cfg.dt_base
-    sqrt_dt = np.sqrt(dt)
-    use_k = cfg.family == "reflected"
-    out = (out_x, out_k, out_ell)
-    for p in np.flatnonzero(flags == FLAG_OK):
-        state = SystemState(x=x[p].copy(), k=k[p].copy(), ell=ell[p])
-        for c, noise in enumerate(z[p]):
-            if not use_k:
-                logw[p] = girsanov_weight_step(
-                    cs, state, GirsanovWeight(logw[p]), sqrt_dt * noise, dt
-                ).log_weight
-                if logw[p] > LOG_WEIGHT_CAP:
-                    flags[p] = FLAG_WEIGHT_OVERFLOW
-                    break
-            try:
-                new = step_reflected(cs, domain, state, dt, noise,
-                                     use_inert_drift=use_k)
-            except SkorokhodError:
-                flags[p] = FLAG_REFLECT_FAILURE
-                break
-            if new.ell > state.ell:
-                counters[0] += 1
-            state = new
-            _record(cfg, gstep0 + c + 1, out, p, state.x, state.k, state.ell)
-        x[p], k[p], ell[p] = state.x, state.k, state.ell
-
-
-class _PoolSpent(Exception):
-    """A path's reserve pool ran out in the middle of a step."""
-
-
-class _PoolReader:
-    """Serves one path's reserve normals to :func:`step_gradient` as ``rng``."""
-
-    def __init__(self, pool, cursor, p):
-        self.pool, self.cursor, self.p = pool, cursor, p
-
-    def standard_normal(self, d):
-        c = self.cursor[self.p]
-        if c >= self.pool.shape[1]:
-            raise _PoolSpent
-        self.cursor[self.p] = c + 1
-        return self.pool[self.p, c]
-
-
-def _generic_gradient_chunk(cs, potential, cfg, guard, x, k, flags, out_x,
-                            out_k, out_ell, counters, z, pool, cursor, refill,
-                            gstep0):
-    """Per-path gradient-family stepper, with the kernels' pool protocol: a
-    path whose pool runs out keeps its step-start state and, unless
-    ``refill`` flags it, redoes that step at once on its refilled pool."""
-    h_max = _h_max(cfg, potential.domain)
-    out = (out_x, out_k, out_ell)
-    for p in np.flatnonzero(flags == FLAG_OK):
-        rng = _PoolReader(pool, cursor, p)
-        c = 0
-        while c < len(z[p]) and flags[p] == FLAG_OK:
-            try:
-                state = step_gradient(
-                    cs, potential, SystemState(x=x[p], k=k[p]), cfg.dt_base,
-                    z[p, c], h_max=h_max, delta_guard=guard, rng=rng,
-                    max_substeps=cfg.max_substeps,
-                    resample_cap=cfg.resample_cap, counts=counters,
-                )
-            except PotentialOverflowError:
-                flags[p] = FLAG_BOUNDARY_OVERFLOW
-                continue
-            except _PoolSpent:
-                refill(np.array([p]), c)
-                continue
-            x[p], k[p] = state.x, state.k
-            _record(cfg, gstep0 + c + 1, out, p, state.x, state.k, 0.0)
-            c += 1

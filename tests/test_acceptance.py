@@ -1,6 +1,6 @@
 """Desk-scale acceptance battery.
 
-Eight end-to-end criteria, each printed as a single PASS/FAIL line
+Ten end-to-end criteria, each printed as a single PASS/FAIL line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them live):
 
 1. product-form stationarity on the unit interval (KS, Var(K), corr)
@@ -13,6 +13,8 @@ Eight end-to-end criteria, each printed as a single PASS/FAIL line
    while the smoothed-density mass grows
 7. no boundary-overflow flags; max|K| grows sub-exponentially
 8. structural invariants (sandwich, gradients, local time, determinism)
+9. the product law on an ellipsoid, whose boundary curvature varies
+10. the product law on the disc with a position-dependent A(x)
 
 Every simulation uses a fixed seed, so each criterion is a deterministic
 reproduction, not a flaky statistical draw; margins were chosen with
@@ -28,6 +30,8 @@ import pytest
 
 from inertdrift import (
     Ball,
+    CoefficientSet,
+    Ellipsoid,
     Interval,
     SimConfig,
     make_coefficients,
@@ -37,6 +41,8 @@ from inertdrift import (
 from inertdrift.analysis import (
     angular_uniformity,
     batch_means_error,
+    independence_test,
+    k_moment_tests,
     ks_uniformity,
     weak_convergence_sweep,
 )
@@ -408,3 +414,52 @@ def test_criterion_8_structural_invariants(interval_cs, unit_interval):
         "deterministic=%s" % (sandwich, worst_rel, local_time_ok,
                               deterministic),
     )
+
+
+def _product_law_battery(num, label, cs, dom, cfg):
+    """KS on each position coordinate, the K moments and X/K independence
+    of one reflected run against rho(x) x N(0, Gamma/2)."""
+    start = time.perf_counter()
+    batch = run_ensemble(cs, cfg, domain=dom)
+    elapsed = time.perf_counter() - start
+    sm = StationaryMeasure(cs)
+    checks = [ks_uniformity(batch, sm, coordinate=i) for i in range(dom.d)]
+    checks += [k_moment_tests(batch, sm), independence_test(batch)]
+    ok = not batch.flags.any() and all(
+        r.passed and not r.inconclusive for r in checks)
+    report(num, label, ok, "; ".join(
+        "%s %.4f<%.4f" % (r.name, r.statistic, r.threshold) for r in checks)
+        + "; %.1fs" % elapsed)
+
+
+@pytest.mark.slow
+def test_criterion_9_ellipsoid_product_form():
+    # the K feedback varies around a boundary of varying curvature, which
+    # neither the interval nor the disc tests
+    ellipse = Ellipsoid([0.0, 0.0], [1.0, 0.5])
+    cs = make_coefficients("identity", ellipse, gamma=np.diag([2.0, 1.0]))
+    cfg = SimConfig(family="reflected", dt_base=2.5e-4, t_end=16.0,
+                    burn_in=4.0, n_paths=512, seed=2026, snap_every=100)
+    _product_law_battery(9, "product form on the ellipsoid (1, 0.5)", cs,
+                         ellipse, cfg)
+
+
+def _sigma_varying_x1(pts):
+    """sigma(x) = diag(sqrt(1 + x_1^2), 1), so A(x) = diag(1 + x_1^2, 1)."""
+    out = np.zeros((len(pts), 2, 2))
+    out[:, 0, 0] = np.sqrt(1.0 + pts[:, 0] ** 2)
+    out[:, 1, 1] = 1.0
+    return out
+
+
+@pytest.mark.slow
+def test_criterion_10_varying_a_disc_product_form():
+    # constant rho, so the position law stays uniform while u = A n and the
+    # drift b = (x_1, 0) vary with x
+    disc = Ball([0.0, 0.0], 1.0)
+    cs = CoefficientSet(disc, gamma=np.diag([2.0, 1.0]),
+                        sigma=_sigma_varying_x1, vectorized=True)
+    cfg = SimConfig(family="reflected", dt_base=2.5e-4, t_end=10.0,
+                    burn_in=2.5, n_paths=512, seed=2026, snap_every=100)
+    _product_law_battery(10, "product form on the disc, A(x) varying", cs,
+                         disc, cfg)

@@ -168,6 +168,8 @@ def test_bad_wall_layer_sim_field_exits_2_before_simulating(
     ('"inert_field": {"kind": "a0_conormal", "a0": 1e999}',
      "a0 must be a finite number"),
     ('"a_diag": "ab"', "coefficients.a_diag must be a list of numbers"),
+    ('"a_diag": ["1"]', "a_diag must give 1 positive diagonal entries"),
+    ('"a_diag": [true]', "a_diag must give 1 positive diagonal entries"),
 ])
 def test_bad_coefficients_block_exits_2_before_simulating(
     tmp_path, capsys, coefficients, message
@@ -296,6 +298,27 @@ def test_run_rejects_the_numba_backend(tmp_path, capsys):
     assert exc.value.code == 2
     assert "invalid choice: 'numba'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("domain, family, recorded", [
+    ({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]}, "reflected",
+     {"lo": [0.0, 0.0], "hi": [1.0, 2.0]}),
+    ({"kind": "ellipsoid", "center": [0.1, 0.0], "radii": [1.0, 0.5]},
+     "driftless_weighted", {"center": [0.1, 0.0], "radii": [1.0, 0.5]}),
+], ids=["box", "ellipsoid"])
+def test_run_on_box_and_ellipsoid_records_the_domain(tmp_path, domain, family,
+                                                      recorded):
+    cfg = base_config(dimension=2, domain=domain,
+                      coefficients={"preset": "identity", "gamma": [[2.0, 0.0],
+                                                                     [0.0, 1.0]]})
+    cfg["sim"].update(family=family, t_end=0.5, burn_in=0.1)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out), "--no-histograms"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["backend"] == "numpy"
+    assert manifest["domain"] == {"kind": domain["kind"], "dim": 2, **recorded}
+    assert manifest["diagnostics"]["contacts"] > 0
 
 
 @pytest.mark.slow

@@ -85,6 +85,22 @@ def test_finite_difference_drift_recovers_quadratic_diffusion_gradient():
     np.testing.assert_allclose(b[:, 1], 0.0, atol=1e-8)
 
 
+def test_finite_difference_drift_on_the_circle():
+    # the reflected kernel lands on the circle; there both tangential stencil
+    # points leave the disc by about h^2 / 2, within the boundary tolerance
+    cs = CoefficientSet(
+        Ball([0.0, 0.0], 1.0),
+        gamma=GAMMA_2D,
+        sigma=lambda p: np.diag([math.sqrt(1.0 + p[0] ** 2), 1.0]),
+    )
+    rim = np.array([[-6.98959332e-06, 1.0], [0.6, -0.8], [1.0, 0.0]])
+    rim /= np.linalg.norm(rim, axis=1)[:, None]
+    b = cs.drift_b(rim)
+    # the normal stencil is one-sided: its error is about h / 2 = 1e-5
+    np.testing.assert_allclose(b[:, 0], rim[:, 0], rtol=2e-5, atol=1e-9)
+    np.testing.assert_allclose(b[:, 1], 0.0, atol=1e-8)
+
+
 def test_one_sided_stencil_near_boundary_flagged():
     cs = CoefficientSet(
         Interval(0.0, 1.0),
@@ -222,6 +238,13 @@ def test_unknown_preset_and_bad_inert_field_raise():
         make_coefficients("gaussian", dom, gamma=[[1.0]])
     with pytest.raises(CoefficientError, match="a_diag"):
         make_coefficients("anisotropic", dom, gamma=[[1.0]])
+    # numbers only: strings, booleans and None are not read as numbers
+    disc = Ball([0.0, 0.0], 1.0)
+    for bad in (["1", "2"], [1.0, "2"], [True, True], [1.0, None], [[1.0], 2.0]):
+        with pytest.raises(CoefficientError, match="a_diag"):
+            make_coefficients("anisotropic", disc, gamma=np.eye(2), a_diag=bad)
+    ints = make_coefficients("anisotropic", disc, gamma=np.eye(2), a_diag=[2, 1])
+    np.testing.assert_array_equal(ints.sigma([0.0, 0.0]), np.diag([np.sqrt(2.0), 1.0]))
     with pytest.raises(CoefficientError, match="inert_field"):
         CoefficientSet(dom, gamma=[[1.0]], inert_field="mystery")
 

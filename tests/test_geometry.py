@@ -259,10 +259,34 @@ def test_halfline_smooth_distance_is_exact():
     assert rd.declared_constants == (1.0, 1.0)
 
 
-def _separate_cap_formulas(rd, pts):
+def _separate_formulas(rd, pts):
     """Reference: delta and grad delta of the interval, half-line and ball
-    from separate cap functions, phi(s) and phi'(s)/s, each recomputing s."""
+    from separate cap functions, phi(s) and phi'(s)/s, each recomputing s;
+    of the box from the power-mean soft minimum and its derivative; of the
+    ellipsoid from phi / g and the quotient rule, each recomputing phi."""
     dom = rd.domain
+    if dom.kind == "box":
+        beta = rd.sharpness
+        f = np.concatenate([pts - dom.lo, dom.hi - pts], axis=1)
+        fmin = f.min(axis=1)
+        val = fmin * np.sum((fmin[:, None] / f) ** beta, axis=1) ** (-1.0 / beta)
+        grad = np.zeros_like(pts)
+        for i in range(dom.d):
+            grad[:, i] += (val / (pts[:, i] - dom.lo[i])) ** (beta + 1.0)
+            grad[:, i] -= (val / (dom.hi[i] - pts[:, i])) ** (beta + 1.0)
+        return val, grad
+    if dom.kind == "ellipsoid":
+        c, r, w = dom.center, dom.radii, rd._scale
+
+        def phi_of(x):
+            return 1.0 - np.sum(((x - c) / r) ** 2, axis=1)
+
+        gphi = -2.0 * (pts - c) / r**2
+        g = np.sqrt(np.sum(gphi**2, axis=1) + (2.0 * phi_of(pts) / w) ** 2)
+        dg = (8.0 * (pts - c) / r**4
+              + (8.0 / w**2) * phi_of(pts)[:, None] * gphi) / (2.0 * g[:, None])
+        return (phi_of(pts) / g,
+                gphi / g[:, None] - (phi_of(pts) / g**2)[:, None] * dg)
     if dom.kind == "interval" and dom.unbounded:
         return pts[:, 0] - dom.lo, np.ones_like(pts)
     a = rd.cap_fraction * dom.inradius
@@ -307,16 +331,25 @@ FUSED_CASES = [
     (Ball([0.3, -0.2, 1.0], 2.5),
      [[0.3, -0.2, 1.0], [0.55, -0.2, 1.0], [0.3, -0.2, 1.0 + 0.25],
       [0.3, -0.2, np.nextafter(3.5, 0.0)], [1.0, 0.5, -0.5]]),
+    # centre, next to faces, edges and corners, and a diagonal point
+    (Box([0.0, 0.0], [1.0, 2.0]),
+     [[0.5, 1.0], [np.nextafter(0.0, 1.0), 1.0], [0.5, np.nextafter(2.0, 0.0)],
+      [1e-3, 1e-3], [np.nextafter(1.0, 0.0), np.nextafter(2.0, 0.0)],
+      [0.25, 0.5], [0.9, 0.05], [0.5, 1.5]]),
+    (Ellipsoid([0.1, 0.0], [1.0, 0.5]),
+     [[0.1, 0.0], [0.1, np.nextafter(0.5, 0.0)], [1.0999, 0.0], [-0.5, 0.3],
+      [0.6, -0.4], [0.1 + 1e-9, 1e-9], [0.1, -0.25]]),
 ]
 
 
 @pytest.mark.parametrize("dom, pts", FUSED_CASES,
-                         ids=["interval-sym", "interval", "halfline", "disc", "ball3"])
+                         ids=["interval-sym", "interval", "halfline", "disc", "ball3",
+                              "box", "ellipsoid"])
 def test_fused_smooth_distance_matches_separate_formulas_bitwise(dom, pts):
     rd = SmoothDistance(dom)
     pts = np.asarray(pts, dtype=float).reshape(-1, dom.d)
     value, grad = rd._value_and_grad(pts)
-    ref_value, ref_grad = _separate_cap_formulas(rd, pts)
+    ref_value, ref_grad = _separate_formulas(rd, pts)
     # bit patterns, so that the sign of a zero counts too
     assert np.array_equal(value.view(np.int64), ref_value.view(np.int64))
     assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
@@ -326,6 +359,47 @@ def test_fused_smooth_distance_matches_separate_formulas_bitwise(dom, pts):
     if dom.kind != "interval" or not dom.unbounded:
         centre = np.all(pts == dom.centroid, axis=1)
         assert centre.any() and np.all(grad[centre] == 0.0)
+
+
+def _offsets():
+    eps = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05])
+    return np.concatenate([-eps, [0.0], eps])
+
+
+def test_box_exit_agrees_with_signed_distance_near_faces_edges_corners():
+    box = Box([0.0, 0.0], [1.0, 2.0])
+    off = _offsets()
+    pts = []
+    for a in (0.0, 0.37, 1.0):  # lower face or corner, interior, upper
+        for b in (0.0, 1.3, 2.0):
+            if a == 0.37 and b == 1.3:
+                continue
+            pts += [[a + da, b + db] for da in off for db in off]
+    y = np.array(pts)
+    out, normal = box._exit(y)
+    assert np.array_equal(out, box._sd(y) < 0.0)
+    assert out.sum() > len(y) / 3 and (~out).sum() > len(y) / 3
+    # the violated faces' inward normals, averaged at an edge or a corner
+    yo = y[out]
+    expect = (yo < box.lo) * 1.0 - (yo > box.hi)
+    expect /= np.linalg.norm(expect, axis=1)[:, None]
+    assert np.array_equal(normal, expect)
+    assert np.any(np.all(normal != 0.0, axis=1))  # some corner overshoots
+
+
+def test_ellipsoid_exit_agrees_with_signed_distance_near_the_boundary():
+    ell = Ellipsoid([0.1, 0.0], [1.0, 0.5])
+    angles = np.linspace(0.0, 2.0 * np.pi, 13)
+    scale = 1.0 + np.array([-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6, 1e-3])
+    y = np.array([ell.center + s * ell.radii * [np.cos(t), np.sin(t)]
+                  for t in angles for s in scale])
+    out, normal = ell._exit(y)
+    sd = ell._sd(y)
+    assert np.array_equal(out, sd < 0.0)
+    assert out.sum() == (~out).sum()
+    # the inward normal of the level set through the exit point
+    np.testing.assert_allclose(normal, ell._normal_at(y[out]), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -32,18 +32,12 @@ from inertdrift import (
     Box,
     CoefficientSet,
     Ellipsoid,
-    GirsanovWeight,
     Interval,
     Potential,
-    PotentialOverflowError,
     SimConfig,
     SmoothDistance,
-    SystemState,
-    girsanov_weight_step,
     make_coefficients,
     run_ensemble,
-    step_gradient,
-    step_reflected,
 )
 from inertdrift import _kernels, simulate
 from inertdrift.simulate import _CSV_BLOCK_ROWS, TrajectoryBatch
@@ -70,36 +64,82 @@ def wall_n2(unit_interval):
 
 
 # ---------------------------------------------------------------------------
-# single-step arithmetic
+# single-step arithmetic: one path, one step, one kernel call
 # ---------------------------------------------------------------------------
+
+
+def _state(x, k):
+    """One path's kernel state arrays at (x, k), with one snapshot slot."""
+    x = np.array([x], dtype=float)
+    d = x.shape[1]
+    return dict(x=x, k=np.array([k], dtype=float), ell=np.zeros(1),
+                logw=np.zeros(1), flags=np.zeros(1, dtype=np.int64),
+                out_x=np.full((1, 1, d), np.nan), out_k=np.full((1, 1, d), np.nan),
+                out_ell=np.full((1, 1), np.nan), counters=np.zeros(3, dtype=np.int64))
+
+
+def _reflect_once(cs, dom, x, k, dt, z, family="reflected"):
+    """One reflected-kernel step of one path from (x, k) on the normals z."""
+    cfg = SimConfig(family=family, dt_base=dt, t_end=dt, n_paths=1, seed=0)
+    st = _state(x, k)
+    _kernels.reflected_chunk(
+        st["x"], st["k"], st["ell"], st["logw"], st["flags"], st["out_x"],
+        st["out_k"], st["out_ell"], st["counters"],
+        np.array(z, dtype=float).reshape(1, 1, -1), 0,
+        simulate._reflected_params(cs, dom, cfg, st["x"][0]))
+    return st
+
+
+def _gradient_once(cs, pot, x, k, dt, z, pool=(), refill=None, **cfg_kw):
+    """One gradient-kernel step of one path from (x, k) on the normals z,
+    with ``pool`` as its reserve normals; ``refill`` defaults to flagging
+    the path.  No sub-step cap unless ``cfg_kw`` sets one."""
+    cfg_kw.setdefault("adaptive", False)
+    cfg = SimConfig(family="gradient", dt_base=dt, t_end=dt, n_paths=1,
+                    seed=0, **cfg_kw)
+    guard = (cfg.delta_guard if cfg.delta_guard is not None
+             else simulate._default_delta_guard(pot))
+    st = _state(x, k)
+    d = st["x"].shape[1]
+
+    def flag(rows, c):
+        st["flags"][rows] = _kernels.FLAG_BOUNDARY_OVERFLOW
+        return rows[:0]
+
+    _kernels.gradient_chunk(
+        pot.distance, st["x"], st["k"], st["flags"], st["out_x"], st["out_k"],
+        st["out_ell"], st["counters"], np.array(z, dtype=float).reshape(1, 1, d),
+        np.array(pool, dtype=float).reshape(1, -1, d), np.zeros(1, dtype=np.int64),
+        refill or flag, 0,
+        simulate._gradient_params(cs, pot, cfg, st["x"][0], guard))
+    return st
 
 
 def test_gradient_step_frozen_halfline_values():
     dom = Interval(0.0, np.inf)
     pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=1)
     cs = CoefficientSet(dom, gamma=[[1.0]])
-    s1 = step_gradient(
-        cs, pot, SystemState(x=[0.5], k=[0.0]), 1e-3, [0.0]
-    )
-    assert s1.x[0] == pytest.approx(FROZEN_X1, rel=1e-15)
-    assert s1.k[0] == pytest.approx(FROZEN_K1, rel=1e-15)
-    assert s1.ell == 0.0
-    assert s1.t == pytest.approx(1e-3)
+    s1 = _gradient_once(cs, pot, [0.5], [0.0], 1e-3, [0.0])
+    assert s1["x"][0, 0] == pytest.approx(FROZEN_X1, rel=1e-15)
+    assert s1["k"][0, 0] == pytest.approx(FROZEN_K1, rel=1e-15)
+    assert s1["out_ell"][0, 0] == 0.0
+    assert s1["out_x"][0, 0, 0] == s1["x"][0, 0]  # step 1 is recorded
 
 
 def test_gradient_step_richardson_order_two(interval_cs, wall_n2):
     def advance(dt, nsteps):
-        s = SystemState(x=[0.5], k=[0.2])
+        x, k = [0.5], [0.2]
         for _ in range(nsteps):
-            s = step_gradient(interval_cs, wall_n2, s, dt, [0.0])
-        return s
+            s = _gradient_once(interval_cs, wall_n2, x, k, dt, [0.0])
+            x, k = s["x"][0], s["k"][0]
+        return x, k
 
     dts = np.array([2e-3, 1e-3, 5e-4])
     errs = []
     for dt in dts:
         one = advance(dt, 1)
         two = advance(dt / 2, 2)
-        errs.append(abs(one.x[0] - two.x[0]) + abs(one.k[0] - two.k[0]))
+        errs.append(abs(one[0][0] - two[0][0]) + abs(one[1][0] - two[1][0]))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope >= 1.9
     assert errs[0] > errs[1] > errs[2]
@@ -110,84 +150,71 @@ def test_gradient_step_redraws_wallbound_proposals(interval_cs, unit_interval):
         "regularized_vn", distance=SmoothDistance(unit_interval), n=8
     )
     guard = 1.0 / 480.0
-    rng = np.random.default_rng(123)
+    pool = np.random.default_rng(123).standard_normal(60)
     # noise -8 throws the proposal below the wall layer; redraws rescue it
-    s1 = step_gradient(
-        interval_cs,
-        pot,
-        SystemState(x=[0.05], k=[0.0]),
-        1e-4,
-        [-8.0],
-        rng=rng,
-    )
-    assert unit_interval.inside(s1.x)
-    assert SmoothDistance(unit_interval).value(s1.x) >= guard
-    # without an rng the redraw has no noise source
-    with pytest.raises(ValueError, match="rng"):
-        step_gradient(
-            interval_cs, pot, SystemState(x=[0.05], k=[0.0]), 1e-4, [-8.0]
-        )
+    s1 = _gradient_once(interval_cs, pot, [0.05], [0.0], 1e-4, [-8.0], pool=pool)
+    assert s1["flags"][0] == 0 and s1["counters"][1] > 0
+    assert unit_interval.inside(s1["x"][0])
+    assert SmoothDistance(unit_interval).value(s1["x"][0]) >= guard
+    # without reserve normals the redraw has no noise source: the path goes
+    # back to its step start and asks for a refill
+    asked = []
+
+    def refill(rows, c):
+        asked.append((rows.tolist(), c))
+        return rows[:0]
+
+    s2 = _gradient_once(interval_cs, pot, [0.05], [0.0], 1e-4, [-8.0],
+                        refill=refill)
+    assert asked == [([0], 0)]
+    assert s2["x"][0, 0] == 0.05 and s2["k"][0, 0] == 0.0
 
 
 def test_gradient_step_budget_exhaustion_raises(interval_cs, unit_interval):
     pot = Potential(
         "regularized_vn", distance=SmoothDistance(unit_interval), n=1
     )
-    rng = np.random.default_rng(5)
-    # one sub-step cannot cover a stiff move capped at h_max
-    with pytest.raises(PotentialOverflowError, match="sub-step"):
-        step_gradient(
-            interval_cs,
-            pot,
-            SystemState(x=[0.3], k=[0.0]),
-            0.01,
-            [0.0],
-            h_max=1e-4,
-            rng=rng,
-            max_substeps=1,
-        )
-    with pytest.raises(PotentialOverflowError, match="redraw"):
-        step_gradient(
-            interval_cs,
-            pot,
-            SystemState(x=[0.03], k=[0.0]),
-            1e-4,
-            [-5.0],
-            rng=rng,
-            resample_cap=0,
-        )
+    pool = np.random.default_rng(5).standard_normal(60)
+    # one sub-step cannot cover a stiff move capped at h_max = 1e-4: flagged
+    # on the second sub-step, before it draws
+    s1 = _gradient_once(interval_cs, pot, [0.3], [0.0], 0.01, [0.0], pool=pool,
+                        adaptive=True, h_max_fraction=2e-4, max_substeps=1)
+    assert s1["flags"][0] == _kernels.FLAG_BOUNDARY_OVERFLOW
+    assert s1["counters"].tolist() == [1, 0, 0]
+    # a rejected proposal with no redraws allowed: flagged on its first redraw
+    s2 = _gradient_once(interval_cs, pot, [0.03], [0.0], 1e-4, [-5.0], pool=pool,
+                        resample_cap=0)
+    assert s2["flags"][0] == _kernels.FLAG_BOUNDARY_OVERFLOW
+    assert s2["counters"].tolist() == [1, 1, 0]
 
 
 def test_reflected_step_contact_arithmetic(interval_cs, unit_interval):
     # dt=0.01, z=-1: increment = sqrt(0.01)*(-1) = -0.1 from x=0.05
-    out = step_reflected(
-        interval_cs, unit_interval, SystemState(x=[0.05], k=[0.0]), 0.01, [-1.0]
-    )
-    assert out.x[0] == 0.0
-    assert out.ell == pytest.approx(0.05, abs=1e-15)
-    assert out.k[0] == pytest.approx(0.05, abs=1e-15)
+    out = _reflect_once(interval_cs, unit_interval, [0.05], [0.0], 0.01, [-1.0])
+    assert out["x"][0, 0] == 0.0
+    assert out["ell"][0] == pytest.approx(0.05, abs=1e-15)
+    assert out["k"][0, 0] == pytest.approx(0.05, abs=1e-15)
+    assert out["counters"][0] == 1
 
 
 def test_reflected_step_interior_move_is_plain_euler(interval_cs, unit_interval):
-    s0 = SystemState(x=[0.4], k=[0.25])
-    out = step_reflected(interval_cs, unit_interval, s0, 1e-2, [0.5])
+    out = _reflect_once(interval_cs, unit_interval, [0.4], [0.25], 1e-2, [0.5])
     expect = 0.4 + np.sqrt(1e-2) * 0.5 + 0.25 * 1e-2
-    assert out.x[0] == pytest.approx(expect, rel=1e-15)
-    assert out.k[0] == 0.25
-    assert out.ell == 0.0
+    assert out["x"][0, 0] == pytest.approx(expect, rel=1e-15)
+    assert out["k"][0, 0] == 0.25
+    assert out["ell"][0] == 0.0
 
 
 def test_reflected_step_scaled_diffusion_halves_local_time(unit_interval):
     # A = 2I, full conormal: push u = 2n, so dl halves for the same overshoot.
     z = -0.1 / (np.sqrt(0.01) * np.sqrt(2.0))
-    s0 = SystemState(x=[0.05], k=[0.0])
     cs_gn = make_coefficients(
         "anisotropic", unit_interval, gamma=[[1.0]], a_diag=[2.0]
     )
-    out = step_reflected(cs_gn, unit_interval, s0, 0.01, [z])
-    assert out.x[0] == 0.0
-    assert out.ell == pytest.approx(0.025, abs=1e-15)
-    assert out.k[0] == pytest.approx(0.025, abs=1e-15)
+    out = _reflect_once(cs_gn, unit_interval, [0.05], [0.0], 0.01, [z])
+    assert out["x"][0, 0] == 0.0
+    assert out["ell"][0] == pytest.approx(0.025, abs=1e-15)
+    assert out["k"][0, 0] == pytest.approx(0.025, abs=1e-15)
     # v = a0 u scales with the push, so the K increment is preserved
     cs_a0 = make_coefficients(
         "anisotropic",
@@ -197,8 +224,8 @@ def test_reflected_step_scaled_diffusion_halves_local_time(unit_interval):
         inert_field="a0_conormal",
         a0=1.0,
     )
-    out2 = step_reflected(cs_a0, unit_interval, s0, 0.01, [z])
-    assert out2.k[0] == pytest.approx(0.05, abs=1e-15)
+    out2 = _reflect_once(cs_a0, unit_interval, [0.05], [0.0], 0.01, [z])
+    assert out2["k"][0, 0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_reflected_step_evaluates_inert_field_at_landing(unit_interval):
@@ -208,26 +235,47 @@ def test_reflected_step_evaluates_inert_field_at_landing(unit_interval):
         inert_field=lambda pts: pts + 2.0,
         vectorized=True,
     )
-    out = step_reflected(
-        cs, unit_interval, SystemState(x=[0.05], k=[0.0]), 0.01, [-1.0]
-    )
+    out = _reflect_once(cs, unit_interval, [0.05], [0.0], 0.01, [-1.0])
     # landing at x=0: v = 2.0 there (4.1 would mean start/midpoint evaluation)
-    assert out.k[0] == pytest.approx(2.0 * 0.05, abs=1e-15)
+    assert out["k"][0, 0] == pytest.approx(2.0 * 0.05, abs=1e-15)
 
 
-def test_girsanov_weight_single_step_identities(interval_cs):
-    w0 = GirsanovWeight()
+def _sigma_1x2(pts):
+    """sigma(x) = sqrt(1 + x_1^2), so A = 1 + x_1^2 and b = x_1."""
+    return np.sqrt(1.0 + pts[:, 0] ** 2)[:, None, None]
+
+
+def test_varying_sigma_step_uses_step_start_coefficients(unit_interval):
+    # sigma, b and the push u = A n come from the step start x = 0.05, and
+    # v = a0 u from the landing point x = 0; the weight uses sigma(0.05)
+    cs = CoefficientSet(unit_interval, gamma=[[1.0]], sigma=_sigma_1x2,
+                        inert_field="a0_conormal", a0=3.0, vectorized=True)
+    x0, dt, z = 0.05, 0.01, -1.0
+    s0 = np.sqrt(1.0 + x0 ** 2)
+    out = _reflect_once(cs, unit_interval, [x0], [0.0], dt, [z])
+    y = x0 + np.sqrt(dt) * s0 * z + cs.drift_b([x0])[0] * dt
+    assert cs.drift_b([x0])[0] == pytest.approx(x0, rel=1e-9)
+    dl = -y / s0 ** 2
+    assert out["x"][0, 0] == 0.0
+    assert out["ell"][0] == pytest.approx(dl, rel=1e-14)
+    assert out["k"][0, 0] == pytest.approx(3.0 * 1.0 * dl, rel=1e-14)
+    w = _reflect_once(cs, unit_interval, [x0], [0.7], dt, [0.3],
+                      family="driftless_weighted")
+    sk = 0.7 / s0
+    assert w["logw"][0] == pytest.approx(
+        sk * np.sqrt(dt) * 0.3 - 0.5 * sk * sk * dt, rel=1e-14)
+
+
+def test_girsanov_weight_single_step_identities(interval_cs, unit_interval):
     # zero K: the factor stays exactly one whatever the noise
-    w1 = girsanov_weight_step(
-        interval_cs, SystemState(x=[0.4], k=[0.0]), w0, [0.3], 1e-2
-    )
-    assert w1.log_weight == 0.0 and w1.weight == 1.0
+    w1 = _reflect_once(interval_cs, unit_interval, [0.4], [0.0], 1e-2, [0.3],
+                       family="driftless_weighted")
+    assert w1["logw"][0] == 0.0 and np.exp(w1["logw"][0]) == 1.0
     # zero noise: the factor is exp(-0.5 |k|^2 dt) < 1
-    w2 = girsanov_weight_step(
-        interval_cs, SystemState(x=[0.4], k=[0.7]), w0, [0.0], 1e-2
-    )
-    assert w2.log_weight == pytest.approx(-0.5 * 0.49 * 1e-2, rel=1e-15)
-    assert w2.weight < 1.0
+    w2 = _reflect_once(interval_cs, unit_interval, [0.4], [0.7], 1e-2, [0.0],
+                       family="driftless_weighted")
+    assert w2["logw"][0] == pytest.approx(-0.5 * 0.49 * 1e-2, rel=1e-15)
+    assert np.exp(w2["logw"][0]) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +358,13 @@ def test_run_requires_matching_inputs(interval_cs, unit_interval, wall_n2):
     cfg2 = SimConfig(family="reflected", dt_base=1e-3, t_end=0.01, n_paths=1, seed=0)
     with pytest.raises(ValueError, match="domain"):
         run_ensemble(interval_cs, cfg2)
-    with pytest.raises(ValueError, match="'numpy' or 'generic'"):
-        run_ensemble(interval_cs, cfg2, domain=unit_interval, backend="numba")
+    for backend in ("numba", "generic"):  # "numpy" is the one backend
+        with pytest.raises(ValueError, match="backend must be None or 'numpy'"):
+            run_ensemble(interval_cs, cfg2, domain=unit_interval, backend=backend)
+    user = Potential("user_supplied", domain=unit_interval, V=lambda x: 0.0,
+                     grad_V=lambda x: np.zeros(1))
+    with pytest.raises(ValueError, match="regularized_vn"):
+        run_ensemble(interval_cs, cfg, potential=user)
     with pytest.raises(ValueError, match="x0"):
         run_ensemble(
             interval_cs,
@@ -414,17 +467,37 @@ def test_interior_k_changes_only_with_contact(interval_cs, unit_interval):
     assert b.diagnostics["contacts"] > 0
 
 
+# sha256 of the reflected kernel's x, k and ell arrays on the box and the
+# ellipsoid.  On the box they equal the digests of the per-path stepper that
+# ran these domains before the kernel did; on the ellipsoid that stepper
+# took the normal at the nearest boundary point, not at the proposal, and
+# differed by up to 1.9e-3.
+BOX_ELLIPSOID_GOLDEN = {
+    "box": ("1d603de99ba3a14f774d8eb5e20735200502ac9f0927b372f1d775f271a7424e",
+            "7611b1b17245f0bd2cfc8109eb94ae69914b7d045a12cfe7bf89a1152e992972",
+            "9a1bbf3c0fc6031c1181066ea3117faaa45bb8fd8702a2a77c27736f58d28906",
+            31),
+    "ellipsoid": (
+        "cc80eaddc0520efb77888bb3f29651df4930af5852a753b7664c539ba9c0f040",
+        "72cecf9a1c78dff0ce9c81d2f7a89ff96aeb0804df2329f18150f6f1edd3b752",
+        "993b96cc376d574c8a01b6fcbb62349e4edf09178e3f7de24ca8f75447f94e0a",
+        23),
+}
+
+
 @pytest.mark.parametrize("dom,x0", [
     (Box([0.0, 0.0], [1.0, 2.0]), (0.05, 1.95)),
     (Ellipsoid([0.1, 0.0], [1.0, 0.5]), (0.1, 0.42)),
 ], ids=["box", "ellipsoid"])
-def test_generic_reflected_run_on_box_and_ellipsoid(dom, x0):
-    # only the generic backend reflects off these domains
+def test_reflected_run_on_box_and_ellipsoid(dom, x0):
     cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
                            a_diag=[2.0, 0.5])
     cfg = SimConfig(family="reflected", dt_base=5e-4, t_end=0.1, n_paths=3,
                     seed=3, snap_every=1, x0=x0)
     b = run_ensemble(cs, cfg, domain=dom)
+    assert b.backend == "numpy"
+    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell),
+            b.diagnostics["contacts"]) == BOX_ELLIPSOID_GOLDEN[dom.kind]
     assert b.diagnostics["contacts"] > 0 and not b.flags.any()
     sd = dom.signed_distance(b.x.reshape(-1, 2))
     assert np.all(sd >= -dom.tol_bd)
@@ -432,6 +505,59 @@ def test_generic_reflected_run_on_box_and_ellipsoid(dom, x0):
     ell_grew = np.diff(b.ell, axis=1) > 0.0
     assert np.all(~k_moved | ell_grew) and np.all(np.diff(b.ell, axis=1) >= 0.0)
     assert k_moved.any()
+
+
+@pytest.mark.parametrize("dom", [Box([0.0, 0.0], [1.0, 2.0]),
+                                 Ellipsoid([0.1, 0.0], [1.0, 0.5])],
+                         ids=["box", "ellipsoid"])
+def test_weighted_and_gradient_runs_on_box_and_ellipsoid(dom):
+    cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
+                           a_diag=[2.0, 0.5])
+    kw = dict(dt_base=1e-3, t_end=0.2, n_paths=4, seed=3, snap_every=1)
+    w = run_ensemble(cs, SimConfig(family="driftless_weighted", k0=(0.5, -1.0),
+                                   **kw), domain=dom)
+    assert w.backend == "numpy" and not w.flags.any()
+    assert w.diagnostics["contacts"] > 0 and np.all(w.log_weights != 0.0)
+    assert np.all(dom.signed_distance(w.x.reshape(-1, 2)) >= -dom.tol_bd)
+    sd = SmoothDistance(dom)
+    pot = Potential("regularized_vn", distance=sd, n=2)
+    g = run_ensemble(cs, SimConfig(family="gradient", **kw), potential=pot)
+    assert g.backend == "numpy" and not g.flags.any()
+    assert g.diagnostics["substeps_total"] >= 4 * 200
+    guard = simulate._default_delta_guard(pot)
+    assert np.all(sd.value(g.x.reshape(-1, 2)) >= guard)
+    assert np.any(g.k != 0.0)
+
+
+# sha256 of x, k, ell and log_weights (None for the reflected family),
+# recorded on both backends before the per-path stepper was deleted.  On the
+# interval the two backends gave these same digests.  On the disc the
+# per-path stepper evaluated u and v at projected points and differed in the
+# last digits (largest gap 1.4e-15, with the same contacts), so the disc
+# digests are the kernel's.
+GENERIC_DRIVER_GOLDEN = {
+    "interval": (
+        "db02efab6af20298ad59285ad2d56f165ecaa3acba1110e4e33d0d491c027d23",
+        "87619074334eef1ce977ce3dac6520a1cf1519cb09cdc2df8b2bfcb87b2bf00d",
+        "1a0647c60943c982c6bd8a9c75659227c856578f47a2699f30609b10fae6ae2f",
+        None, 125),
+    "reflected": (
+        "192bd05e14c4acc3d3bb82d7edaac275770cda699c26d4418db95783bbab6990",
+        "10ae1e216852e47dc4f17ccff363e514a78bb6b6832ab89c4a0125ecd159c901",
+        "6225617e8a5e6dd318e2cd3b7e8a5768b09609eab5071734f6fb57f519c3fbd8",
+        None, 41),
+    "driftless_weighted": (
+        "f4bf7a5c12fff1c387f90c976c573e7bfc1b167a6279cff9b6e2f513ba841aa2",
+        "2512384bd1bb397d615f60b4bb8fdf4c0f70cca2c6de08c018b84430967b5196",
+        "594fb66f788ad9ddd74ac61cd8c9f64c37428e036f98a8825b65c794338666de",
+        "6745f772ed091d25973b53bb427a32937c428b0349f4d3b399c7ad67ef1ecba2", 262),
+}
+
+
+def _digests(b):
+    lw = None if b.log_weights is None else _sha256(b.log_weights)
+    return (_sha256(b.x), _sha256(b.k), _sha256(b.ell), lw,
+            b.diagnostics["contacts"])
 
 
 def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
@@ -447,35 +573,19 @@ def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
     b_vec = run_ensemble(
         interval_cs, SimConfig(**kw), domain=unit_interval, backend="numpy"
     )
-    b_gen = run_ensemble(
-        interval_cs, SimConfig(**kw), domain=unit_interval, backend="generic"
-    )
-    # both consume the same normals with the same interval arithmetic
-    for name in ("x", "k", "ell", "flags"):
-        assert np.array_equal(getattr(b_vec, name), getattr(b_gen, name)), name
-    assert b_vec.diagnostics == b_gen.diagnostics
-    assert b_vec.diagnostics["contacts"] > 0
+    assert _digests(b_vec) == GENERIC_DRIVER_GOLDEN["interval"]
+    assert not b_vec.flags.any()
 
-    # on the disc both land with the ball's contact rule, but the generic
-    # stepper evaluates u and v at projected points, so the last digits
-    # differ (largest gap 1.4e-15); the events are the same
     ball = Ball([0.0, 0.0], 1.0)
     cs = make_coefficients("identity", ball, gamma=np.diag([2.0, 1.0]))
     for kw in (dict(family="reflected", t_end=0.5, burn_in=0.1),
                dict(family="driftless_weighted", t_end=1.0, k0=(0.5, 1.0))):
         cfg = SimConfig(dt_base=5e-4, n_paths=8, seed=5, snap_every=20, **kw)
         c_vec = run_ensemble(cs, cfg, domain=ball, backend="numpy")
-        c_gen = run_ensemble(cs, cfg, domain=ball, backend="generic")
-        assert np.array_equal(c_vec.flags, c_gen.flags)
-        assert c_vec.diagnostics == c_gen.diagnostics
-        assert c_vec.diagnostics["contacts"] > 0
-        fields = ["x", "k", "ell"]
+        assert _digests(c_vec) == GENERIC_DRIVER_GOLDEN[cfg.family]
+        assert not c_vec.flags.any()
         if cfg.family == "driftless_weighted":
-            fields.append("log_weights")
             assert np.all(c_vec.log_weights != 0.0)
-        for name in fields:
-            np.testing.assert_allclose(getattr(c_vec, name), getattr(c_gen, name),
-                                       rtol=0.0, atol=1.5e-14, err_msg=name)
         assert np.nanmax(np.linalg.norm(c_vec.x, axis=2)) <= 1.0
 
 
@@ -620,7 +730,8 @@ class _BrittleInterval(Interval):
 
 # sha256 of the numpy kernel's x, k, ell, log_weights (None for the
 # reflected family) and flags arrays, and its diagnostics, recorded before
-# the kernel stepped only the live rows
+# the kernel stepped only the live rows; the deleted per-path stepper gave
+# the same arrays and diagnostics
 FLAG_GOLDEN = {
     ("reflect_failure", "driftless_weighted"): (
         "b12db51eb8f930856b052964b244e3ea031201815aae275058f86ef551ff8e29",
@@ -660,21 +771,12 @@ def _flag_case(name, family):
 
 @pytest.mark.parametrize("name,family", sorted(FLAG_GOLDEN))
 def test_reflected_kernel_flag_paths(name, family, monkeypatch):
-    # weight_overflow: a low cap, read by the kernel and the generic stepper;
+    # weight_overflow: a low cap, read by the kernel;
     # reflect_failure: the contact rule refuses the far overshoots
     if name == "weight_overflow":
         monkeypatch.setattr(_kernels, "LOG_WEIGHT_CAP", 0.3)
-        monkeypatch.setattr(simulate, "LOG_WEIGHT_CAP", 0.3)
     cs, dom, cfg = _flag_case(name, family)
     b = run_ensemble(cs, cfg, domain=dom, backend="numpy")
-    g = run_ensemble(cs, cfg, domain=dom, backend="generic")
-    fields = ["x", "k", "ell", "flags"]
-    if family == "driftless_weighted":
-        fields.append("log_weights")
-    for field in fields:
-        assert np.array_equal(getattr(b, field), getattr(g, field),
-                              equal_nan=True), field
-    assert b.diagnostics == g.diagnostics
     lw = None if b.log_weights is None else _sha256(b.log_weights)
     *digests, events = FLAG_GOLDEN[name, family]
     assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), lw,
@@ -693,7 +795,7 @@ def test_reflected_kernel_flag_paths(name, family, monkeypatch):
 
 
 def _gradient_case(name):
-    """(cs, potential, config) of the generic-versus-numpy parity cases."""
+    """(cs, potential, config) of the gradient-kernel golden cases."""
     if name == "halfline":
         half = Interval(0.0, np.inf)
         cs = make_coefficients("identity", half, gamma=[[1.0]])
@@ -727,8 +829,8 @@ def _gradient_case(name):
 
 
 # sha256 of the numpy kernel's x, k and flags arrays, and its event
-# counters, pinned because both backends evaluate the wall through the same
-# SmoothDistance formula, which parity alone would not catch changing
+# counters.  They were recorded on both backends before the per-path
+# stepper was deleted, and the two gave the same arrays and counters.
 GRADIENT_GOLDEN = {
     "mild": ("9d832dd55a6d5da0798242b4de68cdf2fb260d639cbab4793ae711bcfdab244c",
              "01aec0aed341878af17feae9ffb48a37b3cd5f32385fb1b29fce1eaa15e59d6e",
@@ -759,14 +861,9 @@ def _sha256(array):
 
 @pytest.mark.parametrize("name", ["mild", "refills", "disc", "redraws", "halfline"])
 def test_generic_gradient_matches_numpy_bitwise(name):
-    # the generic stepper applies step_gradient to the kernels' base
-    # normals and reserve pool, so the draw protocol and the arithmetic agree
+    # the goldens hold the digests both backends gave (see GRADIENT_GOLDEN)
     cs, pot, cfg = _gradient_case(name)
-    g_gen = run_ensemble(cs, cfg, potential=pot, backend="generic")
     g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
-    for field in ("x", "k", "ell", "flags"):
-        assert np.array_equal(getattr(g_gen, field), getattr(g_np, field)), field
-    assert g_gen.diagnostics == g_np.diagnostics
     x_sha, k_sha, flags_sha, events = GRADIENT_GOLDEN[name]
     assert (_sha256(g_np.x), _sha256(g_np.k), _sha256(g_np.flags)) == (
         x_sha, k_sha, flags_sha)
@@ -777,17 +874,17 @@ def test_generic_gradient_matches_numpy_bitwise(name):
         "boundary_overflow_paths": 0, "reflect_failure_paths": 0,
         "weight_overflow_paths": 0,
     }
-    assert g_gen.diagnostics["substeps_total"] >= cfg.n_paths * cfg.n_steps
+    assert g_np.diagnostics["substeps_total"] >= cfg.n_paths * cfg.n_steps
     if name == "mild":
         assert np.all(g_np.ell == 0.0) and g_np.flags.sum() == 0
     if name == "refills":
-        assert g_gen.diagnostics["pool_refills"] > 0
+        assert g_np.diagnostics["pool_refills"] > 0
         assert not np.isnan(g_np.x).any()
         # refilled paths re-enter their step the same way on every run
         rerun = run_ensemble(cs, cfg, potential=pot, backend="numpy")
         assert np.array_equal(g_np.x, rerun.x) and np.array_equal(g_np.k, rerun.k)
     if name == "redraws":
-        assert g_gen.diagnostics["resampled_proposals"] > 0
+        assert g_np.diagnostics["resampled_proposals"] > 0
 
 
 def test_gradient_kernel_finishes_each_chunk_in_one_call(monkeypatch):
@@ -813,7 +910,7 @@ DIAGNOSTIC_KEYS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "generic"])
+@pytest.mark.parametrize("backend", [None, "numpy"])
 @pytest.mark.parametrize("family", ["reflected", "driftless_weighted", "gradient"])
 def test_every_backend_reports_one_diagnostics_schema(
     interval_cs, unit_interval, wall_n2, family, backend
@@ -822,6 +919,7 @@ def test_every_backend_reports_one_diagnostics_schema(
                     seed=1, k0=(0.5,))
     kw = {"potential": wall_n2} if family == "gradient" else {"domain": unit_interval}
     b = run_ensemble(interval_cs, cfg, backend=backend, **kw)
+    assert b.backend == "numpy"
     assert set(b.diagnostics) == DIAGNOSTIC_KEYS
     assert set(b.manifest()["diagnostics"]) == DIAGNOSTIC_KEYS
     for name, count in b.flag_counts().items():
@@ -852,6 +950,10 @@ def test_gradient_substep_budget_flag_is_deterministic(interval_cs, unit_interva
     )
     b = run_ensemble(interval_cs, cfg, potential=pot)
     assert b.flags.tolist() == [1, 1, 1]
+    # the x digest both backends gave: NaN snapshots after the flags
+    assert _sha256(b.x) == (
+        "8405f905c7d831551d266b0417f27a6e3e77e15dd3504742beb0916449ee978f")
+    assert b.diagnostics["substeps_total"] == 6
     assert not b.ok.any()
     assert b.diagnostics["boundary_overflow_paths"] == 3
     assert b.flag_counts()["boundary_overflow"] == 3
@@ -868,16 +970,13 @@ cs = make_coefficients("identity", iv, gamma=[[1.0]])
 pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
 cfg = SimConfig(family="gradient", dt_base=0.05, t_end=1.0, adaptive=False,
                 delta_guard=1e-12, n_paths=16, seed=5, max_substeps=1)
-out = {}
-for backend in ("numpy", "generic"):
-    b = run_ensemble(cs, cfg, potential=pot, backend=backend)
-    out[backend] = {
-        "x": hashlib.sha256(b.x.tobytes()).hexdigest(),
-        "k": hashlib.sha256(b.k.tobytes()).hexdigest(),
-        "flags": b.flags.tolist(),
-        "diagnostics": b.diagnostics,
-    }
-print(json.dumps(out))
+b = run_ensemble(cs, cfg, potential=pot, backend="numpy")
+print(json.dumps({
+    "x": hashlib.sha256(b.x.tobytes()).hexdigest(),
+    "k": hashlib.sha256(b.k.tobytes()).hexdigest(),
+    "flags": b.flags.tolist(),
+    "diagnostics": b.diagnostics,
+}))
 """
 
 
@@ -889,9 +988,12 @@ def test_pool_overrun_is_flagged_not_retried_forever():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["numpy"] == out["generic"]
-    assert out["numpy"]["flags"] == [1] * 16
-    diag = out["numpy"]["diagnostics"]
+    # the digests both backends gave before the per-path stepper was deleted
+    assert (out["x"], out["k"]) == (
+        "b21c27600d11cf269eed55f73173245df31bc8d7519cc5a6e84550f4fa177e6f",
+        "1d9251a46090d71217e0e8d9246d56ec7732a9af5ba990188b73541070020242")
+    assert out["flags"] == [1] * 16
+    diag = out["diagnostics"]
     assert diag["boundary_overflow_paths"] == 16
     # two refills per path: the third would hand a path 3 * 20 > 1 * 51
     # reserve normals on one step
@@ -900,7 +1002,15 @@ def test_pool_overrun_is_flagged_not_retried_forever():
 
 # the stiff wall of the "refills" parity case with resample_cap=0, so the
 # pool (C normals) is longer than the max_substeps normals an attempt can
-# draw: a step's first refill must go through, as the uncapped retry did
+# draw: a step's first refill must go through, as the uncapped retry did.
+# The x digests, and the k digests per chunk length, are the ones both
+# backends gave.
+POOL_LONGER_K_SHA = {
+    25: "8a37d66ef48a31276c3780fcec8cf00071759de9856bd63138ef0a00819f8ed6",
+    10: "506da17558e158d121f8724657a538ce5b283825ae82b61658eac7cbf4b20223",
+}
+
+
 @pytest.mark.parametrize("chunk, max_substeps, flags, refills, x_sha", [
     (25, 20, [0, 0, 0, 0, 0, 0], 48,
      "dc36d22227d586ad3d8d7a6892fb86db8cc7a128515891257625d62305e6afc5"),
@@ -918,19 +1028,15 @@ def test_pool_longer_than_attempt_budget_refills_without_flagging(
                     resample_cap=0, max_substeps=max_substeps)
     assert cfg.max_substeps * (cfg.resample_cap + 1) < chunk
     g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
-    g_gen = run_ensemble(cs, cfg, potential=pot, backend="generic")
-    for field in ("x", "k", "flags"):  # flagged paths record NaN
-        np.testing.assert_array_equal(getattr(g_gen, field),
-                                      getattr(g_np, field), err_msg=field)
-    assert g_gen.diagnostics == g_np.diagnostics
     assert g_np.flags.tolist() == flags
     assert g_np.diagnostics["pool_refills"] == refills
-    assert _sha256(g_np.x) == x_sha
+    # flagged paths record NaN
+    assert (_sha256(g_np.x), _sha256(g_np.k)) == (x_sha, POOL_LONGER_K_SHA[chunk])
 
 
 def test_gradient_kernel_single_step_matches_step_api(interval_cs, wall_n2):
     # one mild base step consumes exactly the first base normal per path,
-    # so the chunked kernel and the single-step operation must agree
+    # so the ensemble and a one-path kernel step on that normal must agree
     cfg = SimConfig(
         family="gradient", dt_base=1e-3, t_end=1e-3, n_paths=5, seed=31
     )
@@ -938,16 +1044,10 @@ def test_gradient_kernel_single_step_matches_step_api(interval_cs, wall_n2):
     seqs = np.random.SeedSequence(31).spawn(5)
     for p in range(5):
         z = np.random.default_rng(seqs[p]).standard_normal((1, 1))[0]
-        s1 = step_gradient(
-            interval_cs,
-            wall_n2,
-            SystemState(x=[0.5], k=[0.0]),
-            1e-3,
-            z,
-            h_max=0.05 * 0.5,
-        )
-        assert b.x[p, 0, 0] == pytest.approx(s1.x[0], rel=1e-12)
-        assert b.k[p, 0, 0] == pytest.approx(s1.k[0], rel=1e-12)
+        s1 = _gradient_once(interval_cs, wall_n2, [0.5], [0.0], 1e-3, z,
+                            adaptive=True)
+        assert b.x[p, 0, 0] == pytest.approx(s1["x"][0, 0], rel=1e-12)
+        assert b.k[p, 0, 0] == pytest.approx(s1["k"][0, 0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -996,7 +1096,7 @@ def test_driftless_weights_are_exactly_one_when_k_stays_zero(unit_interval):
         snap_every=100,
     )
     b = run_ensemble(cs, cfg, domain=unit_interval)
-    assert b.backend == "generic"  # custom inert field: no kernel
+    assert b.backend == "numpy"  # the kernel steps a callable inert field
     assert np.all(b.log_weights == 0.0)
     assert np.all(b.weights == 1.0)
     assert np.all(b.k == 0.0)
