@@ -28,7 +28,13 @@ reads each step's noise column once.  With constant sigma and b it caches
 the terms that depend on K, which moves only at contact, recomputing them
 for the contact rows.
 
-The gradient kernel evaluates the wall once per proposal through
+The gradient kernel also steps compact copies of the live rows' x, k,
+delta and grad delta, written back at the chunk end or when a row gets
+flagged.  With constant sigma it overwrites the chunk's noise z with S z,
+in place and before the first step.  Each step moves every row by the
+whole step dt in one pass; only the rows that must sub-divide, fail or
+need a redraw take the step again, from its start, in the sub-step code.
+It evaluates the wall once per proposal through
 ``SmoothDistance._value_and_grad``, which shares its formula with
 ``value`` and ``grad``, and carries delta and grad delta of the accepted
 proposal into the next sub-step or step.
@@ -213,140 +219,185 @@ def gradient_chunk(
     snapshot, from delta recomputed at its step start.  S, b and A2 = A/2
     are arrays, or functions of the points at the sub-step start when they
     vary.
+
+    The live rows' x, k, delta and grad delta are copied into compact
+    arrays once per chunk and stepped there.  With constant S, z is
+    overwritten with S z before the first step (the product is elementwise,
+    so each row gets the value a per-step product gives).  Each step first
+    moves every live row by the whole step dt in one pass, with scalar dt
+    and sqrt(dt).  A row whose drift would move it more than ``h_max`` in
+    dt, that sits too close to the wall to evaluate, or whose proposal
+    falls below ``delta_guard`` keeps its step start and takes the step in
+    ``substeps``, the sub-step, redraw and rollback code, on the same
+    normals.  Flagged rows are written back after their step, the others at
+    the chunk end; ``refill`` reads neither x nor k.
     """
     (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap,
      first_snap, snap_every, max_sub, resample_cap) = params
     vary_s = callable(S)
     P, C, d = z.shape
     pool_len = pool.shape[1]
+    sqrt_dt = np.sqrt(dt)
     rows = (flags == FLAG_OK).nonzero()[0]
-    # delta and grad delta at every path's current point
-    cdel = np.full(P, np.nan)
-    cgrad = np.full((P, d), np.nan)
-    cdel[rows], cgrad[rows] = sd._value_and_grad(x[rows])
+    xs, ks = x[rows], k[rows]
+    cd, cg = sd._value_and_grad(xs)  # delta and grad delta at xs
+    if not vary_s:  # each step's S z, in place, one path at a time
+        for zp in z:
+            zp[...] = _rowdot(S, zp)
     moves = redraws = 0
-    dt_full = np.full(P, dt)  # time left at a step start; sliced, never written
 
-    def roll_back(rg):
-        """Send paths whose pool ran out back to their step start."""
-        spent.append(rg)
-        if nsub > 1:  # x and k have moved since the step start
-            at = np.searchsorted(base, rg)
-            x[rg] = xs[at]
-            k[rg] = ks[at]
+    def wall_drift(xg, kg, delta, gdel):
+        """E = 1/(n delta), grad V, the drift mu and its length."""
+        E = 1.0 / (vn * delta)
+        gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
+        mu = ((b(xg) if callable(b) else b)
+              - _rowdot(A2(xg) if callable(A2) else A2, gV)) + kg
+        speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
+        for i in range(1, d):
+            speed2 = speed2 + mu[:, i] * mu[:, i]
+        return E, gV, mu, np.sqrt(speed2)
+
+    def substeps(gi, c):
+        """Take step c for the compact rows ``gi`` (sorted) from their step
+        start, sub-divided, with redraws and rollbacks; True when a row was
+        flagged or rolled back."""
+        nonlocal moves, redraws
+        start, x0, k0 = gi, xs[gi], ks[gi]
+        delta, gdel = cd[gi], cg[gi]
+        lost = False
+
+        def roll_back(ri):
+            """Send compact rows whose pool ran out back to their step start."""
+            spent.append(ri)
+            at = np.searchsorted(start, ri)
+            xs[ri], ks[ri] = x0[at], k0[at]
+
+        while len(gi):  # one attempt at step c, then one per refill
+            rem = np.full(len(gi), dt)
+            spent = []
+            nsub = 0
+            while True:
+                nsub += 1
+                if nsub > max_sub:
+                    flags[rows[gi]] = FLAG_BOUNDARY_OVERFLOW
+                    lost = True
+                    break
+                xg, kg = xs[gi], ks[gi]
+                E, gV, mu, speed = wall_drift(xg, kg, delta, gdel)
+                dts = np.where(speed * rem <= h_max, rem, h_max / speed)
+                # too close to the wall to evaluate, or a collapsed sub-step
+                fail = (delta < delta_floor) | (E > exp_cap) | (dts < dt * 1e-12)
+                if np.count_nonzero(fail):
+                    flags[rows[gi[fail]]] = FLAG_BOUNDARY_OVERFLOW
+                    lost = True
+                    gi, rem, kg, xg, gV, mu, dts = _take(
+                        ~fail, gi, rem, kg, xg, gV, mu, dts)
+                    if len(gi) == 0:
+                        break
+                gr = rows[gi]
+                if nsub == 1:  # S z already with constant S
+                    zz = z[gr, c]
+                else:
+                    exh = cursor[gr] >= pool_len
+                    if np.count_nonzero(exh):
+                        roll_back(gi[exh])
+                        gi, gr, rem, kg, xg, gV, mu, dts = _take(
+                            ~exh, gi, gr, rem, kg, xg, gV, mu, dts)
+                        if len(gi) == 0:
+                            break
+                    zz = pool[gr, cursor[gr], :]
+                    cursor[gr] += 1
+                sq = np.sqrt(dts)
+                moves += len(gi)
+                Sx = S(xg) if vary_s else S
+                noise = _rowdot(Sx, zz) if vary_s or nsub > 1 else zz
+                xp = xg + (sq[:, None] * noise + mu * dts[:, None])
+                dprop, gprop = sd._value_and_grad(xp)
+                rej = (~(dprop >= delta_guard)).nonzero()[0]
+                if len(rej):
+                    keep = np.ones(len(gi), dtype=bool)
+                    tries = 0
+                    while len(rej):
+                        tries += 1
+                        redraws += len(rej)
+                        if tries > resample_cap:
+                            flags[gr[rej]] = FLAG_BOUNDARY_OVERFLOW
+                            lost = True
+                            keep[rej] = False
+                            break
+                        exh = cursor[gr[rej]] >= pool_len
+                        if np.count_nonzero(exh):
+                            roll_back(gi[rej[exh]])
+                            keep[rej[exh]] = False
+                            rej = rej[~exh]
+                            if len(rej) == 0:
+                                break
+                        rg = gr[rej]
+                        zz[rej] = pool[rg, cursor[rg], :]
+                        cursor[rg] += 1
+                        Sr = Sx[rej] if vary_s else Sx
+                        xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(Sr, zz[rej])
+                                             + mu[rej] * dts[rej, None])
+                        dprop[rej], gprop[rej] = sd._value_and_grad(xp[rej])
+                        rej = rej[~(dprop[rej] >= delta_guard)]
+                    if not keep.all():
+                        gi, rem, kg, gV, dts, xp, dprop, gprop = _take(
+                            keep, gi, rem, kg, gV, dts, xp, dprop, gprop)
+                        if len(gi) == 0:
+                            break
+                rem = rem - dts
+                more = rem > 0.0
+                xs[gi] = xp
+                ks[gi] = kg - _rowdot(NU, gV) * dts[:, None]
+                cd[gi], cg[gi] = dprop, gprop
+                if not np.count_nonzero(more):
+                    break
+                gi, rem, delta, gdel = _take(more, gi, rem, dprop, gprop)
+            if not spent:
+                break
+            lost = True
+            gi = np.searchsorted(
+                rows, refill(rows[np.sort(np.concatenate(spent))], c))
+            delta, gdel = sd._value_and_grad(xs[gi])
+        return lost
 
     # a wall too close for double precision is caught by the ``fail`` test,
     # so floating-point warnings stay off for the whole chunk
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c in range(C):
-            if len(rows) == 0:
+            if not len(rows):
                 break
-            gr = rows
-            delta, gdel = cdel[rows], cgrad.take(rows, axis=0)
-            lost = False  # a path of this step was flagged or rolled back
-            while len(gr):  # one attempt at step c, then one per refill
-                base = gr
-                rem = dt_full[:len(gr)]
-                spent = []
-                nsub = 0
-                while True:
-                    nsub += 1
-                    if nsub > max_sub:
-                        flags[gr] = FLAG_BOUNDARY_OVERFLOW
-                        lost = True
-                        break
-                    kg = k.take(gr, axis=0)
-                    xg = x.take(gr, axis=0)
-                    E = 1.0 / (vn * delta)
-                    gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
-                    mu = ((b(xg) if callable(b) else b)
-                          - _rowdot(A2(xg) if callable(A2) else A2, gV)) + kg
-                    speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
-                    for i in range(1, d):
-                        speed2 = speed2 + mu[:, i] * mu[:, i]
-                    speed = np.sqrt(speed2)
-                    dts = np.where(speed * rem <= h_max, rem, h_max / speed)
-                    # too close to the wall to evaluate, or a collapsed sub-step
-                    fail = (delta < delta_floor) | (E > exp_cap) | (dts < dt * 1e-12)
-                    if np.count_nonzero(fail):
-                        flags[gr[fail]] = FLAG_BOUNDARY_OVERFLOW
-                        lost = True
-                        gr, rem, kg, xg, gV, mu, dts = _take(
-                            ~fail, gr, rem, kg, xg, gV, mu, dts)
-                        if len(gr) == 0:
-                            break
-                    if nsub == 1:
-                        zz = z[:, c].take(gr, axis=0)
-                    else:
-                        exh = cursor[gr] >= pool_len
-                        if np.count_nonzero(exh):
-                            roll_back(gr[exh])
-                            gr, rem, kg, xg, gV, mu, dts = _take(
-                                ~exh, gr, rem, kg, xg, gV, mu, dts)
-                            if len(gr) == 0:
-                                break
-                        zz = pool[gr, cursor[gr], :]
-                        cursor[gr] += 1
-                    sq = np.sqrt(dts)
-                    moves += len(gr)
-                    Sx = S(xg) if vary_s else S
-                    xp = xg + (sq[:, None] * _rowdot(Sx, zz) + mu * dts[:, None])
-                    dprop, gprop = sd._value_and_grad(xp)
-                    rej = (~(dprop >= delta_guard)).nonzero()[0]
-                    if len(rej):
-                        keep = np.ones(len(gr), dtype=bool)
-                        tries = 0
-                        while len(rej):
-                            tries += 1
-                            redraws += len(rej)
-                            if tries > resample_cap:
-                                flags[gr[rej]] = FLAG_BOUNDARY_OVERFLOW
-                                lost = True
-                                keep[rej] = False
-                                break
-                            exh = cursor[gr[rej]] >= pool_len
-                            if np.count_nonzero(exh):
-                                roll_back(gr[rej[exh]])
-                                keep[rej[exh]] = False
-                                rej = rej[~exh]
-                                if len(rej) == 0:
-                                    break
-                            rg = gr[rej]
-                            zz[rej] = pool[rg, cursor[rg], :]
-                            cursor[rg] += 1
-                            Sr = Sx[rej] if vary_s else Sx
-                            xp[rej] = xg[rej] + (sq[rej, None] * _rowdot(Sr, zz[rej])
-                                                 + mu[rej] * dts[rej, None])
-                            dprop[rej], gprop[rej] = sd._value_and_grad(xp[rej])
-                            rej = rej[~(dprop[rej] >= delta_guard)]
-                        if not keep.all():
-                            gr, rem, kg, gV, dts, xp, dprop, gprop = _take(
-                                keep, gr, rem, kg, gV, dts, xp, dprop, gprop)
-                            if len(gr) == 0:
-                                break
-                    rem = rem - dts
-                    more = rem > 0.0
-                    if nsub == 1 and np.count_nonzero(more):
-                        # the step start, for a rollback in a later sub-step
-                        xs, ks = x.take(base, axis=0), k.take(base, axis=0)
-                    x[gr] = xp
-                    k[gr] = kg - _rowdot(NU, gV) * dts[:, None]
-                    cdel[gr], cgrad[gr] = dprop, gprop
-                    if not np.count_nonzero(more):
-                        break
-                    gr, rem, delta, gdel = _take(more, gr, rem, dprop, gprop)
-                if not spent:
-                    break
-                lost = True
-                gr = refill(np.sort(np.concatenate(spent)), c)
-                delta, gdel = sd._value_and_grad(x[gr])
-            if lost:
-                rows = rows[flags[rows] == FLAG_OK]
+            # the whole step in one move, for every live row
+            E, gV, mu, speed = wall_drift(xs, ks, cd, cg)
+            zc = z[:, c] if len(rows) == P else z[rows, c]
+            noise = _rowdot(S(xs), zc) if vary_s else zc
+            xp = xs + (sqrt_dt * noise + mu * dt)
+            dprop, gprop = sd._value_and_grad(xp)
+            kp = ks - _rowdot(NU, gV) * dt
+            # rows that sub-divide, fail or need a redraw keep their step
+            # start and take the step in ``substeps``
+            whole = speed * dt <= h_max
+            whole &= cd >= delta_floor
+            whole &= E <= exp_cap
+            whole &= dprop >= delta_guard
+            n_slow = len(rows) - np.count_nonzero(whole)
+            if n_slow:
+                slow = (~whole).nonzero()[0]
+                xp[slow], kp[slow] = xs[slow], ks[slow]
+                dprop[slow], gprop[slow] = cd[slow], cg[slow]
+            xs, ks, cd, cg = xp, kp, dprop, gprop
+            moves += len(rows) - n_slow
+            if n_slow and substeps(slow, c):
+                keep = flags[rows] == FLAG_OK
+                gone = rows[~keep]
+                x[gone], k[gone] = xs[~keep], ks[~keep]
+                rows, xs, ks, cd, cg = _take(keep, rows, xs, ks, cd, cg)
             s = gstep0 + c + 1
             if s >= first_snap and (s - first_snap) % snap_every == 0:
                 slot = (s - first_snap) // snap_every
-                out_x[rows, slot, :] = x[rows]
-                out_k[rows, slot, :] = k[rows]
+                out_x[rows, slot, :] = xs
+                out_k[rows, slot, :] = ks
                 out_ell[rows, slot] = 0.0
+    x[rows], k[rows] = xs, ks
     counters[0] += moves
     counters[1] += redraws

@@ -382,8 +382,8 @@ class CoefficientSet:
             # within the boundary tolerance: at a boundary point of a curved
             # domain, where the kernels land, both tangential stencil points
             # leave the closure by about h^2 / (2 R)
-            okp = dom._sd(plus) >= -dom.tol_bd
-            okm = dom._sd(minus) >= -dom.tol_bd
+            okp = dom._in_closure(plus)
+            okm = dom._in_closure(minus)
             stuck = ~(okp | okm)
             if np.any(stuck):
                 j = int(np.argmax(stuck))

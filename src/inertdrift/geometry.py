@@ -148,6 +148,12 @@ class Domain:
     def in_closure(self, x, tol=0.0):
         return self.signed_distance(x) >= -tol
 
+    def _in_closure(self, pts):
+        """Which of the (m, d) points lie in the closure within ``tol_bd``;
+        False for a point with a NaN coordinate, which ``in_closure``
+        refuses."""
+        return self._sd(pts) >= -self.tol_bd
+
     def project_to_boundary(self, x):
         pts, single = _as_batch(x, self.d)
         return _unbatch(self._project(pts), single)
@@ -533,6 +539,17 @@ class Ellipsoid(Domain):
         if not np.all(np.isfinite(pts)):
             raise GeometryError("inside: point has non-finite components")
         return _unbatch(self._level(pts) > 0.0, single)
+
+    def _in_closure(self, pts):
+        """``Domain._in_closure``, with the nearest-point search of ``_sd``
+        run only on the points ``_exit`` puts outside the closure and those
+        with a NaN coordinate: a point it keeps has ``_sd`` zero or more up
+        to rounding, far above ``-tol_bd``."""
+        ok = np.ones(len(pts), dtype=bool)
+        check = self._exit(pts)[0] | np.isnan(pts).any(axis=1)
+        if check.any():
+            ok[check] = self._sd(pts[check]) >= -self.tol_bd
+        return ok
 
     def _project(self, pts):
         q, _ = self._nearest_on_boundary(pts)

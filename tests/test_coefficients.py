@@ -22,7 +22,7 @@ from inertdrift.coefficients import (
     PotentialOverflowError,
     make_coefficients,
 )
-from inertdrift.geometry import Ball, Box, Interval, SmoothDistance
+from inertdrift.geometry import Ball, Box, Ellipsoid, Interval, SmoothDistance
 
 # Frozen oracle values for the wall potential on the half-line (delta(x) = x),
 # n = 1, at x = 0.5:   V = exp(2),   V' = -exp(2)/(1 * 0.5^2) = -4 exp(2).
@@ -111,6 +111,54 @@ def test_one_sided_stencil_near_boundary_flagged():
     b = cs.drift_b(4e-6)  # x - h falls outside (0, 1): one-sided difference
     assert cs.diagnostics["one_sided_stencil_points"] == 1
     np.testing.assert_allclose(b, 0.5, rtol=1e-3)
+
+
+def _sigma_diag_1x2(pts):
+    """sigma(x) = diag(sqrt(1 + x_1^2), 1) on (m, 2) points."""
+    out = np.zeros((len(pts), 2, 2))
+    out[:, 0, 0] = np.sqrt(1.0 + pts[:, 0] ** 2)
+    out[:, 1, 1] = 1.0
+    return out
+
+
+def test_ellipsoid_drift_searches_only_outside_stencil_points(monkeypatch):
+    # the drift at interior points and at boundary landing points (as the
+    # reflected kernel makes them), whose +-h stencils leave the closure
+    dom = Ellipsoid([0.1, 0.0], [1.0, 0.5])
+    cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=_sigma_diag_1x2,
+                        vectorized=True)
+    rng = np.random.default_rng(8)
+    interior = dom.sample_interior(40, rng)
+    lo, hi = dom.bounding_box()
+    far = lo + (hi - lo) * rng.uniform(-0.2, 1.2, size=(400, 2))
+    far = far[dom._exit(far)[0]]
+    land = dom._land(far, (dom.centroid - far) * 0.5)[0]
+    pts = np.concatenate([interior, land])
+    h = cs.fd_step
+    stencil = np.concatenate([pts + s * h * e for s in (1.0, -1.0)
+                              for e in np.eye(2)])
+    out = dom._exit(stencil)[0]
+    assert out.any() and not out.all()
+    assert np.array_equal(dom._in_closure(stencil),
+                          dom._sd(stencil) >= -dom.tol_bd)
+
+    searched = []
+    real_sd = Ellipsoid._sd
+    monkeypatch.setattr(Ellipsoid, "_sd", lambda self, p: (
+        searched.append(p.copy()), real_sd(self, p))[1])
+    b_new = cs.drift_b(pts)
+    monkeypatch.undo()
+    # the distance sees the stencil points outside the closure, and no other
+    seen = np.concatenate(searched)
+    assert dom._exit(seen)[0].all()
+    assert len(seen) == np.count_nonzero(out)
+
+    # the rule before: the distance of every stencil point
+    monkeypatch.setattr(Ellipsoid, "_in_closure",
+                        lambda self, p: self._sd(p) >= -self.tol_bd)
+    b_old = cs.drift_b(pts)
+    assert np.array_equal(b_new, b_old)
+    assert cs.diagnostics["one_sided_stencil_points"] > 0
 
 
 # ---------------------------------------------------------------------------

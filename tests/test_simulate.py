@@ -429,24 +429,30 @@ def test_run_determinism_same_seed(interval_cs, unit_interval):
 
 def test_reflected_chunking_does_not_change_results(interval_cs, unit_interval):
     # base normals come per-path from one stream, so chunk boundaries are
-    # invisible to the reflected families
-    kw = dict(
-        family="reflected",
-        dt_base=1e-3,
-        t_end=0.25,
-        burn_in=0.0,
-        n_paths=3,
-        seed=8,
-        snap_every=25,
-    )
-    b_small = run_ensemble(
-        interval_cs, SimConfig(**kw, chunk_size=7), domain=unit_interval
-    )
-    b_large = run_ensemble(
-        interval_cs, SimConfig(**kw, chunk_size=4096), domain=unit_interval
-    )
-    assert np.array_equal(b_small.x, b_large.x)
-    assert np.array_equal(b_small.k, b_large.k)
+    # invisible to the reflected families: every output array agrees
+    disc = Ball([0.0, 0.0], 1.0)
+    disc_cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
+    cases = [
+        (interval_cs, unit_interval,
+         dict(family="reflected", dt_base=1e-3, t_end=0.25, n_paths=3, seed=8)),
+        (disc_cs, disc,
+         dict(family="driftless_weighted", dt_base=5e-4, t_end=0.25,
+              n_paths=8, seed=5, k0=(0.5, 1.0))),
+    ]
+    for cs, dom, kw in cases:
+        b_small = run_ensemble(
+            cs, SimConfig(**kw, snap_every=25, chunk_size=7), domain=dom)
+        b_large = run_ensemble(
+            cs, SimConfig(**kw, snap_every=25, chunk_size=4096), domain=dom)
+        for name in ("x", "k", "ell", "flags"):
+            assert np.array_equal(getattr(b_small, name), getattr(b_large, name))
+        assert b_small.diagnostics == b_large.diagnostics
+        assert b_small.diagnostics["contacts"] > 0
+        if kw["family"] == "driftless_weighted":
+            assert np.array_equal(b_small.log_weights, b_large.log_weights)
+            assert np.all(b_small.log_weights != 0.0)
+        else:
+            assert b_small.log_weights is None and b_large.log_weights is None
 
 
 def test_interior_k_changes_only_with_contact(interval_cs, unit_interval):
@@ -802,6 +808,15 @@ def _gradient_case(name):
         pot = Potential("regularized_vn", distance=SmoothDistance(half), n=2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=6, seed=4, snap_every=5, x0=(0.5,))
+    if name in ("box", "ellipsoid"):
+        dom = (Box([0.0, 0.0], [1.0, 2.0]) if name == "box"
+               else Ellipsoid([0.1, 0.0], [1.0, 0.5]))
+        cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
+                               a_diag=[2.0, 0.5])
+        pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+        return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
+                                  n_paths=6, seed=4, snap_every=5,
+                                  chunk_size=64)
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
     if name == "disc":
@@ -811,6 +826,17 @@ def _gradient_case(name):
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=5, seed=4, snap_every=5,
                                   chunk_size=64)
+    if name == "varying_sigma":  # callable S, b and A2
+        cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2, vectorized=True)
+        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+        return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
+                                  n_paths=6, seed=4, snap_every=5,
+                                  chunk_size=64)
+    if name == "wall_mix":  # a few rows sub-divide while the others do not
+        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+        return cs, pot, SimConfig(family="gradient", dt_base=5e-4, t_end=2.0,
+                                  n_paths=32, seed=6, snap_every=10,
+                                  chunk_size=1500)
     if name == "mild":
         pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=1.0,
@@ -829,8 +855,10 @@ def _gradient_case(name):
 
 
 # sha256 of the numpy kernel's x, k and flags arrays, and its event
-# counters.  They were recorded on both backends before the per-path
-# stepper was deleted, and the two gave the same arrays and counters.
+# counters.  The first five were recorded on both backends before the
+# per-path stepper was deleted, and the two gave the same arrays and
+# counters; the last four were recorded before the kernel stepped compact
+# rows and took whole steps in one pass.
 GRADIENT_GOLDEN = {
     "mild": ("9d832dd55a6d5da0798242b4de68cdf2fb260d639cbab4793ae711bcfdab244c",
              "01aec0aed341878af17feae9ffb48a37b3cd5f32385fb1b29fce1eaa15e59d6e",
@@ -852,6 +880,23 @@ GRADIENT_GOLDEN = {
                  "c3ab74347aae9b865f6708aff294e95201e3b9b823569748af369e97fdad6b01",
                  "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
                  (3000, 0, 0)),
+    "box": ("f92d30732a5d4995f99e602acb666396adc4dc276782640a8371c78e865ee2f3",
+            "b1aea219b92e4280e02fee59be70fb3f36bcfa2d3fed861b2df992c2b8ef5dd5",
+            "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+            (3089, 0, 0)),
+    "ellipsoid": ("a15ef7862da8b3e80d871d8be6ac6703e7a9e595cd8fcd25e47116724fe30f4d",
+                  "4c6de77b63585bfa6d7d0b8573034145e6e727d993c4ca584b553fc5ae6bb882",
+                  "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+                  (3003, 0, 0)),
+    "varying_sigma": (
+        "a02ca21dc202e0d6d7f140fad2fab169012a7f37ba83627efecc8c36861e6f18",
+        "a280a6daf19f689dc6420a6abc7a920eb53bf186efc6451fbf28197114d7a36d",
+        "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+        (3021, 0, 0)),
+    "wall_mix": ("7a9f1a50480ae4fe310356b1f9067b428bbc3fddd18b129cd90e9f4fe5847786",
+                 "79a4c0e8b7fff21cdf77d21c792786fbf0e3ff8b50860600667afdf3a614bae1",
+                 "5341e6b2646979a70e57653007a1f310169421ec9bdd9f1a5648f75ade005af1",
+                 (128022, 0, 0)),
 }
 
 
@@ -859,9 +904,9 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["mild", "refills", "disc", "redraws", "halfline"])
+@pytest.mark.parametrize("name", sorted(GRADIENT_GOLDEN))
 def test_generic_gradient_matches_numpy_bitwise(name):
-    # the goldens hold the digests both backends gave (see GRADIENT_GOLDEN)
+    # the goldens hold the digests of earlier kernels (see GRADIENT_GOLDEN)
     cs, pot, cfg = _gradient_case(name)
     g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
     x_sha, k_sha, flags_sha, events = GRADIENT_GOLDEN[name]
@@ -885,6 +930,11 @@ def test_generic_gradient_matches_numpy_bitwise(name):
         assert np.array_equal(g_np.x, rerun.x) and np.array_equal(g_np.k, rerun.k)
     if name == "redraws":
         assert g_np.diagnostics["resampled_proposals"] > 0
+    if name == "wall_mix":
+        # fewer extra sub-moves than paths: some step sub-divided a row
+        # while another row took the whole step
+        extra = g_np.diagnostics["substeps_total"] - cfg.n_paths * cfg.n_steps
+        assert 0 < extra < cfg.n_paths and cfg.chunk_size < cfg.n_steps
 
 
 def test_gradient_kernel_finishes_each_chunk_in_one_call(monkeypatch):
@@ -902,6 +952,25 @@ def test_gradient_kernel_finishes_each_chunk_in_one_call(monkeypatch):
     b = run_ensemble(cs, cfg, potential=pot, backend="numpy")
     assert b.diagnostics["pool_refills"] == 153
     assert calls == [0, 10, 20, 30, 40]
+
+
+def test_gradient_wall_benchmark_config_digests():
+    # the perfbench gradient_wall job at workload seed 1, built inline: its
+    # simulation seed is the first 4 bytes of sha256("gradient_wall:1"), as
+    # perfbench/workloads.derived_seed makes it.  The digests were recorded
+    # before the gradient kernel stepped compact rows.
+    seed = int.from_bytes(hashlib.sha256(b"gradient_wall:1").digest()[:4], "big")
+    iv = Interval(0.0, 1.0)
+    cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+    cfg = SimConfig(family="gradient", dt_base=5e-4, t_end=8.0, n_paths=128,
+                    seed=seed, burn_in=3.0, snap_every=20)
+    b = run_ensemble(cs, cfg, potential=pot)
+    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell)) == (
+        "a144aea5f282d97df21d231b61ee067c5e87569eaa92d103d8e4b8d3f5eb549f",
+        "43935d5d64b18d88554775bb53d194b2d6b418d746828fcf043bb149db1700fd",
+        "2d4da04b861bb9dbe77c871415931785a18138d6db035f1bbcd0cf8277c6fc23")
+    assert b.diagnostics["substeps_total"] == 2048343 and b.ok.all()
 
 
 DIAGNOSTIC_KEYS = {
