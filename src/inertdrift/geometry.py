@@ -774,20 +774,24 @@ class SmoothDistance:
     def _grad(self, pts):
         return self._value_and_grad(pts)[1]
 
-    def value(self, x):
+    def _closure_batch(self, x):
+        """``x`` as an (m, d) batch; GeometryError, as from ``in_closure``,
+        for a non-finite point, and for a point outside the closure."""
         pts, single = _as_batch(x, self.domain.d)
-        sd = self.domain._sd(pts)
-        if np.any(sd < -self.domain.tol_bd):
-            i = int(np.argmax(sd < -self.domain.tol_bd))
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("smooth distance: point has non-finite components")
+        outside = ~self.domain._in_closure(pts)
+        if outside.any():
+            i = int(np.argmax(outside))
             raise GeometryError(f"smooth distance: point {pts[i]} outside the closure")
+        return pts, single
+
+    def value(self, x):
+        pts, single = self._closure_batch(x)
         return _unbatch(np.maximum(self._value(pts), 0.0), single)
 
     def grad(self, x):
-        pts, single = _as_batch(x, self.domain.d)
-        sd = self.domain._sd(pts)
-        if np.any(sd < -self.domain.tol_bd):
-            i = int(np.argmax(sd < -self.domain.tol_bd))
-            raise GeometryError(f"smooth distance: point {pts[i]} outside the closure")
+        pts, single = self._closure_batch(x)
         return _unbatch(self._grad(pts), single)
 
     @property

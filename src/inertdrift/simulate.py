@@ -23,17 +23,24 @@ Three stepping families share one ensemble driver:
     resolvable wall layer are redrawn.
 
 Noise protocol: path p draws from its own PCG64 stream, spawned as child
-p of ``SeedSequence(seed)``.  Per chunk the host loop :func:`_run` draws
-each stream's base normals (one d-vector per step) and calls the family's
-numpy kernel (:mod:`._kernels`) once.  The kernels step every domain kind
-and every coefficient set; coefficients that vary with x are evaluated on
-the live rows at each step.  The gradient kernel also takes each stream's
-reserve pool, consumed by sub-steps and redraws; a path that exhausts its
-pool goes back to the start of its step, gets a fresh pool from its stream
-through one shared ``refill`` (:func:`_gradient_step`, which holds the
-refill budget), and redoes that step at once.  Every family reports one
-diagnostics schema (:func:`_diagnostics`).  Results are reproducible for a
-fixed seed.
+p of ``SeedSequence(seed)``.  The host loop :func:`_run` walks the run in
+blocks of steps: per block it draws each stream's base normals (one
+d-vector per step) into one buffer reused for the whole run and calls the
+family's numpy kernel (:mod:`._kernels`) once.  A reflected-family block
+is ``chunk_size`` steps, capped so that the block holds at most
+``_NOISE_BLOCK_FLOATS`` normals: each stream is read in order whatever
+the block length, so the cap changes no result, only the memory the noise
+takes at large n_paths.  A gradient-family block is always ``chunk_size``
+steps, because its reserve pool is as long as its block and a shorter
+pool would change when paths refill, and so the trajectories.  The
+kernels step every domain kind and every coefficient set; coefficients
+that vary with x are evaluated on the live rows at each step.  The
+gradient kernel also takes each stream's reserve pool, consumed by
+sub-steps and redraws; a path that exhausts its pool goes back to the
+start of its step, gets a fresh pool from its stream through one shared
+``refill`` (:func:`_gradient_step`, which holds the refill budget), and
+redoes that step at once.  Every family reports one diagnostics schema
+(:func:`_diagnostics`).  Results are reproducible for a fixed seed.
 """
 
 import dataclasses
@@ -278,6 +285,12 @@ class TrajectoryBatch:
 # 2048 rows and add to the peak RSS of a run.
 _CSV_BLOCK_ROWS = 2048
 
+# Normals per noise block of a reflected-family run: 8 MB of float64.  A
+# block of chunk_size = 4096 steps at n_paths = 4096 would hold 134 MB, and
+# on a 2-CPU host blocks of 256 and 1024 steps ran that run faster than
+# whole chunks.  Runs with n_paths * d <= 256 keep blocks of chunk_size steps.
+_NOISE_BLOCK_FLOATS = 1 << 20
+
 
 def _g17(values):
     """The ``%.17g`` text of each float in ``values``, in one ``%`` call."""
@@ -423,9 +436,10 @@ def _domain_info(domain):
     return info
 
 
-def _draw(rngs, C, d):
-    """C standard normal d-vectors per path, each from the path's stream."""
-    out = np.empty((len(rngs), C, d))
+def _draw(rngs, C, d, out=None):
+    """C standard normal d-vectors per path, each from the path's stream,
+    in a new array or in ``out[:, :C]`` (whose rows stay contiguous)."""
+    out = np.empty((len(rngs), C, d)) if out is None else out[:, :C]
     for rng, rows in zip(rngs, out):
         rng.standard_normal(out=rows)
     return out
@@ -487,16 +501,20 @@ def _gradient_params(cs, potential, cfg, x0, guard):
 
 
 def _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs):
-    """The function that advances every path through one chunk of noise in
-    one call.  Kernels are looked up on :mod:`._kernels` at each call."""
+    """The function that advances every path through one block of noise in
+    one call, and the block length in steps (see the module docstring).
+    Kernels are looked up on :mod:`._kernels` at each call."""
     if cfg.family != "gradient":
         params = _reflected_params(cs, domain, cfg, x0)
-        return lambda *state: _kernels.reflected_chunk(*state, params)
+        block = max(1, _NOISE_BLOCK_FLOATS // (cfg.n_paths * domain.d))
+        step = lambda *state: _kernels.reflected_chunk(*state, params)
+        return step, min(cfg.chunk_size, block)
     params = _gradient_params(cs, potential, cfg, x0, guard)
     chunk = lambda *state: _kernels.gradient_chunk(
         potential.distance, *state, params)
-    return functools.partial(_gradient_step, chunk, rngs,
+    step = functools.partial(_gradient_step, chunk, rngs,
                              cfg.max_substeps * (cfg.resample_cap + 1))
+    return step, cfg.chunk_size
 
 
 def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
@@ -538,10 +556,10 @@ def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
 
 
 def _run(cs, domain, potential, cfg, x0, k0, guard):
-    """The host loop shared by every family: per chunk it draws each path's
-    base normals and calls the family's kernel once, which finishes the
-    chunk (the gradient kernel's reserve pool is drawn and refilled by
-    :func:`_gradient_step`)."""
+    """The host loop shared by every family: per block of steps it draws
+    each path's base normals into the run's one noise buffer and calls the
+    family's kernel once, which finishes the block (the gradient kernel's
+    reserve pool is drawn and refilled by :func:`_gradient_step`)."""
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
     x = np.tile(x0, (P, 1))
     k = np.tile(k0, (P, 1))
@@ -553,9 +571,10 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
     out_k = np.full((P, S, d), np.nan)
     out_ell = np.full((P, S), np.nan)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(P)]
-    step = _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs)
-    for start in range(0, cfg.n_steps, cfg.chunk_size):
-        z = _draw(rngs, min(cfg.chunk_size, cfg.n_steps - start), d)
+    step, block = _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs)
+    noise = np.empty((P, min(block, cfg.n_steps), d))
+    for start in range(0, cfg.n_steps, block):
+        z = _draw(rngs, min(block, cfg.n_steps - start), d, out=noise)
         step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)
     return TrajectoryBatch(
         times=cfg.snapshot_times,

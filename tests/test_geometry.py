@@ -361,6 +361,28 @@ def test_fused_smooth_distance_matches_separate_formulas_bitwise(dom, pts):
         assert centre.any() and np.all(grad[centre] == 0.0)
 
 
+@pytest.mark.parametrize("dom, pts", FUSED_CASES,
+                         ids=["interval-sym", "interval", "halfline", "disc", "ball3",
+                              "box", "ellipsoid"])
+def test_smooth_distance_checks_closure_without_the_distance_search(dom, pts):
+    # value and grad ask the domain's closure test, not the signed distance
+    # (the full nearest-point search on an ellipsoid): closure points give
+    # the formulas' bits, and NaN or outside points are refused
+    rd = SmoothDistance(dom)
+    pts = np.asarray(pts, dtype=float).reshape(-1, dom.d)
+    value = np.maximum(rd._value(pts), 0.0)
+    assert np.array_equal(rd.value(pts).view(np.int64), value.view(np.int64))
+    assert np.array_equal(rd.grad(pts).view(np.int64), rd._grad(pts).view(np.int64))
+    nan = pts[:1].copy()
+    nan[0, -1] = np.nan
+    outside = np.full((1, dom.d), -1e3)
+    for method in (rd.value, rd.grad):
+        with pytest.raises(GeometryError, match="non-finite"):
+            method(np.vstack([pts, nan]))
+        with pytest.raises(GeometryError, match="outside the closure"):
+            method(np.vstack([pts, outside]))
+
+
 def _offsets():
     eps = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05])
     return np.concatenate([-eps, [0.0], eps])

@@ -427,9 +427,12 @@ def test_run_determinism_same_seed(interval_cs, unit_interval):
     assert not np.array_equal(b1.x, b3.x)
 
 
-def test_reflected_chunking_does_not_change_results(interval_cs, unit_interval):
+def test_reflected_chunking_does_not_change_results(
+    interval_cs, unit_interval, monkeypatch
+):
     # base normals come per-path from one stream, so chunk boundaries are
-    # invisible to the reflected families: every output array agrees
+    # invisible to the reflected families: every output array agrees, with
+    # short chunks and with noise blocks capped below the chunk length
     disc = Ball([0.0, 0.0], 1.0)
     disc_cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
     cases = [
@@ -439,20 +442,37 @@ def test_reflected_chunking_does_not_change_results(interval_cs, unit_interval):
          dict(family="driftless_weighted", dt_base=5e-4, t_end=0.25,
               n_paths=8, seed=5, k0=(0.5, 1.0))),
     ]
+    blocks = []
+    real_chunk = _kernels.reflected_chunk
+
+    def recorded(*args):
+        blocks.append(args[9].shape[1])
+        return real_chunk(*args)
+
+    monkeypatch.setattr(_kernels, "reflected_chunk", recorded)
     for cs, dom, kw in cases:
-        b_small = run_ensemble(
-            cs, SimConfig(**kw, snap_every=25, chunk_size=7), domain=dom)
         b_large = run_ensemble(
             cs, SimConfig(**kw, snap_every=25, chunk_size=4096), domain=dom)
-        for name in ("x", "k", "ell", "flags"):
-            assert np.array_equal(getattr(b_small, name), getattr(b_large, name))
-        assert b_small.diagnostics == b_large.diagnostics
-        assert b_small.diagnostics["contacts"] > 0
+        b_small = run_ensemble(
+            cs, SimConfig(**kw, snap_every=25, chunk_size=7), domain=dom)
+        with monkeypatch.context() as m:
+            # three steps of noise per block
+            m.setattr(simulate, "_NOISE_BLOCK_FLOATS", 3 * kw["n_paths"] * dom.d)
+            blocks.clear()
+            b_block = run_ensemble(
+                cs, SimConfig(**kw, snap_every=25, chunk_size=4096), domain=dom)
+        assert max(blocks) == 3
+        for b in (b_small, b_block):
+            for name in ("x", "k", "ell", "flags"):
+                assert np.array_equal(getattr(b, name), getattr(b_large, name))
+            assert b.diagnostics == b_large.diagnostics
+        assert b_large.diagnostics["contacts"] > 0
         if kw["family"] == "driftless_weighted":
-            assert np.array_equal(b_small.log_weights, b_large.log_weights)
-            assert np.all(b_small.log_weights != 0.0)
+            for b in (b_small, b_block):
+                assert np.array_equal(b.log_weights, b_large.log_weights)
+            assert np.all(b_large.log_weights != 0.0)
         else:
-            assert b_small.log_weights is None and b_large.log_weights is None
+            assert all(b.log_weights is None for b in (b_small, b_block, b_large))
 
 
 def test_interior_k_changes_only_with_contact(interval_cs, unit_interval):
@@ -973,6 +993,25 @@ def test_gradient_wall_benchmark_config_digests():
     assert b.diagnostics["substeps_total"] == 2048343 and b.ok.all()
 
 
+def test_weighted_wide_benchmark_config_digests():
+    # the perfbench weighted_wide job at workload seed 1, built inline as in
+    # the gradient_wall test above: 4096 paths, so its noise comes in blocks
+    # shorter than chunk_size.  The digests were recorded while each block
+    # was a whole 4096-step chunk.
+    seed = int.from_bytes(hashlib.sha256(b"weighted_wide:1").digest()[:4], "big")
+    iv = Interval(0.0, 1.0)
+    cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    cfg = SimConfig(family="driftless_weighted", dt_base=1e-4, t_end=0.5,
+                    n_paths=4096, seed=seed, snap_every=20, x0=(0.5,))
+    b = run_ensemble(cs, cfg, domain=iv)
+    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), _sha256(b.log_weights)) == (
+        "8f6b7407cfe9123780a6013798540b5d5547dc68e622da3278e17fb28a7c4ee0",
+        "896fc7fd7acbd2f568b6d9bd39379e924186ea88a2106055151ef119a096ce53",
+        "0bf3c539f72bd08ec6ae84bdb8db7c6d96aa3f19a8507d988ad99a24045a2875",
+        "bf31c48718c5e19ab5a2938372aa96cbfbb7b2657e0aa70b46f662c98007dc29")
+    assert b.diagnostics["contacts"] == 241430 and b.ok.all()
+
+
 DIAGNOSTIC_KEYS = {
     "contacts", "substeps_total", "resampled_proposals", "pool_refills",
     "boundary_overflow_paths", "reflect_failure_paths", "weight_overflow_paths",
@@ -1080,15 +1119,15 @@ POOL_LONGER_K_SHA = {
 }
 
 
-@pytest.mark.parametrize("chunk, max_substeps, flags, refills, x_sha", [
+POOL_LONGER_CASES = pytest.mark.parametrize("chunk, max_substeps, flags, refills, x_sha", [
     (25, 20, [0, 0, 0, 0, 0, 0], 48,
      "dc36d22227d586ad3d8d7a6892fb86db8cc7a128515891257625d62305e6afc5"),
     (10, 9, [0, 1, 1, 1, 1, 0], 58,
      "0e0e4fc1cc99ffa6592a3ff81d28a9dba402e1bfbeae505a180ef34febef5fc9"),
 ])
-def test_pool_longer_than_attempt_budget_refills_without_flagging(
-    chunk, max_substeps, flags, refills, x_sha
-):
+
+
+def _pool_longer_run(chunk, max_substeps):
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
     pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
@@ -1096,10 +1135,31 @@ def test_pool_longer_than_attempt_budget_refills_without_flagging(
                     n_paths=6, seed=4, snap_every=5, chunk_size=chunk,
                     resample_cap=0, max_substeps=max_substeps)
     assert cfg.max_substeps * (cfg.resample_cap + 1) < chunk
-    g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
+    return run_ensemble(cs, cfg, potential=pot, backend="numpy")
+
+
+@POOL_LONGER_CASES
+def test_pool_longer_than_attempt_budget_refills_without_flagging(
+    chunk, max_substeps, flags, refills, x_sha
+):
+    g_np = _pool_longer_run(chunk, max_substeps)
     assert g_np.flags.tolist() == flags
     assert g_np.diagnostics["pool_refills"] == refills
     # flagged paths record NaN
+    assert (_sha256(g_np.x), _sha256(g_np.k)) == (x_sha, POOL_LONGER_K_SHA[chunk])
+
+
+@POOL_LONGER_CASES
+def test_noise_block_cap_leaves_gradient_runs_alone(
+    monkeypatch, chunk, max_substeps, flags, refills, x_sha
+):
+    # the reserve pool is as long as the noise block, so the gradient family
+    # keeps blocks of chunk_size steps: a cap that would give a reflected
+    # run of 6 paths blocks of 3 steps changes neither refills nor paths
+    monkeypatch.setattr(simulate, "_NOISE_BLOCK_FLOATS", 3 * 6)
+    g_np = _pool_longer_run(chunk, max_substeps)
+    assert g_np.flags.tolist() == flags
+    assert g_np.diagnostics["pool_refills"] == refills
     assert (_sha256(g_np.x), _sha256(g_np.k)) == (x_sha, POOL_LONGER_K_SHA[chunk])
 
 
