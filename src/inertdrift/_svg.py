@@ -5,7 +5,7 @@ layout.  Bars are drawn in density units (count / (total * bin width))
 so an analytic density overlay is directly comparable.
 """
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -58,7 +58,8 @@ def histogram_svg(path, edges, counts, overlay=None, title="", x_label=""):
         'viewBox="0 0 %d %d">' % (WIDTH, HEIGHT, WIDTH, HEIGHT),
         '<rect width="%d" height="%d" fill="white"/>' % (WIDTH, HEIGHT),
         '<text x="%d" y="24" font-family="sans-serif" font-size="16" '
-        'text-anchor="middle">%s</text>' % (WIDTH // 2, escape(title)),
+        'text-anchor="middle">%s</text>'
+        % (WIDTH // 2, escape(title, quote=False)),
     ]
     for lo, w, dens in zip(edges[:-1], widths, density):
         parts.append(
@@ -110,7 +111,7 @@ def histogram_svg(path, edges, counts, overlay=None, title="", x_label=""):
         parts.append(
             '<text x="%d" y="%d" font-family="sans-serif" font-size="13" '
             'text-anchor="middle">%s</text>'
-            % (x0 + plot_w // 2, HEIGHT - 12, escape(x_label))
+            % (x0 + plot_w // 2, HEIGHT - 12, escape(x_label, quote=False))
         )
     if overlay is not None:
         parts.append(

@@ -15,8 +15,8 @@ Checks
 ------
 * ``ks_uniformity`` — probability-integral transform of one position
   coordinate through the quadrature CDF of the stationary x-marginal,
-  then a one-sample Kolmogorov–Smirnov test with the critical value
-  scaled by the effective sample size.
+  then a one-sample Kolmogorov–Smirnov test whose asymptotic critical
+  value is scaled by the effective sample size.
 * ``k_moment_tests`` — inert-drift mean equal to zero, second moments
   equal to Gamma / 2 (each entry within 3 combined standard errors) and
   gaussian fourth moments (within 4).
@@ -31,15 +31,19 @@ Checks
   baseline (sliced over 32 fixed random projections above one
   dimension); the noise floor is the distance between two reflected
   runs with split seeds.
+
+The critical values come from the limiting Kolmogorov distribution and
+the chi-square distribution with integer degrees of freedom, computed
+here in closed form, so the tests load numpy only; the sweep's
+Wasserstein distance loads ``scipy.stats`` when it runs.
 """
 
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
-from scipy import stats
-from scipy.special import kolmogi
 
 from .coefficients import Potential
 from .geometry import SmoothDistance
@@ -162,6 +166,100 @@ def _usable(batch):
 
 
 # ---------------------------------------------------------------------------
+# critical values
+# ---------------------------------------------------------------------------
+
+
+def _check_level(level):
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1, got %r" % (level,))
+
+
+def _solve_decreasing(sf, level, hi):
+    """The point of [0, hi] where the decreasing ``sf`` falls to ``level``.
+
+    Bisection down to adjacent floats; ``sf(hi) <= level`` on entry.
+    """
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if sf(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _kolmogorov_sf(x):
+    """Limiting Kolmogorov survival function, lim P(sqrt(n) D_n > x).
+
+    The alternating series 2 sum (-1)^(k-1) exp(-2 k^2 x^2) for x >= 1,
+    one minus the theta-function form of the CDF below that; eight terms
+    reach double precision on each side.
+    """
+    if x >= 1.0:
+        return 2.0 * sum((-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
+                         for k in range(1, 9))
+    if x <= 0.0:
+        return 1.0
+    c = math.pi * math.pi / (8.0 * x * x)
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(
+        math.exp(-(2 * k - 1) ** 2 * c) for k in range(1, 9))
+
+
+def _kolmogorov_isf(level):
+    """Asymptotic critical value x of the KS test: lim P(sqrt(n) D_n > x) = level."""
+    _check_level(level)
+    # the series is bounded by its first term, 2 exp(-2 x^2)
+    return _solve_decreasing(_kolmogorov_sf, level,
+                             1.0 + math.sqrt(0.5 * math.log(2.0 / level)))
+
+
+def _chi2_sf(x, df):
+    """Chi-square survival function for an integer number of degrees of freedom.
+
+    With h = x / 2 it is the finite sum of exp(-h) h^a / Gamma(a + 1) over
+    a = 0, 1, ... < df / 2 for even df, and erfc(sqrt(h)) plus the same sum
+    over a = 1/2, 3/2, ... < df / 2 for odd df.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    a = 0.5 * (df % 2)
+    while a < 0.5 * df:
+        total += math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return total
+
+
+def _chi2_isf(level, df):
+    """Chi-square critical value x with P(chi2_df > x) = level."""
+    _check_level(level)
+    if df < 1 or int(df) != df:
+        raise ValueError("degrees of freedom must be a positive integer, got %r"
+                         % (df,))
+    df = int(df)
+    hi = float(df)
+    while _chi2_sf(hi, df) > level:
+        hi *= 2.0
+    return _solve_decreasing(lambda x: _chi2_sf(x, df), level, hi)
+
+
+def _ks_statistic(u):
+    """One-sample KS distance of a sample of [0, 1] from U(0, 1).
+
+    The same operations as ``scipy.stats.kstest(u, "uniform")``, so the
+    statistic is bit-identical to it.
+    """
+    v = np.sort(np.asarray(u, float).ravel())
+    n = v.size
+    return float(max((np.arange(1.0, n + 1) / n - v).max(),
+                     (v - np.arange(0.0, n) / n).max()))
+
+
+# ---------------------------------------------------------------------------
 # marginal CDF by quadrature
 # ---------------------------------------------------------------------------
 
@@ -262,16 +360,18 @@ def ks_uniformity(batch, sm, coordinate=0, level=0.01):
 
     Snapshot values are mapped through the quadrature CDF; under the
     stationary law the result is uniform on (0, 1).  The critical value
-    kolmogi(level) / sqrt(ESS) uses the batch-means effective sample
-    size of the transformed series.
+    x / sqrt(ESS), where x is the level-``level`` point of the limiting
+    Kolmogorov distribution, uses the batch-means effective sample size
+    of the transformed series.  ``level`` must lie in (0, 1).
     """
+    critical = _kolmogorov_isf(level)
     x, _ = _usable(batch)
     series = x[:, :, int(coordinate)]
     grid, cdf = marginal_cdf_grid(sm, axis=int(coordinate))
     u = np.interp(series, grid, cdf)
-    statistic = float(stats.kstest(u.ravel(), "uniform").statistic)
+    statistic = _ks_statistic(u)
     ess = effective_sample_size(u)
-    threshold = float(kolmogi(level) / np.sqrt(ess))
+    threshold = float(critical / np.sqrt(ess))
     inconclusive = ess < MIN_EFFECTIVE_SIZE
     detail = "coordinate=%d level=%g ess=%.1f" % (coordinate, level, ess)
     if inconclusive:
@@ -343,8 +443,10 @@ def independence_test(batch, level=0.01, n_batches=DEFAULT_BATCHES):
     contingency chi-square on (X_1, K_1), thinned to roughly independent
     snapshots, must stay below its level-``level`` critical value (9
     degrees of freedom).  Both parts are normalized by their own
-    allowance; the statistic is the worse one.
+    allowance; the statistic is the worse one.  ``level`` must lie in
+    (0, 1).
     """
+    crit = _chi2_isf(level, 9)
     x, k = _usable(batch)
     d = x.shape[2]
     worst, worst_label, min_ess = -np.inf, "", np.inf
@@ -377,7 +479,6 @@ def independence_test(batch, level=0.01, n_batches=DEFAULT_BATCHES):
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
     chi2_stat = float(terms.sum())
-    crit = float(stats.chi2.ppf(1.0 - level, 9))
     if chi2_stat / crit > worst:
         worst, worst_label = chi2_stat / crit, "chi2(4x4)"
     min_ess = min(min_ess, float(n_thin))
@@ -407,8 +508,14 @@ def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
     Valid when the stationary x-marginal is rotation invariant about
     ``center`` (uniform density on a disc): sector counts of the
     snapshot angles, thinned by the effective sample size of
-    (cos, sin), against equal expectations.
+    (cos, sin), against equal expectations.  Needs at least 2 sectors
+    and ``level`` in (0, 1).
     """
+    if isinstance(sectors, bool) or int(sectors) != sectors or sectors < 2:
+        raise ValueError("angular_uniformity needs an integer sectors >= 2, got %r"
+                         % (sectors,))
+    sectors = int(sectors)
+    crit = _chi2_isf(level, sectors - 1)
     x, _ = _usable(batch)
     if x.shape[2] != 2:
         raise ValueError("angular_uniformity needs a 2-dimensional ensemble")
@@ -428,7 +535,6 @@ def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
     n = pooled.size
     expected = n / sectors
     chi2_stat = float(((counts - expected) ** 2 / expected).sum())
-    crit = float(stats.chi2.ppf(1.0 - level, sectors - 1))
     inconclusive = n < MIN_EFFECTIVE_SIZE
     return _report(
         "angular_uniformity",
@@ -446,6 +552,9 @@ def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
 
 
 def _wasserstein(a, b, directions):
+    # only the sweep needs scipy; importing it here keeps it off every other path
+    from scipy import stats
+
     if directions is None:
         return float(stats.wasserstein_distance(a.ravel(), b.ravel()))
     return float(

@@ -272,11 +272,13 @@ def load_run_config(source):
     tests = data.get("tests", [])
     if not isinstance(tests, list) or any(not isinstance(t, str) for t in tests):
         raise ConfigError("config.tests must be a list of test names")
-    for t in tests:
+    for i, t in enumerate(tests):
         if t not in TEST_NAMES:
             raise ConfigError(
                 "tests: %r is not one of %s" % (t, sorted(TEST_NAMES))
             )
+        if t in tests[:i]:
+            raise ConfigError("tests: %r is listed more than once" % t)
     if "angular" in tests and dim != 2:
         raise ConfigError("tests: 'angular' requires dimension 2")
     if tests and sim is not None and sim.family == "driftless_weighted":
@@ -288,6 +290,7 @@ def load_run_config(source):
     bins = 40
     if "histogram" in data:
         block = _require(data, "histogram", "config", dict, "a block")
+        _check_fields(block, "histogram", {"bins"})
         bins = _require(block, "bins", "histogram", int, "an integer")
         if bins < 2:
             raise ConfigError("histogram.bins must be at least 2")

@@ -13,9 +13,12 @@ Analytic oracles
 """
 
 import dataclasses
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import kolmogi
 
 from inertdrift import (
     Ball,
@@ -26,6 +29,7 @@ from inertdrift import (
     make_coefficients,
     run_ensemble,
 )
+from inertdrift._svg import histogram_svg
 from inertdrift.simulate import TrajectoryBatch
 from inertdrift.stationary import StationaryMeasure, sample_stationary
 from inertdrift import analysis as an
@@ -158,6 +162,69 @@ def test_marginal_cdf_rejects_high_dimension():
     sm = StationaryMeasure(cs, mc_samples=20_000)
     with pytest.raises(ValueError, match="d <= 2"):
         an.marginal_cdf_grid(sm)
+
+
+# ---------------------------------------------------------------------------
+# critical values and the KS statistic, against scipy
+# ---------------------------------------------------------------------------
+
+PARITY_LEVELS = np.concatenate([np.geomspace(1e-4, 0.5, 41), [0.01, 0.05]])
+
+
+@pytest.mark.parametrize("u", [
+    np.random.default_rng(4).random(2001),
+    np.round(np.random.default_rng(5).random(3000), 2),  # many ties
+    np.r_[0.0, 1.0, np.random.default_rng(6).random(97), 0.0, 1.0, 1.0],
+    np.array([0.5]),
+], ids=["random", "ties", "endpoints", "single"])
+def test_ks_statistic_is_bit_equal_to_scipy(u):
+    assert an._ks_statistic(u) == stats.kstest(u, "uniform").statistic
+
+
+def test_kolmogorov_isf_matches_scipy():
+    ours = np.array([an._kolmogorov_isf(level) for level in PARITY_LEVELS])
+    np.testing.assert_allclose(ours, kolmogi(PARITY_LEVELS), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("df", range(1, 31))
+def test_chi2_isf_matches_scipy(df):
+    ours = np.array([an._chi2_isf(level, df) for level in PARITY_LEVELS])
+    np.testing.assert_allclose(ours, stats.chi2.ppf(1.0 - PARITY_LEVELS, df),
+                               rtol=1e-13, atol=0)
+
+
+def test_svg_title_escapes_like_saxutils(tmp_path):
+    title = "a&b<c>\"d'"
+    path = histogram_svg(tmp_path / "h.svg", [0.0, 0.5, 1.0], [3, 4],
+                         title=title, x_label=title)
+    text = path.read_text(encoding="utf-8")
+    assert text.count(">%s</text>" % escape(title)) == 2
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.01, 1.5, float("nan")])
+def test_impossible_levels_are_refused(level, disc_batch, disc_sm):
+    with pytest.raises(ValueError, match="level"):
+        an._kolmogorov_isf(level)
+    with pytest.raises(ValueError, match="level"):
+        an._chi2_isf(level, 3)
+    with pytest.raises(ValueError, match="level"):
+        an.ks_uniformity(disc_batch, disc_sm, level=level)
+    with pytest.raises(ValueError, match="level"):
+        an.independence_test(disc_batch, level=level)
+    with pytest.raises(ValueError, match="level"):
+        an.angular_uniformity(disc_batch, level=level)
+
+
+@pytest.mark.parametrize("df", [0, -2, 2.5])
+def test_chi2_isf_refuses_bad_degrees_of_freedom(df):
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        an._chi2_isf(0.01, df)
+
+
+@pytest.mark.parametrize("sectors", [1, 0, -3, 2.5])
+def test_angular_uniformity_refuses_fewer_than_two_sectors(disc_batch, sectors):
+    with pytest.raises(ValueError, match="sectors"):
+        an.angular_uniformity(disc_batch, sectors=sectors)
 
 
 # ---------------------------------------------------------------------------

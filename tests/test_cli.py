@@ -219,6 +219,21 @@ def test_unknown_test_name_rejected():
         load_run_config(cfg)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"histogram": {"bins": 40, "bogus": 1}},
+     "histogram.bogus is not a recognized field"),
+    ({"tests": ["ks", "moments", "ks"]}, "tests: 'ks' is listed more than once"),
+])
+def test_histogram_fields_and_repeated_tests_exit_2_before_simulating(
+    tmp_path, capsys, overrides, message
+):
+    path = write_config(tmp_path, "cfg.json", base_config(**overrides))
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     cfg = base_config()
     cfg["coefficients"]["gamma"] = [[-1.0]]
