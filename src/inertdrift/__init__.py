@@ -17,8 +17,8 @@ simulate
     gradient (smooth wall) families, one chunked numpy kernel per family
     for every domain and coefficient set.
 stationary
-    The candidate product stationary law, its normalizers and sampler,
-    the extended generator, and quadrature residual checks.
+    The candidate product stationary law, its normalizers, marginals and
+    sampler, the extended generator, and quadrature residual checks.
 analysis
     Ensemble statistics against the stationary law: effective sample
     sizes, KS/moment/independence/angular tests, and the smooth-wall
@@ -53,7 +53,6 @@ from .analysis import (
     independence_test,
     k_moment_tests,
     ks_uniformity,
-    marginal_cdf_grid,
     read_trajectory_csv,
     weak_convergence_sweep,
     write_histogram_csv,
@@ -64,6 +63,7 @@ from .stationary import (
     StationaryMeasure,
     bump_basis,
     generator_apply,
+    marginal_cdf_grid,
     sample_stationary,
     stationarity_residual,
     write_residual_report,

@@ -14,9 +14,10 @@ are flagged inconclusive rather than failed.
 Checks
 ------
 * ``ks_uniformity`` — probability-integral transform of one position
-  coordinate through the quadrature CDF of the stationary x-marginal,
-  then a one-sample Kolmogorov–Smirnov test whose asymptotic critical
-  value is scaled by the effective sample size.
+  coordinate through the quadrature CDF of the stationary x-marginal
+  (``stationary.marginal_cdf_grid``), then a one-sample
+  Kolmogorov–Smirnov test whose asymptotic critical value is scaled by
+  the effective sample size.
 * ``k_moment_tests`` — inert-drift mean equal to zero, second moments
   equal to Gamma / 2 (each entry within 3 combined standard errors) and
   gaussian fourth moments (within 4).
@@ -34,8 +35,8 @@ Checks
 
 The critical values come from the limiting Kolmogorov distribution and
 the chi-square distribution with integer degrees of freedom, computed
-here in closed form, so the tests load numpy only; the sweep's
-Wasserstein distance loads ``scipy.stats`` when it runs.
+here in closed form, and the sweep's Wasserstein distance is computed
+here too, so every check loads numpy only.
 """
 
 import csv
@@ -48,7 +49,7 @@ import numpy as np
 from .coefficients import Potential
 from .geometry import SmoothDistance
 from .simulate import run_ensemble
-from .stationary import _wall_refined_edges
+from .stationary import marginal_cdf_grid
 
 MIN_EFFECTIVE_SIZE = 100.0
 DEFAULT_BATCHES = 50
@@ -260,97 +261,6 @@ def _ks_statistic(u):
 
 
 # ---------------------------------------------------------------------------
-# marginal CDF by quadrature
-# ---------------------------------------------------------------------------
-
-
-def _chord_bounds(domain, axis, t_grid, n_scan=129):
-    """Per-slice interval of the other axis inside a convex planar domain."""
-    other = 1 - axis
-    lo, hi = (np.asarray(b, float) for b in domain.bounding_box())
-    scan = np.linspace(lo[other], hi[other], n_scan)
-    pts = np.empty((t_grid.size, n_scan, 2))
-    pts[:, :, axis] = t_grid[:, None]
-    pts[:, :, other] = scan[None, :]
-    mask = domain.inside(pts.reshape(-1, 2)).reshape(t_grid.size, n_scan)
-    any_in = mask.any(axis=1)
-    first = np.where(any_in, mask.argmax(axis=1), 0)
-    last = np.where(any_in, n_scan - 1 - mask[:, ::-1].argmax(axis=1), 0)
-
-    def bisect(a, b):
-        # a strictly inside, b outside: shrink toward the crossing
-        a, b = a.copy(), b.copy()
-        probe = np.empty((t_grid.size, 2))
-        probe[:, axis] = t_grid
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            probe[:, other] = mid
-            inside = domain.inside(probe)
-            a = np.where(inside, mid, a)
-            b = np.where(inside, b, mid)
-        return a
-
-    s_lo = bisect(scan[first], np.full(t_grid.size, lo[other]))
-    s_hi = bisect(scan[last], np.full(t_grid.size, hi[other]))
-    return s_lo, s_hi, any_in
-
-
-def marginal_pdf(sm, axis, t_grid, chord_nodes=128):
-    """Density of one position coordinate under the stationary x-marginal.
-
-    Above one dimension the joint density is integrated over convex
-    cross-sections by Gauss–Legendre quadrature on each chord.
-    """
-    t_grid = np.atleast_1d(np.asarray(t_grid, float))
-    d = sm.domain.d
-    if d == 1:
-        return sm.x_pdf(t_grid[:, None])
-    if d != 2:
-        raise ValueError("marginal CDF quadrature is implemented for d <= 2")
-    s_lo, s_hi, nonempty = _chord_bounds(sm.domain, axis, t_grid)
-    g, w = np.polynomial.legendre.leggauss(chord_nodes)
-    half = 0.5 * (s_hi - s_lo)
-    nodes = 0.5 * (s_hi + s_lo)[:, None] + half[:, None] * g[None, :]
-    pts = np.empty((t_grid.size, chord_nodes, 2))
-    pts[:, :, axis] = t_grid[:, None]
-    pts[:, :, 1 - axis] = nodes
-    vals = sm.x_pdf(pts.reshape(-1, 2)).reshape(t_grid.size, chord_nodes)
-    out = (vals @ w) * half
-    out[~nonempty] = 0.0
-    return out
-
-
-def marginal_cdf_grid(sm, axis=0, n_grid=4097):
-    """(grid, cdf) arrays for one position coordinate of the x-marginal.
-
-    The grid spans the bounding box with dyadic refinement toward the
-    walls; the CDF is a renormalized cumulative trapezoid rule.  Above
-    one dimension the marginal density integrates the joint density over
-    cross-sections (convex domains).
-    """
-    lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in sm.domain.bounding_box())
-    cuts = []
-    if sm.domain.d == 1:
-        cuts = [c for c in sm._radial_cuts() if lo[0] < c < hi[0]]
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.linspace(lo[axis], hi[axis], int(n_grid)),
-                _wall_refined_edges(lo[axis], hi[axis], cuts=cuts),
-            ]
-        )
-    )
-    pdf = marginal_pdf(sm, axis, grid)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))]
-    )
-    if not cdf[-1] > 0.0:
-        raise ValueError("marginal density integrated to zero")
-    cdf = np.maximum.accumulate(cdf / cdf[-1])
-    return grid, cdf
-
-
-# ---------------------------------------------------------------------------
 # distributional tests
 # ---------------------------------------------------------------------------
 
@@ -551,17 +461,22 @@ def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
 # ---------------------------------------------------------------------------
 
 
-def _wasserstein(a, b, directions):
-    # only the sweep needs scipy; importing it here keeps it off every other path
-    from scipy import stats
+def _wasserstein_1d(u, v):
+    """1-Wasserstein distance of two 1-D samples, the integral of |F_u - F_v|.
 
+    The same operations as ``scipy.stats.wasserstein_distance(u, v)``, so
+    the distance is bit-identical to it.
+    """
+    pooled = np.sort(np.concatenate([u, v]), kind="mergesort")
+    cdf_u = np.sort(u).searchsorted(pooled[:-1], "right") / u.size
+    cdf_v = np.sort(v).searchsorted(pooled[:-1], "right") / v.size
+    return float(np.vecdot(np.abs(cdf_u - cdf_v), np.diff(pooled)))
+
+
+def _wasserstein(a, b, directions):
     if directions is None:
-        return float(stats.wasserstein_distance(a.ravel(), b.ravel()))
-    return float(
-        np.mean(
-            [stats.wasserstein_distance(a @ u, b @ u) for u in directions]
-        )
-    )
+        return _wasserstein_1d(a.ravel(), b.ravel())
+    return float(np.mean([_wasserstein_1d(a @ u, b @ u) for u in directions]))
 
 
 def _pooled_positions(batch):

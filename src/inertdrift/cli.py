@@ -44,7 +44,6 @@ from .analysis import (
     independence_test,
     k_moment_tests,
     ks_uniformity,
-    marginal_pdf,
     read_trajectory_csv,
     weak_convergence_sweep,
     write_histogram_csv,
@@ -57,6 +56,7 @@ from .skorokhod import SkorokhodError, read_path_csv, solve_skorokhod
 from .stationary import (
     StationaryMeasure,
     bump_basis,
+    marginal_pdf,
     stationarity_residual,
     write_residual_report,
 )

@@ -45,36 +45,16 @@ def _domain_scale(domain):
     return diam if np.isfinite(diam) else domain.reference_length
 
 
-def _wrap_scalar(fn, vectorized):
-    """Normalize a scalar-valued coefficient callable to act on (m, d) batches."""
-    if vectorized:
-        def batched(pts):
-            return np.asarray(fn(pts), dtype=float).reshape(pts.shape[0])
-    else:
-        def batched(pts):
-            return np.array([float(fn(p)) for p in pts])
-    return batched
-
-
-def _wrap_vector(fn, d, vectorized):
-    if vectorized:
-        def batched(pts):
-            return np.asarray(fn(pts), dtype=float).reshape(pts.shape[0], d)
-    else:
-        def batched(pts):
-            return np.stack([np.asarray(fn(p), dtype=float).reshape(d) for p in pts])
-    return batched
-
-
-def _wrap_matrix(fn, d, vectorized):
-    if vectorized:
-        def batched(pts):
-            return np.asarray(fn(pts), dtype=float).reshape(pts.shape[0], d, d)
-    else:
-        def batched(pts):
-            return np.stack(
-                [np.asarray(fn(p), dtype=float).reshape(d, d) for p in pts]
-            )
+def _wrap(fn, shape, vectorized):
+    """Normalize a coefficient callable to act on (m, d) batches, giving
+    float64 values of shape (m,) + ``shape``: one call on the whole batch
+    when ``vectorized``, else one call per point."""
+    def batched(pts):
+        if vectorized:
+            vals = fn(pts)
+        else:
+            vals = [np.asarray(fn(p), dtype=float).reshape(shape) for p in pts]
+        return np.asarray(vals, dtype=float).reshape((len(pts),) + shape)
     return batched
 
 
@@ -172,7 +152,7 @@ class CoefficientSet:
             self._sigma_fn = None
         elif callable(sigma):
             self._sigma_const = None
-            self._sigma_fn = _wrap_matrix(sigma, d, vectorized)
+            self._sigma_fn = _wrap(sigma, (d, d), vectorized)
         else:
             M = np.asarray(sigma, dtype=float)
             if M.shape != (d, d) or not np.all(np.isfinite(M)):
@@ -191,7 +171,7 @@ class CoefficientSet:
         # --- rho --------------------------------------------------------------
         if callable(rho):
             self._rho_const = None
-            self._rho_fn = _wrap_scalar(rho, vectorized)
+            self._rho_fn = _wrap(rho, (), vectorized)
         else:
             r = float(rho)
             if not np.isfinite(r) or r <= 0.0:
@@ -201,7 +181,7 @@ class CoefficientSet:
 
         # --- inert field ------------------------------------------------------
         if callable(inert_field):
-            self._inert_fn = _wrap_vector(inert_field, d, vectorized)
+            self._inert_fn = _wrap(inert_field, (d,), vectorized)
             self.inert_field = "custom"
         elif inert_field in ("gamma_normal", "a0_conormal"):
             self._inert_fn = None
@@ -556,8 +536,8 @@ class Potential:
             self.distance = None
             self.domain = domain
             self.n = None
-            self._v_fn = _wrap_scalar(V, vectorized)
-            self._dv_fn = _wrap_vector(grad_V, domain.d, vectorized)
+            self._v_fn = _wrap(V, (), vectorized)
+            self._dv_fn = _wrap(grad_V, (domain.d,), vectorized)
         else:
             raise CoefficientError(
                 "unknown potential kind %r; expected 'regularized_vn' or "

@@ -127,12 +127,14 @@ class Domain:
         raise NotImplementedError
 
     def _land(self, y, push):
-        """The contact rule: push each point of ``y`` outside the closure
-        back along its row of ``push`` to the point where the line
-        y + s push enters the closure.  Returns the landing points, s (the
-        local-time increment dL, negative where the push points away from
-        the domain), the inward normals there, and ``ok``, False where the
-        line misses the closure."""
+        """The contact rule: where the line y + s push enters the closure.
+
+        Returns the landing points, s (the local-time increment dL,
+        negative where the push points away from the domain), the inward
+        normals there, and ``ok``, False where the line misses the
+        closure.  The reflected kernel, ``skorokhod`` and the chords of
+        ``stationary.marginal_pdf`` rely on this contract, so a new way
+        to step (a mirror step, say) belongs in the kernel, not here."""
         raise NotImplementedError
 
     # -- shared API ------------------------------------------------------------
@@ -708,9 +710,10 @@ class SmoothDistance:
 
         Box: the soft minimum of ``_value``, with
         grad delta = sum_i ((delta/f_lo_i)^(beta+1) - (delta/f_hi_i)^(beta+1)) e_i
-        for the face distances f.  Ellipsoid: delta = phi / g from the
-        formula of ``_value`` and its gradient by the quotient rule.  The
-        gradient kernel and ``_grad`` evaluate this method.
+        for the face distances f.  Ellipsoid: delta = phi / g from
+        ``_ellipsoid_terms``, which ``_value`` shares, and its gradient by
+        the quotient rule.  The gradient kernel and ``_grad`` evaluate this
+        method.
         """
         dom = self.domain
         if dom.kind == "box":
@@ -724,15 +727,9 @@ class SmoothDistance:
                 grad[:, i] -= (val / fhi) ** (beta + 1.0)
             return val, grad
         if dom.kind == "ellipsoid":
-            p = pts - dom.center
-            r = dom.radii
-            phi = dom._level(pts)
-            gphi = -2.0 * p / r**2
-            u = np.sum(gphi**2, axis=1)
-            du = 8.0 * p / r**4
-            v = (2.0 * phi / self._scale) ** 2
+            phi, gphi, g = self._ellipsoid_terms(pts)
+            du = 8.0 * (pts - dom.center) / dom.radii**4
             dv = (8.0 / self._scale**2) * phi[:, None] * gphi
-            g = np.sqrt(u + v)
             dg = (du + dv) / (2.0 * g[:, None])
             return phi / g, gphi / g[:, None] - (phi / g**2)[:, None] * dg
         if self._half_line:
@@ -765,11 +762,17 @@ class SmoothDistance:
                 out[pos] = fmin[pos] * np.sum((mn / fp) ** beta, axis=1) ** (-1.0 / beta)
             out[~pos] = fmin[~pos]
             return out
-        # ellipsoid: phi / sqrt(|grad phi|^2 + (2 phi / scale)^2)
+        phi, _, g = self._ellipsoid_terms(pts)
+        return phi / g
+
+    def _ellipsoid_terms(self, pts):
+        """The ellipsoid's level function phi, grad phi and
+        g = sqrt(|grad phi|^2 + (2 phi / scale)^2), so that delta = phi / g."""
+        dom = self.domain
         phi = dom._level(pts)
         gphi = -2.0 * (pts - dom.center) / dom.radii**2
         g = np.sqrt(np.sum(gphi**2, axis=1) + (2.0 * phi / self._scale) ** 2)
-        return phi / g
+        return phi, gphi, g
 
     def _grad(self, pts):
         return self._value_and_grad(pts)[1]

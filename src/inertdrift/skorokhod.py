@@ -158,14 +158,23 @@ def reflect_step(domain, x, increment, push_dir, max_step=None):
     minimal: ``x_new = x + increment + push * dl`` where ``push`` is the
     push field evaluated at the boundary contact (the projection of the
     unconstrained point).  ``dl = 0`` exactly when the move stays inside.
-    The landing is the domain's contact rule (``domain._land``), the one
-    the numpy reflected kernel calls; raises SkorokhodError when the push
-    cannot return the point to the closure.
+    The exit test and the landing are the domain's contact rule (``_exit``
+    and ``_land``), the one the numpy reflected kernel calls; raises
+    SkorokhodError when the push cannot return the point to the closure.
 
     The per-step push-back is only locally valid, so callers stepping a
     whole path should cap increments by passing ``max_step`` (the path
     solver uses the domain's feature-size guard).
     """
+    x_new, dl, _ = _step(domain, x, increment, push_dir, max_step)
+    if not np.all(np.isfinite(x_new)):  # a NaN passes the exit test
+        raise SkorokhodError("step from %s by %s is not finite" % (x, increment))
+    return x_new, dl
+
+
+def _step(domain, x, increment, push_dir, max_step):
+    """``reflect_step``, also returning the push it used (None when the
+    move stays in the closure)."""
     d = domain.d
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(d)
     inc = np.atleast_1d(np.asarray(increment, dtype=float)).reshape(d)
@@ -176,8 +185,8 @@ def reflect_step(domain, x, increment, push_dir, max_step=None):
             "refine the time grid" % (step_len, max_step)
         )
     y = x + inc
-    if float(domain.signed_distance(y)) >= 0.0:
-        return y, 0.0
+    if not domain._exit(y[None, :])[0][0]:
+        return y, 0.0, None
     contact = np.atleast_1d(domain.project_to_boundary(y)).reshape(d)
     push = _resolve_push(push_dir, contact, d)
     land, dl, _, ok = domain._land(y[None, :], push[None, :])
@@ -185,7 +194,7 @@ def reflect_step(domain, x, increment, push_dir, max_step=None):
         raise SkorokhodError(
             "push direction %s cannot return %s to the closure" % (push, y)
         )
-    return land[0], float(dl[0])
+    return land[0], float(dl[0]), push
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +231,11 @@ def solve_skorokhod(domain, driving, push_dir=None):
     dirs = np.zeros((m, domain.d))
     guard = domain.feature_guard
     for i in range(m):
-        inc = f[i + 1] - f[i]
-        x_new, dl = reflect_step(domain, g[i], inc, push_dir, max_step=guard)
-        g[i + 1] = x_new
+        g[i + 1], dl, push = _step(domain, g[i], f[i + 1] - f[i], push_dir, guard)
         dls[i] = dl
         ell[i + 1] = ell[i] + dl
         if dl > 0.0:
-            y = g[i] + inc
-            contact = np.atleast_1d(domain.project_to_boundary(y)).reshape(domain.d)
-            dirs[i] = _resolve_push(push_dir, contact, domain.d)
+            dirs[i] = push
     return ConstrainedPath(driving.times.copy(), g, ell, dls, dirs)
 
 

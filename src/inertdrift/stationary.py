@@ -6,7 +6,9 @@ and to rho(x) * exp(-V(x)) for the smooth-wall family; the inert-drift
 factor is proportional to exp(-(Gamma^{-1} y, y)), a centered Gaussian
 with covariance Gamma / 2.  This module evaluates those densities,
 computes the position normalizer by composite quadrature (Monte Carlo
-above two dimensions), applies the extended generator
+above two dimensions) and the density and CDF of one position
+coordinate (in the plane by quadrature along the chords that the
+domain's contact rule finds), applies the extended generator
 
     G f = 1/2 tr(A Hess_x f) + (b - 1/2 A grad V + y) . grad_x f
           - 1/2 (Gamma grad V) . grad_y f
@@ -30,6 +32,8 @@ __all__ = [
     "StationaryMeasure",
     "bump_basis",
     "generator_apply",
+    "marginal_cdf_grid",
+    "marginal_pdf",
     "sample_stationary",
     "stationarity_residual",
     "write_residual_report",
@@ -57,10 +61,13 @@ def _wall_refined_edges(lo, hi, cuts=(), levels=30):
 
 
 def _panel_quadrature(edges, nodes_per_panel):
-    """Gauss-Legendre nodes and weights compounded over adjacent panels."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes_per_panel)
+    """Gauss-Legendre nodes and weights compounded over adjacent panels,
+    with ``nodes_per_panel`` nodes on each (one count, or one per panel)."""
+    counts = np.broadcast_to(nodes_per_panel, (len(edges) - 1,))
+    rules = {n: np.polynomial.legendre.leggauss(n) for n in set(counts.tolist())}
     nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi, n in zip(edges[:-1], edges[1:], counts.tolist()):
+        xs, ws = rules[n]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes.append(mid + half * xs)
         weights.append(half * ws)
@@ -71,15 +78,40 @@ def _split_axis_quadrature(lo, hi, cuts, n_total):
     """Composite Gauss-Legendre on [lo, hi] split at interior cuts, with
     roughly ``n_total`` nodes distributed proportionally to panel length."""
     edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    nodes, weights = [], []
-    span = hi - lo
-    for plo, phi in zip(edges[:-1], edges[1:]):
-        n = max(8, int(round(n_total * (phi - plo) / span)))
-        xs, ws = np.polynomial.legendre.leggauss(n)
-        mid, half = 0.5 * (plo + phi), 0.5 * (phi - plo)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    counts = [max(8, int(round(n_total * (b - a) / (hi - lo))))
+              for a, b in zip(edges[:-1], edges[1:])]
+    return _panel_quadrature(edges, counts)
+
+
+def _scan_grid(lo, hi, n, cuts=()):
+    """``n`` uniform points on [lo, hi] merged with the wall-refined edges,
+    so a density that peaks next to a wall or a cut is seen too."""
+    return np.unique(
+        np.concatenate([np.linspace(lo, hi, n), _wall_refined_edges(lo, hi, cuts)])
+    )
+
+
+def _chord_bounds(domain, axis, t_grid):
+    """Per-slice interval of the other axis inside a convex planar domain.
+
+    The line {x_axis = t} is started on each edge of the bounding box
+    along the other axis and pushed inward along that axis; the domain's
+    contact rule ``_land`` gives where it enters the closure.  Returns the
+    two ends and ``ok``, False on the slices the line misses.  A line
+    along a box face gets the whole side, where the density is zero.
+    """
+    other = 1 - axis
+    ends, nonempty = [], True
+    for edge, sign in zip(domain.bounding_box(), (1.0, -1.0)):
+        start = np.empty((t_grid.size, 2))
+        start[:, axis] = t_grid
+        start[:, other] = edge[other]
+        push = np.zeros((t_grid.size, 2))
+        push[:, other] = sign
+        land, _, _, ok = domain._land(start, push)
+        ends.append(land[:, other])
+        nonempty = nonempty & ok
+    return ends[0], ends[1], nonempty
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +287,57 @@ class StationaryMeasure:
             np.std(vals, ddof=1) / np.sqrt(len(vals))
         )
         return float(np.mean(vals))
+
+
+# ---------------------------------------------------------------------------
+# one-coordinate marginals
+# ---------------------------------------------------------------------------
+
+
+def marginal_pdf(sm, axis, t_grid, chord_nodes=128):
+    """Density of one position coordinate under the stationary x-marginal.
+
+    Above one dimension the joint density is integrated over convex
+    cross-sections by Gauss–Legendre quadrature on each chord.
+    """
+    t_grid = np.atleast_1d(np.asarray(t_grid, float))
+    d = sm.domain.d
+    if d == 1:
+        return sm.x_pdf(t_grid[:, None])
+    if d != 2:
+        raise ValueError("marginal CDF quadrature is implemented for d <= 2")
+    s_lo, s_hi, nonempty = _chord_bounds(sm.domain, axis, t_grid)
+    g, w = _panel_quadrature([-1.0, 1.0], chord_nodes)  # the rule on [-1, 1]
+    half = 0.5 * (s_hi - s_lo)
+    nodes = 0.5 * (s_hi + s_lo)[:, None] + half[:, None] * g[None, :]
+    pts = np.empty((t_grid.size, chord_nodes, 2))
+    pts[:, :, axis] = t_grid[:, None]
+    pts[:, :, 1 - axis] = nodes
+    vals = sm.x_pdf(pts.reshape(-1, 2)).reshape(t_grid.size, chord_nodes)
+    out = (vals @ w) * half
+    out[~nonempty] = 0.0
+    return out
+
+
+def marginal_cdf_grid(sm, axis=0, n_grid=4097):
+    """(grid, cdf) arrays for one position coordinate of the x-marginal.
+
+    The grid spans the bounding box with dyadic refinement toward the
+    walls; the CDF is a renormalized cumulative trapezoid rule.  Above
+    one dimension the marginal density integrates the joint density over
+    cross-sections (convex domains).
+    """
+    lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in sm.domain.bounding_box())
+    cuts = sm._radial_cuts() if sm.domain.d == 1 else ()
+    grid = _scan_grid(lo[axis], hi[axis], int(n_grid), cuts)
+    pdf = marginal_pdf(sm, axis, grid)
+    cdf = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))]
+    )
+    if not cdf[-1] > 0.0:
+        raise ValueError("marginal density integrated to zero")
+    cdf = np.maximum.accumulate(cdf / cdf[-1])
+    return grid, cdf
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +602,8 @@ def sample_stationary(sm, n, seed=None, rng=None):
         raise ValueError("n must be nonnegative")
     lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in sm.domain.bounding_box())
 
-    # grid-scan the envelope height; a uniform grid plus wall-refined
-    # points so densities peaking near the boundary are seen too
-    grid_axes = [
-        np.unique(
-            np.concatenate(
-                [
-                    np.linspace(lo[i], hi[i], 512 if d == 1 else 128),
-                    _wall_refined_edges(lo[i], hi[i]),
-                ]
-            )
-        )
-        for i in range(d)
-    ]
+    # grid-scan the envelope height
+    grid_axes = [_scan_grid(lo[i], hi[i], 512 if d == 1 else 128) for i in range(d)]
     grid = np.stack(np.meshgrid(*grid_axes, indexing="ij"), axis=-1).reshape(-1, d)
     env = 1.25 * float(np.max(sm.x_weight(grid)))
     if not env > 0.0:

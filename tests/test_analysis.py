@@ -193,6 +193,20 @@ def test_chi2_isf_matches_scipy(df):
                                rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_wasserstein_distance_is_bit_equal_to_scipy(seed):
+    rng = np.random.default_rng(seed)
+    samples = [
+        rng.standard_normal(rng.integers(1, 400)),
+        rng.standard_normal(rng.integers(1, 400)) * 0.5 + 0.3,
+        np.round(rng.random(rng.integers(1, 300)), 1),  # ties within and across
+        np.round(rng.random(rng.integers(1, 300)), 1),
+    ]
+    for a in samples:
+        for b in samples:
+            assert an._wasserstein_1d(a, b) == stats.wasserstein_distance(a, b)
+
+
 def test_svg_title_escapes_like_saxutils(tmp_path):
     title = "a&b<c>\"d'"
     path = histogram_svg(tmp_path / "h.svg", [0.0, 0.5, 1.0], [3, 4],

@@ -401,3 +401,50 @@ def test_user_supplied_potential_delegates():
     assert batch.shape == (3, 2)
     with pytest.raises(CoefficientError, match="kind"):
         Potential("sinusoidal", domain=dom, V=lambda p: 0.0, grad_V=lambda p: p)
+
+
+def test_per_point_and_batch_callables_agree_and_take_empty_batches():
+    dom = Ball([0.0, 0.0], 1.0)
+
+    def sigma_batch(pts):
+        s = np.zeros((pts.shape[0], 2, 2))
+        s[:, 0, 0] = np.sqrt(1.0 + pts[:, 0] * pts[:, 0])
+        s[:, 0, 1] = 0.1 * pts[:, 1]
+        s[:, 1, 1] = 1.0
+        return s
+
+    def rho_batch(pts):
+        return 1.0 + 0.5 * pts[:, 0] * pts[:, 0]
+
+    def field_batch(pts):
+        return np.column_stack([2.0 * pts[:, 0], pts[:, 1] - 0.25])
+
+    def per_point(fn):
+        # a point at a time; an int result must come back as float64 too
+        return lambda p: fn(np.asarray(p, float)[None, :])[0].tolist()
+
+    def build(vectorized):
+        wrap = (lambda fn: fn) if vectorized else per_point
+        cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=wrap(sigma_batch),
+                            rho=wrap(rho_batch), inert_field=wrap(field_batch),
+                            vectorized=vectorized)
+        pot = Potential("user_supplied", domain=dom, V=wrap(rho_batch),
+                        grad_V=wrap(field_batch), vectorized=vectorized)
+        return cs, pot
+
+    pts = Ball([0.0, 0.0], 0.9).sample_interior(17, np.random.default_rng(3))
+    empty = np.zeros((0, 2))
+    per, vec = build(False), build(True)
+    for probe, shapes in ((pts, [(17, 2, 2), (17,), (17, 2), (17,), (17, 2)]),
+                          (empty, [(0, 2, 2), (0,), (0, 2), (0,), (0, 2)])):
+        got = []
+        for cs, pot in (per, vec):
+            vals = [cs.sigma(probe), cs.rho(probe), cs.inert_v(probe),
+                    pot.value(probe), pot.grad(probe)]
+            assert [v.shape for v in vals] == shapes
+            assert all(v.dtype == np.float64 for v in vals)
+            got.append(vals)
+        for a, b in zip(*got):
+            np.testing.assert_array_equal(a, b)
+    assert CoefficientSet(dom, gamma=GAMMA_2D, rho=lambda p: 2).rho(pts[:3]).dtype \
+        == np.float64

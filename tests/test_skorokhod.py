@@ -12,6 +12,7 @@ Oracles used here:
     against a much finer reference solve of the same continuous path.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -82,6 +83,9 @@ def test_outward_push_fails_with_diagnostics():
     dom = Ball([0.0, 0.0], 1.0)
     with pytest.raises(SkorokhodError, match="push"):
         reflect_step(dom, [0.9, 0.0], [0.2, 0.0], lambda p: np.array([1.0, 0.0]))
+    # a NaN passes every exit test, so the step itself must refuse it
+    with pytest.raises(SkorokhodError, match="not finite"):
+        reflect_step(dom, [0.1, 0.0], [np.nan, 0.0], dom.inward_normal)
 
 
 def _check_landing(dom, x, inc, push_dir):
@@ -201,6 +205,29 @@ def test_starting_point_outside_closure_rejected():
     f = np.column_stack([1.5 - t, np.zeros_like(t)])
     with pytest.raises(SkorokhodError, match="closure"):
         solve_skorokhod(dom, DrivingPath(t, f))
+
+
+# sha256 of the values, local time and contact directions of a 400-step
+# path on Ellipsoid([0.1, 0], [1, 0.5]) that drifts into the boundary
+# (136 contact steps)
+ELLIPSOID_PATH_SHA = (
+    "c69ea6255fe0c20672db88b0f12b0f62d1547ceed8c59f34c05fd1bd0ef52947",
+    "821051fb5d42af15fe66790d996c35acc328c983fb7785d6dcfe0559e7729423",
+    "2110f452173b11e225269d806ca0b89bba2c9ee8d080253fb00058c4ce1278b2",
+)
+
+
+def test_ellipsoid_path_solve_is_pinned():
+    dom = Ellipsoid([0.1, 0.0], [1.0, 0.5])
+    rng = np.random.default_rng(5)
+    inc = 0.03 * rng.standard_normal((400, 2)) + [0.01, 0.005]
+    f = dom.centroid + np.cumsum(np.vstack([np.zeros((1, 2)), inc]), axis=0)
+    sol = solve_skorokhod(dom, DrivingPath(np.linspace(0.0, 1.0, 401), f))
+    assert int(np.count_nonzero(sol.dl)) == 136
+    assert tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (sol.values, sol.local_time, sol.contact_dirs)
+    ) == ELLIPSOID_PATH_SHA
 
 
 def test_refinement_order_on_smooth_disc_path():

@@ -12,6 +12,9 @@ Analytic oracles
   (scipy) of exp(-V).
 """
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -30,6 +33,8 @@ from inertdrift import (
 from inertdrift.stationary import (
     BumpTestFunction,
     StationaryMeasure,
+    _chord_bounds,
+    _scan_grid,
     bump_basis,
     generator_apply,
     sample_stationary,
@@ -490,3 +495,137 @@ def test_residual_report_roundtrip(tmp_path):
     assert lines[1].startswith("c1,f0,") and lines[1].endswith(",1")
     assert lines[2].endswith(",0")
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# pinned quadrature and sampler outputs
+# ---------------------------------------------------------------------------
+
+GAMMA2 = [[2.0, 0.0], [0.0, 1.0]]
+PINNED_DOMAINS = {
+    "interval": (Interval(0.0, 1.0), [[1.0]]),
+    "disc": (Ball([0.0, 0.0], 1.0), GAMMA2),
+    "box": (Box([0.0, 0.0], [1.0, 2.0]), GAMMA2),
+    "ellipsoid": (Ellipsoid([0.1, 0.0], [1.0, 0.5]), GAMMA2),
+    "ball3": (Ball([0.0, 0.0, 0.0], 1.0), np.eye(3)),
+}
+
+
+def _pinned_measure(name, wall):
+    dom, gamma = PINNED_DOMAINS[name]
+    cs = make_coefficients("identity", dom, gamma=gamma)
+    pot = None
+    if wall:
+        pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+    return StationaryMeasure(cs, potential=pot)
+
+
+# float.hex of c_x under the default settings, without and with the n = 2
+# wall: the panel rule in 1-D and on the box, the polar rule on the disc and
+# the ellipsoid, and Monte Carlo (with its standard error) on the 3-D ball
+C_X_HEX = {
+    ("interval", False): ("0x1.0000000000000p+0", None),
+    ("interval", True): ("0x1.35a5980972da2p+6", None),
+    ("disc", False): ("0x1.45f306dc9c884p-2", None),
+    ("disc", True): ("0x1.153d78b06fe6bp+3", None),
+    ("box", False): ("0x1.0000000000001p-1", None),
+    ("box", True): ("0x1.0f29d0aa9d656p+6", None),
+    ("ellipsoid", False): ("0x1.45f306dc9c884p-1", None),
+    ("ellipsoid", True): ("0x1.c271a064a0641p+12", None),
+    ("ball3", False): ("0x1.e99afe90c1ba3p-3", "0x1.9e0d820217614p-8"),
+    ("ball3", True): ("0x1.8938cd6c9088cp+3", "0x1.75ff095c077bep-12"),
+}
+
+
+@pytest.mark.parametrize("name, wall", sorted(C_X_HEX))
+def test_position_normalizer_is_pinned(name, wall):
+    sm = _pinned_measure(name, wall)
+    se = sm.c_x_standard_error
+    assert (sm.c_x.hex(), None if se is None else se.hex()) == C_X_HEX[name, wall]
+
+
+# float.hex of the five residuals of configs/residual_disc_n2.json
+RESIDUAL_DISC_N2_HEX = [
+    "0x1.8adfc4e478400p-26",
+    "0x1.9601bfc6f5abcp-20",
+    "-0x1.21fe6b86fc280p-23",
+    "0x1.162ad4d3c7ba0p-23",
+    "0x1.23580391c2040p-21",
+]
+
+
+@pytest.mark.slow
+def test_residual_disc_n2_is_pinned():
+    from inertdrift.cli import load_run_config
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "residual_disc_n2.json")
+    cfg = load_run_config(path)
+    sm = StationaryMeasure(cfg.cs, potential=cfg.potential)
+    fns = bump_basis(cfg.domain, cfg.cs.gamma, count=5, seed=3)
+    got = [stationarity_residual(sm, f).hex() for f in fns]
+    assert got == RESIDUAL_DISC_N2_HEX
+
+
+def test_sampler_draw_is_pinned():
+    x, y = sample_stationary(_pinned_measure("disc", True), 500, seed=17)
+    assert (_sha256(x), _sha256(y)) == (
+        "15ffa40f0c674aedc26b41315c6871dd96a80b8ee1e53d55260c91586179b8ea",
+        "1486f3fefe8369a18221e8560908549e0493807b1b808b5866b475bceda045f0",
+    )
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# chords of the marginal quadrature
+# ---------------------------------------------------------------------------
+
+
+def _exact_chord(name, axis, t):
+    """Closed-form chord (lo, hi) of the slice x_axis = t, and whether the
+    slice meets the open domain."""
+    if name == "disc":
+        h = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+        return -h, h, np.abs(t) < 1.0
+    if name == "ellipsoid":  # center (0.1, 0), radii (1, 0.5)
+        u = t - 0.1 if axis == 0 else t / 0.5
+        h = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+        if axis == 0:
+            return -0.5 * h, 0.5 * h, np.abs(u) < 1.0
+        return 0.1 - h, 0.1 + h, np.abs(u) < 1.0
+    side = (2.0, 1.0)[axis]  # box [0, 1] x [0, 2]
+    return np.zeros_like(t), np.full_like(t, side), (t > 0.0) & (t < (1.0, 2.0)[axis])
+
+
+CHORD_DOMAINS = {
+    "disc": Ball([0.0, 0.0], 1.0),
+    "ellipsoid": Ellipsoid([0.1, 0.0], [1.0, 0.5]),
+    "box": Box([0.0, 0.0], [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("name", sorted(CHORD_DOMAINS))
+def test_chords_match_the_closed_form(name, axis):
+    dom = CHORD_DOMAINS[name]
+    lo, hi = (b[axis] for b in dom.bounding_box())
+    # the marginal's own grid, which holds the tangent points (or the box
+    # faces) lo and hi, plus slices outside the domain
+    t = np.concatenate([_scan_grid(lo, hi, 4097), [lo - 0.1, hi + 0.3, lo - 1e-12]])
+    s_lo, s_hi, ok = _chord_bounds(dom, axis, t)
+    want_lo, want_hi, want_ok = _exact_chord(name, axis, t)
+    if name == "box":
+        # on a face the contact rule reports the whole side; the density is
+        # zero there either way, off the open domain
+        face = (t == lo) | (t == hi)
+        assert np.all(ok[face]) and np.all(s_lo[face] == 0.0)
+        assert np.all(s_hi[face] == want_hi[face])
+        want_ok = want_ok | face
+    else:
+        assert not ok[np.isin(t, (lo, hi))].any()  # tangent lines are empty
+    np.testing.assert_array_equal(ok, want_ok)
+    np.testing.assert_allclose(s_lo[ok], want_lo[ok], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s_hi[ok], want_hi[ok], rtol=0, atol=1e-12)
