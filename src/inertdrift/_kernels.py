@@ -12,7 +12,7 @@ global index of the chunk's first step, and ``params``: one plain tuple of
 the run's read-only constants, built once per run by the family's helper
 in :mod:`inertdrift.simulate` and unpacked in one statement.  A
 coefficient that varies with x comes as a function of the live rows'
-points instead of an array: sigma, b and the push matrix A (or A/2) are
+points instead of an array: sigma, b and the push matrix A are
 evaluated at the step start, and the inert field v at the landing point.
 Each kernel finishes its chunk in one call.  The noise is drawn in
 :mod:`inertdrift.simulate`: the gradient kernel also takes the chunk's

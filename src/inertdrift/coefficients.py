@@ -81,8 +81,6 @@ class CoefficientSet:
         (v = a0 * u), or a callable returning v at boundary points.
     a0 : float, optional
         Scale used by ``"a0_conormal"``.
-    conormal_convention : {"full", "half"}, optional
-        Whether the conormal is A n (default) or A n / 2.
     drift_const : array_like, optional
         Declares the drift to be this constant vector; enables the fast
         ensemble kernels.  (When sigma and rho are both constant the zero
@@ -108,7 +106,6 @@ class CoefficientSet:
         rho=1.0,
         inert_field="gamma_normal",
         a0=1.0,
-        conormal_convention="full",
         drift_const=None,
         vectorized=False,
         name="custom",
@@ -116,13 +113,6 @@ class CoefficientSet:
         self.domain = domain
         d = domain.d
         self.name = str(name)
-
-        if conormal_convention not in ("full", "half"):
-            raise CoefficientError(
-                "conormal_convention must be 'full' or 'half', got %r"
-                % (conormal_convention,)
-            )
-        self.conormal_convention = conormal_convention
 
         # --- gamma ----------------------------------------------------------
         G = np.asarray(gamma, dtype=float)
@@ -387,18 +377,11 @@ class CoefficientSet:
             self._diagnostics["one_sided_stencil_points"] += one_sided
         return acc / (2.0 * self._rho_batch(pts)[:, None])
 
-    def conormal_u(self, x_boundary, convention=None):
-        """Conormal direction at a boundary point: A n (full) or A n / 2 (half)."""
-        conv = self.conormal_convention if convention is None else convention
-        if conv not in ("full", "half"):
-            raise CoefficientError(
-                "convention must be 'full' or 'half', got %r" % (conv,)
-            )
+    def conormal_u(self, x_boundary):
+        """Conormal direction u = A n at a boundary point."""
         pts, single = _as_batch(x_boundary, self.domain.d)
         nrm = np.atleast_2d(self.domain.inward_normal(pts))
         u = np.einsum("mik,mk->mi", self._a_batch(pts), nrm)
-        if conv == "half":
-            u = 0.5 * u
         return _unbatch(u, single)
 
     def inert_v(self, x_boundary):
@@ -409,7 +392,7 @@ class CoefficientSet:
         if self.inert_field == "gamma_normal":
             nrm = np.atleast_2d(self.domain.inward_normal(pts))
             return _unbatch(nrm @ self._gamma.T, single)
-        u = np.atleast_2d(self.conormal_u(pts, self.conormal_convention))
+        u = np.atleast_2d(self.conormal_u(pts))
         return _unbatch(self.a0 * u, single)
 
     def __repr__(self):
@@ -432,7 +415,7 @@ def make_coefficients(preset, domain, gamma, *, a_diag=None, **kwargs):
     ``anisotropic``
         sigma = diag(sqrt(a_diag)), rho = 1; requires ``a_diag``.
 
-    Remaining keyword arguments (inert_field, a0, conormal_convention, ...)
+    Remaining keyword arguments (inert_field, a0, ...)
     pass through to :class:`CoefficientSet`.
     """
     if preset == "identity":

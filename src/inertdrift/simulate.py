@@ -41,12 +41,19 @@ start of its step, gets a fresh pool from its stream through one shared
 ``refill`` (:func:`_gradient_step`, which holds the refill budget), and
 redoes that step at once.  Every family reports one diagnostics schema
 (:func:`_diagnostics`).  Results are reproducible for a fixed seed.
+
+Output: :meth:`TrajectoryBatch.to_csv` and :meth:`TrajectoryBatch.write_weights`
+stream their tables through one writer, :func:`_write_csv`, in blocks of
+``_CSV_BLOCK_ROWS`` rows.  Where the process may run on two CPUs or more, it
+forks one helper that formats every other block, so a large table is
+formatted on two cores; the bytes do not depend on the CPU count.
 """
 
 import dataclasses
 import functools
 import json
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +260,14 @@ class TrajectoryBatch:
         return float(w.sum() ** 2 / (w * w).sum())
 
     def write_weights(self, path):
-        """Write one row per path: path_id,log_weight."""
+        """Write one row per path: path_id,log_weight.
+
+        ValueError, before ``path`` is opened, if the batch has no
+        log-weights (only ``driftless_weighted`` runs have them).
+        """
+        if self.log_weights is None:
+            raise ValueError("this batch has no log-weights: only a "
+                             "driftless_weighted run has them")
         _write_csv(path, "path_id,log_weight", self.n_paths, None,
                    [np.asarray(self.log_weights, dtype=float)])
 
@@ -291,6 +305,10 @@ _CSV_BLOCK_ROWS = 2048
 # whole chunks.  Runs with n_paths * d <= 256 keep blocks of chunk_size steps.
 _NOISE_BLOCK_FLOATS = 1 << 20
 
+# Extra steps per path row of the noise buffer, so that a row of 2^k bytes
+# does not put every path's step-c normal on the same few cache sets.
+_NOISE_ROW_PAD = 8
+
 
 def _g17(values):
     """The ``%.17g`` text of each float in ``values``, in one ``%`` call."""
@@ -320,6 +338,14 @@ def _write_csv(path, header, n_paths, times, columns):
     ``np.savetxt`` with ``fmt=["%d"] + ["%.17g", ...]``, ``delimiter=","``
     and ``comments=""``; the ids are formatted once per path, the times once
     per snapshot and each run of equal values once.
+
+    Formatting holds the interpreter lock, so a table of two blocks or more
+    is formatted by two processes when ``os.sched_getaffinity`` reports two
+    usable CPUs or more: a forked helper (:func:`_fork_helper`) formats the
+    odd blocks and this process the even ones, and this process writes every
+    block in order.  Both call the same block function, so the bytes are the
+    same either way.  The helper has exited when this function returns or
+    raises, and a helper that fails raises here.
     """
     ids = np.array(["%d" % p for p in range(n_paths)], dtype=object)
     if times is None:
@@ -328,17 +354,111 @@ def _write_csv(path, header, n_paths, times, columns):
         n_snaps = len(times)
         time_text = np.array(_g17(np.asarray(times, dtype=float)), dtype=object)
     n_rows = n_paths * n_snaps
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-            rows = np.arange(start, stop)
-            block = [ids[rows // n_snaps].tolist()]
-            if time_text is not None:
-                block.append(time_text[rows % n_snaps].tolist())
-            block += [_run_text(c[start:stop]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*block))))
-            fh.write("\n")
+    n_blocks = -(-n_rows // _CSV_BLOCK_ROWS)
+
+    def block(i):
+        """Block i's lines as bytes, each ending in a newline."""
+        start = i * _CSV_BLOCK_ROWS
+        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+        rows = np.arange(start, stop)
+        cells = [ids[rows // n_snaps].tolist()]
+        if time_text is not None:
+            cells.append(time_text[rows % n_snaps].tolist())
+        cells += [_run_text(c[start:stop]) for c in columns]
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+    pid = None
+    if n_blocks >= 2 and _usable_cpus() >= 2:
+        pid, pipe = _fork_helper(block, range(1, n_blocks, 2))
+    done = False
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            for i in range(n_blocks):
+                fh.write(_receive(pipe) if pid and i % 2 else block(i))
+        done = True
+    finally:
+        if pid:
+            _reap(pid, pipe, done)
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, or 1 where the OS cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return 1
+
+
+# Bytes asked of the helper's pipe: room for several blocks of a wide table
+# (the default 64 KiB holds less than one).  Linux caps it for unprivileged
+# processes at fs.pipe-max-size, 1 MiB by default.
+_PIPE_BYTES = 1 << 20
+
+
+def _fork_helper(block, indices):
+    """Fork a process that formats ``block(i)`` for each i in ``indices``.
+
+    It writes each block to a pipe as an 8-byte little-endian length and
+    the bytes, flushing after every block, and always ends in ``os._exit``
+    (0 once every block is sent), so it runs no cleanup of the parent's.
+    It only indexes arrays and formats text, never BLAS, so the threads of
+    the parent that the fork leaves behind do not matter to it.  Returns
+    the helper's pid and the read end of the pipe as a binary file.
+    """
+    import fcntl
+
+    r, w = os.pipe()
+    try:
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:  # a smaller pipe only makes the two take more turns
+        pass
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                for i in indices:
+                    data = block(i)
+                    out.write(len(data).to_bytes(8, "little") + data)
+                    out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pipe):
+    """The next block the helper sent; RuntimeError if the pipe ends first."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size) if len(head) == 8 else b""
+    if len(head) < 8 or len(data) < size:
+        raise RuntimeError("the CSV helper process stopped before sending "
+                           "all its blocks")
+    return data
+
+
+def _reap(pid, pipe, done):
+    """Close the pipe and wait for the helper, killing it first unless the
+    table is ``done``; RuntimeError if a helper that was not killed exited
+    with a nonzero status."""
+    pipe.close()
+    if not done:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if done and status:
+        raise RuntimeError("the CSV helper process exited with status %d"
+                           % status)
 
 
 def _version_info():
@@ -455,14 +575,13 @@ def _reflected_params(cs, domain, cfg, x0):
     the kernel unpacks them.  A coefficient that varies with x is passed as
     a function of the live rows' points; with constant sigma every matrix
     is evaluated once, at x0."""
-    conv = 1.0 if cs.conormal_convention == "full" else 0.5
     if cs.is_constant_sigma:
         S = cs.sigma(x0)
         SI = np.linalg.inv(S)
-        UM = conv * cs.a_matrix(x0)
+        UM = cs.a_matrix(x0)
     else:
         S, SI = cs._sigma_batch, None
-        UM = lambda pts: conv * cs._a_batch(pts)
+        UM = cs._a_batch
     if cs.inert_field == "gamma_normal":
         VM = np.asarray(cs.gamma, float)
     elif cs.inert_field == "custom":
@@ -572,7 +691,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
     out_ell = np.full((P, S), np.nan)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(P)]
     step, block = _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs)
-    noise = np.empty((P, min(block, cfg.n_steps), d))
+    noise = np.empty((P, min(block, cfg.n_steps) + _NOISE_ROW_PAD, d))
     for start in range(0, cfg.n_steps, block):
         z = _draw(rngs, min(block, cfg.n_steps - start), d, out=noise)
         step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)

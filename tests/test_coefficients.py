@@ -171,9 +171,7 @@ def test_conormal_directions_on_the_ball():
     np.testing.assert_allclose(ident.conormal_u([0.0, 1.0]), [0.0, -1.0], atol=1e-12)
 
     double = CoefficientSet(dom, gamma=np.eye(2), sigma=np.sqrt(2.0) * np.eye(2))
-    np.testing.assert_allclose(
-        double.conormal_u([0.0, 1.0], convention="half"), [0.0, -1.0], atol=1e-12
-    )
+    np.testing.assert_allclose(double.conormal_u([0.0, 1.0]), [0.0, -2.0], atol=1e-12)
 
     aniso = make_coefficients("anisotropic", dom, gamma=np.eye(2), a_diag=[2.0, 1.0])
     np.testing.assert_allclose(aniso.conormal_u([1.0, 0.0]), [-2.0, 0.0], atol=1e-12)
@@ -185,18 +183,6 @@ def test_conormal_directions_on_the_ball():
     n = dom.inward_normal(bdry)
     dots = np.sum(u * n, axis=1)
     assert dots.min() >= aniso.lambda_bounds[0] - 1e-12
-
-
-def test_conormal_convention_flag():
-    dom = Ball([0.0, 0.0], 1.0)
-    cs = make_coefficients("anisotropic", dom, gamma=np.eye(2), a_diag=[2.0, 1.0])
-    full = cs.conormal_u([1.0, 0.0], convention="full")
-    half = cs.conormal_u([1.0, 0.0], convention="half")
-    np.testing.assert_allclose(half, 0.5 * full)
-    with pytest.raises(CoefficientError, match="convention"):
-        cs.conormal_u([1.0, 0.0], convention="third")
-    with pytest.raises(CoefficientError, match="convention"):
-        CoefficientSet(dom, gamma=np.eye(2), conormal_convention="both")
 
 
 def test_inert_field_variants():

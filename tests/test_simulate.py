@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -633,11 +634,11 @@ def _reflected_case(name, family):
             dom = Ball([0.0, 0.0], 1.0)
             cs = make_coefficients("identity", dom, gamma=np.diag([2.0, 1.0]))
             k0 = (0.5, 1.0)
-        elif name == "anisotropic_disc":  # u = A n / 2 and v = a0 u
+        elif name == "anisotropic_disc":  # u = A n and v = a0 u
             dom = Ball([0.2, -0.1], 0.8)
             cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
                                    a_diag=[2.0, 0.5], inert_field="a0_conormal",
-                                   a0=1.5, conormal_convention="half")
+                                   a0=1.5)
             k0 = (0.5, -1.0)
         else:
             dom = Ball([0.0, 0.0, 0.0], 1.0)
@@ -690,12 +691,12 @@ REFLECTED_GOLDEN = {
     ("anisotropic_disc", "reflected"): (
         "59e5335e14c3ad7cbc3ae60f39a3f2a6f12110a738087b0bade1e014d6b64d6c",
         "30a056220df341a2dbaf51769b73e343b083ab7441455852e8f075ab555e4b1e",
-        "8c528324d8b2b883b2bf6f785422694bf3e57b84a10af1c2af45c013b4e001f1",
+        "d47d2f2cbf27c4938b4428c1eceb7281f84bb2b7dfd44c40bfd0b1c237591783",
         None, 113),
     ("anisotropic_disc", "driftless_weighted"): (
         "90c11b2c4f6ab438947399ac470748c985a57c1318d622e13fa64b990f67af0c",
         "41ca811c1a6a269dccf6cc395445cea521d039467bbdd6f37cc8bb9d8c534000",
-        "c3d4617494af988defeb6d0e9515de8674b3addce86eea838d4b7ceab4dfc80d",
+        "09ff229de93e0db045c1cc2947a0993f21d4a58d3421f225dbcec16c78a0645d",
         "c3fd1e8ccf923d8c4035b06cb78c4c8eff2b5bc6924b7910cb2f67f447093fff", 117),
     ("ball3d", "reflected"): (
         "3ca59116534a3cfb0bb009c4537eae5ca443126a59f993a85fcc447eceb6456a",
@@ -731,6 +732,16 @@ REFLECTED_GOLDEN = {
 }
 
 
+# sha256 of the anisotropic_disc ell recorded when the push could be A n / 2:
+# halving the push doubled dL and moved neither x nor k (v = a0 u halves too)
+HALF_PUSH_ELL = {
+    "reflected":
+        "8c528324d8b2b883b2bf6f785422694bf3e57b84a10af1c2af45c013b4e001f1",
+    "driftless_weighted":
+        "c3d4617494af988defeb6d0e9515de8674b3addce86eea838d4b7ceab4dfc80d",
+}
+
+
 @pytest.mark.parametrize("name,family", sorted(REFLECTED_GOLDEN))
 def test_reflected_kernel_golden_digests(name, family):
     cs, dom, cfg = _reflected_case(name, family)
@@ -739,6 +750,8 @@ def test_reflected_kernel_golden_digests(name, family):
     assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), lw,
             b.diagnostics["contacts"]) == REFLECTED_GOLDEN[name, family]
     assert not b.flags.any()
+    if name == "anisotropic_disc":
+        assert _sha256(2.0 * b.ell) == HALF_PUSH_ELL[family]
 
 
 class _BrittleInterval(Interval):
@@ -1366,10 +1379,38 @@ def test_kish_ess_leaves_out_flagged_paths():
     assert b.kish_ess() == 0.0
 
 
-def _assert_csv_matches_savetxt(batch, tmp_path):
+def _usable_cpus(monkeypatch, cpus):
+    """Make os.sched_getaffinity report ``cpus`` CPUs (None: not exist)."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+
+def _assert_writes_match(monkeypatch, write, ref, new):
+    """``write(new)`` gives the bytes of ``ref`` however many CPUs are usable,
+    forks one helper exactly when two are and the table has two blocks or
+    more, and leaves no child process behind."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    expected = ref.read_bytes()
+    for cpus in (None, 1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        forks.clear()
+        write(new)
+        assert new.read_bytes() == expected
+        n_rows = expected.count(b"\n") - 1
+        assert len(forks) == (cpus == 2 and n_rows > _CSV_BLOCK_ROWS)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_csv_matches_savetxt(batch, tmp_path, monkeypatch):
     _savetxt_trajectory(batch, str(tmp_path / "ref.csv"))
-    batch.to_csv(str(tmp_path / "new.csv"))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_writes_match(monkeypatch, lambda p: batch.to_csv(str(p)),
+                         tmp_path / "ref.csv", tmp_path / "new.csv")
 
 
 def _in_runs(rng, shape, change=0.1):
@@ -1386,7 +1427,7 @@ _SPECIAL = [0.0, -0.0, -0.0, 0.0, np.inf, -np.inf, np.inf, 5e-324,
             0.1, 1.0 / 3.0, _NAN_PAYLOAD, -np.nan, np.nan, np.nan, 7.0]
 
 
-def test_csv_writer_matches_savetxt_on_special_values(tmp_path):
+def test_csv_writer_matches_savetxt_on_special_values(tmp_path, monkeypatch):
     P, S, d = 4, 5, 2
     vals = np.array(_SPECIAL)
     x = np.resize(vals, (P, S, d))
@@ -1394,24 +1435,25 @@ def test_csv_writer_matches_savetxt_on_special_values(tmp_path):
     ell = np.resize(vals[3:], (P, S))
     x[2, 1:], k[2, 1:], ell[2, 1:] = np.nan, np.nan, np.nan  # a flagged path
     times = [0.1, 0.2, 0.30000000000000004, 1e-17, 5.0]
-    _assert_csv_matches_savetxt(_batch(times, x, k, ell), tmp_path)
+    _assert_csv_matches_savetxt(_batch(times, x, k, ell), tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("P, S, d", [(3, 0, 1), (3, 0, 2), (1, 1, 1), (4, 1, 2),
                                      (1, 7, 2), (1, 1, 3)])
-def test_csv_writer_matches_savetxt_on_small_shapes(tmp_path, P, S, d):
+def test_csv_writer_matches_savetxt_on_small_shapes(tmp_path, monkeypatch, P, S, d):
     rng = np.random.default_rng(P * 100 + S * 10 + d)
     batch = _batch(np.arange(1, S + 1) * 0.01, rng.standard_normal((P, S, d)),
                    _in_runs(rng, (P, S, d)), _in_runs(rng, (P, S)))
-    _assert_csv_matches_savetxt(batch, tmp_path)
+    _assert_csv_matches_savetxt(batch, tmp_path, monkeypatch)
     if S == 0:
         assert (tmp_path / "new.csv").read_text().count("\n") == 1
 
 
 @pytest.mark.parametrize("P, S", [(7, _CSV_BLOCK_ROWS // 2 - 24),
                                   (3, 2 * _CSV_BLOCK_ROWS + 360)])
-def test_csv_writer_matches_savetxt_across_blocks(tmp_path, P, S):
-    # S smaller and larger than a block, dividing neither it nor P * S
+def test_csv_writer_matches_savetxt_across_blocks(tmp_path, monkeypatch, P, S):
+    # S smaller and larger than a block, dividing neither it nor P * S; an
+    # even and an odd number of blocks, so the helper formats the last or not
     assert P * S > 2 * _CSV_BLOCK_ROWS
     assert _CSV_BLOCK_ROWS % S and S % _CSV_BLOCK_ROWS
     assert (P * S) % _CSV_BLOCK_ROWS
@@ -1420,10 +1462,10 @@ def test_csv_writer_matches_savetxt_across_blocks(tmp_path, P, S):
     x[1, S // 2:] = np.nan
     batch = _batch(np.arange(1, S + 1) * 1e-3, x, _in_runs(rng, (P, S, 1), 0.05),
                    _in_runs(rng, (P, S), 0.05))
-    _assert_csv_matches_savetxt(batch, tmp_path)
+    _assert_csv_matches_savetxt(batch, tmp_path, monkeypatch)
 
 
-def test_csv_writer_accepts_path_objects_and_matches_a_run(tmp_path):
+def test_csv_writer_accepts_path_objects_and_matches_a_run(tmp_path, monkeypatch):
     disc = Ball([0.0, 0.0], 1.0)
     cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
     cfg = SimConfig(family="driftless_weighted", dt_base=1e-3, t_end=0.2,
@@ -1431,18 +1473,57 @@ def test_csv_writer_accepts_path_objects_and_matches_a_run(tmp_path):
     batch = run_ensemble(cs, cfg, domain=disc)
     assert (batch.k[:, 1:] == batch.k[:, :-1]).any()  # some runs to collapse
     _savetxt_trajectory(batch, str(tmp_path / "ref.csv"))
-    batch.to_csv(tmp_path / "new.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_writes_match(monkeypatch, batch.to_csv, tmp_path / "ref.csv",
+                         tmp_path / "new.csv")
     _savetxt_weights(batch, str(tmp_path / "ref_w.csv"))
-    batch.write_weights(tmp_path / "new_w.csv")
-    assert (tmp_path / "new_w.csv").read_bytes() == (tmp_path / "ref_w.csv").read_bytes()
+    _assert_writes_match(monkeypatch, batch.write_weights,
+                         tmp_path / "ref_w.csv", tmp_path / "new_w.csv")
 
 
 @pytest.mark.parametrize("P", [1, 3, len(_SPECIAL), 2 * _CSV_BLOCK_ROWS + 5])
-def test_write_weights_matches_savetxt(tmp_path, P):
+def test_write_weights_matches_savetxt(tmp_path, monkeypatch, P):
     log_weights = np.resize(np.array(_SPECIAL), P)
     batch = _batch([0.5], np.zeros((P, 1, 1)), np.zeros((P, 1, 1)),
                    np.zeros((P, 1)), log_weights=log_weights)
     _savetxt_weights(batch, str(tmp_path / "ref.csv"))
-    batch.write_weights(str(tmp_path / "new.csv"))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_writes_match(monkeypatch, lambda p: batch.write_weights(str(p)),
+                         tmp_path / "ref.csv", tmp_path / "new.csv")
+
+
+def test_write_weights_without_log_weights_opens_no_file(tmp_path):
+    batch = _batch([0.5], np.zeros((3, 1, 1)), np.zeros((3, 1, 1)),
+                   np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="log-weights"):
+        batch.write_weights(tmp_path / "weights.csv")
+    assert not (tmp_path / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("failing_block, error",
+                         [(0, KeyError), (1, RuntimeError), (2, KeyError)])
+def test_csv_writer_failure_leaves_no_child(tmp_path, monkeypatch,
+                                            failing_block, error):
+    # with two CPUs the helper formats block 1 and this process blocks 0
+    # and 2: a failure in any raises here, and the helper is reaped, killed
+    # when this process fails while it is still busy (block 0)
+    P = 3 * _CSV_BLOCK_ROWS
+    batch = _batch([0.5], np.zeros((P, 1, 1)), np.zeros((P, 1, 1)),
+                   np.zeros((P, 1)), log_weights=np.arange(P, dtype=float))
+    run_text = simulate._run_text
+    parent = os.getpid()
+
+    def failing(values):
+        if values[0] == failing_block * _CSV_BLOCK_ROWS:
+            raise KeyError("injected")
+        if failing_block == 0 and os.getpid() != parent:
+            time.sleep(60)
+        return run_text(values)
+
+    monkeypatch.setattr(simulate, "_run_text", failing)
+    for cpus, expected in ((1, KeyError), (2, error)):
+        _usable_cpus(monkeypatch, cpus)
+        start = time.monotonic()
+        with pytest.raises(expected):
+            batch.write_weights(tmp_path / "weights.csv")
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
