@@ -51,7 +51,7 @@ from .analysis import (
 )
 from .coefficients import CoefficientError, Potential, make_coefficients
 from .geometry import GeometryError, SmoothDistance, make_domain
-from .simulate import SimConfig, TrajectoryBatch, _as_int, run_ensemble
+from .simulate import SimConfig, _as_int, run_ensemble
 from .skorokhod import SkorokhodError, read_path_csv, solve_skorokhod
 from .stationary import (
     StationaryMeasure,
@@ -61,7 +61,36 @@ from .stationary import (
     write_residual_report,
 )
 
-TEST_NAMES = ("ks", "moments", "independence", "angular")
+
+def _ks_every_coordinate(batch, sm):
+    """KS on each position coordinate; the worst report (largest statistic
+    over threshold, the first on ties), inconclusive if any coordinate is."""
+    reports = [ks_uniformity(batch, sm, coordinate=i) for i in range(batch.dim)]
+    worst = max(reports, key=lambda r: r.statistic / r.threshold)
+    return dataclasses.replace(
+        worst, inconclusive=any(r.inconclusive for r in reports))
+
+
+# each check looks its analysis function up in this module at call time, so
+# a wrapper installed on ``cli`` sees every call
+_CHECKS = {
+    "ks": _ks_every_coordinate,
+    "moments": lambda batch, sm: k_moment_tests(batch, sm),
+    "independence": lambda batch, sm: independence_test(batch),
+    "angular": lambda batch, sm: angular_uniformity(
+        batch, center=sm.domain.centroid),
+}
+TEST_NAMES = tuple(_CHECKS)
+
+
+def product_law_battery(batch, sm, tests):
+    """One TestReport per name in ``tests`` (from TEST_NAMES), in order,
+    checking ``batch`` against the product law of the StationaryMeasure
+    ``sm``: ``ks`` reports its worst position coordinate, named in the
+    detail, and ``angular`` centres at the domain's centroid."""
+    return [_CHECKS[name](batch, sm) for name in tests]
+
+
 DOMAIN_PARAMS = {
     "interval": ("bounds",),
     "ball": ("center", "radius"),
@@ -357,18 +386,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def emit_histograms(batch, bins, out_dir, sm=None):
-    """Per-coordinate histogram CSVs and SVGs for positions and inert drift.
+def emit_histograms(x, k, bins, out_dir, sm=None):
+    """Per-coordinate histogram CSVs and SVGs of the usable paths' position
+    and inert-drift snapshots ``x`` and ``k``, each (paths, snapshots, d).
 
     When a stationary measure is supplied (dimension <= 2), each figure
     overlays the analytic marginal density.  Returns the file names.
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    x = batch.x[batch.ok]
-    k = batch.k[batch.ok]
     if x.size == 0:
-        raise ValueError("batch has no usable snapshots")
+        raise ValueError("no usable snapshots")
     d = x.shape[2]
     files = []
     for label, values in (("x", x), ("k", k)):
@@ -481,25 +509,17 @@ def cmd_run(args):
     manifest.update(batch.manifest())
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
-    reports = []
     sm = None
     if cfg.tests or not args.no_histograms:
         sm = StationaryMeasure(cfg.cs, potential=cfg.potential)
-    for name in cfg.tests:
-        if name == "ks":
-            reports.append(ks_uniformity(batch, sm))
-        elif name == "moments":
-            reports.append(k_moment_tests(batch, sm))
-        elif name == "independence":
-            reports.append(independence_test(batch))
-        elif name == "angular":
-            reports.append(angular_uniformity(batch, center=cfg.domain.centroid))
+    reports = product_law_battery(batch, sm, cfg.tests)
     if reports:
         write_report_csv(os.path.join(out_dir, "report.csv"), reports)
         for rep in reports:
             _print_report(rep)
     if not args.no_histograms:
-        emit_histograms(batch, cfg.histogram_bins, out_dir, sm=sm)
+        emit_histograms(batch.x[batch.ok], batch.k[batch.ok],
+                        cfg.histogram_bins, out_dir, sm=sm)
     print("outputs in %s" % out_dir)
     return _exit_status(reports, args.strict)
 
@@ -591,31 +611,11 @@ def cmd_sweep(args):
 def cmd_histogram(args):
     if args.bins < 2:
         raise ConfigError("--bins must be at least 2")
-    times, x, k, ell = read_trajectory_csv(args.trajectory)
-    sim = SimConfig(
-        family="reflected",
-        dt_base=float(times[-1]),
-        t_end=float(times[-1]),
-        n_paths=x.shape[0],
-        seed=0,
-    )
+    _, x, k, ell = read_trajectory_csv(args.trajectory)
     # a flagged path's rows after its flag are NaN: leave such paths out,
     # as ``run`` leaves out the flagged paths of its batch
     finite = (np.isfinite(x).all(axis=(1, 2)) & np.isfinite(k).all(axis=(1, 2))
               & np.isfinite(ell).all(axis=1))
-    x, k, ell = x[finite], k[finite], ell[finite]
-    batch = TrajectoryBatch(
-        times=times,
-        x=x,
-        k=k,
-        ell=ell,
-        flags=np.zeros(len(x), dtype=np.int64),
-        log_weights=None,
-        diagnostics={},
-        config=sim,
-        backend="file",
-        run_info={},
-    )
     sm = None
     if args.config:
         cfg = load_run_config(args.config)
@@ -633,7 +633,7 @@ def cmd_histogram(args):
         None, None, "histogram", _config_id(args.trajectory)
     )
     os.makedirs(out_dir, exist_ok=True)
-    files = emit_histograms(batch, args.bins, out_dir, sm=sm)
+    files = emit_histograms(x[finite], k[finite], args.bins, out_dir, sm=sm)
     print("wrote %d files in %s" % (len(files), out_dir))
     return 0
 

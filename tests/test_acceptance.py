@@ -3,8 +3,11 @@
 Ten end-to-end criteria, each printed as a single PASS/FAIL line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them live):
 
-1. product-form stationarity on the unit interval (KS, Var(K), corr)
-2. anisotropic inert covariance on the unit disc + angular uniformity
+1. product-form stationarity on the unit interval (the ``run`` battery:
+   KS, K moments, independence; plus Var(K) and corr(X, K) bounds)
+2. the shipped ``configs/disc_gamma21.json`` (anisotropic Gamma on the
+   unit disc) passes its own ``run`` battery: KS on x1 and x2, the K
+   moments including Cov(K) = Gamma / 2, independence, angular uniformity
 3. generator-orthogonality residuals in d=1 and d=2, with a perturbed
    control that must exceed 10x the tolerance
 4. constrained-path oracle on the half line + refinement order on the disc
@@ -13,8 +16,11 @@ Ten end-to-end criteria, each printed as a single PASS/FAIL line
    while the smoothed-density mass grows
 7. no boundary-overflow flags; max|K| grows sub-exponentially
 8. structural invariants (sandwich, gradients, local time, determinism)
-9. the product law on an ellipsoid, whose boundary curvature varies
-10. the product law on the disc with a position-dependent A(x)
+9. the ``run`` battery on an ellipsoid, whose boundary curvature varies
+10. the ``run`` battery on the disc with a position-dependent A(x)
+
+Criteria 1, 2, 9 and 10 check through ``cli.product_law_battery``, the
+function behind ``inertdrift run``.
 
 Every simulation uses a fixed seed, so each criterion is a deterministic
 reproduction, not a flaky statistical draw; margins were chosen with
@@ -23,6 +29,7 @@ slack against their thresholds.
 
 import dataclasses
 import math
+import os
 import time
 
 import numpy as np
@@ -38,14 +45,8 @@ from inertdrift import (
     run_ensemble,
     solve_skorokhod,
 )
-from inertdrift.analysis import (
-    angular_uniformity,
-    batch_means_error,
-    independence_test,
-    k_moment_tests,
-    ks_uniformity,
-    weak_convergence_sweep,
-)
+from inertdrift.analysis import weak_convergence_sweep
+from inertdrift.cli import load_run_config, product_law_battery
 from inertdrift.coefficients import Potential
 from inertdrift.geometry import SmoothDistance
 from inertdrift.skorokhod import DrivingPath, measure_refinement_order
@@ -56,9 +57,19 @@ from inertdrift.stationary import (
 )
 
 
+PRODUCT_LAW = ("ks", "moments", "independence")
+
+
 def report(num, label, ok, detail):
     print("criterion %d (%s): %s  [%s]" % (num, label, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d failed: %s" % (num, detail)
+
+
+def verdict(reports):
+    """(every report passed and conclusive, one summary line)."""
+    ok = all(r.passed and not r.inconclusive for r in reports)
+    return ok, "; ".join("%s %.4f<%.4f" % (r.name, r.statistic, r.threshold)
+                         for r in reports)
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +105,14 @@ def test_criterion_1_product_form_stationarity_1d(
     interval_ensemble, interval_cs
 ):
     batch, elapsed = interval_ensemble
-    sm = StationaryMeasure(interval_cs)
-    ks = ks_uniformity(batch, sm)
+    passed, checks = verdict(
+        product_law_battery(batch, StationaryMeasure(interval_cs), PRODUCT_LAW))
     x = batch.x[batch.ok][:, :, 0].ravel()
     k = batch.k[batch.ok][:, :, 0].ravel()
     var_k = float(k.var())
     corr = float(np.corrcoef(x, k)[0, 1])
     ok = (
-        ks.passed
-        and not ks.inconclusive
+        passed
         and 0.45 <= var_k <= 0.55
         and abs(corr) <= 0.02
         and elapsed <= 120.0
@@ -111,51 +121,25 @@ def test_criterion_1_product_form_stationarity_1d(
         1,
         "product-form stationarity, 1d",
         ok,
-        "KS %.5f<%.5f; Var(K)=%.4f in 0.5+-0.05; |corr|=%.5f<=0.02; %.1fs"
-        % (ks.statistic, ks.threshold, var_k, abs(corr), elapsed),
+        "%s; Var(K)=%.4f in 0.5+-0.05; |corr|=%.5f<=0.02; %.1fs"
+        % (checks, var_k, abs(corr), elapsed),
     )
 
 
 @pytest.mark.slow
 def test_criterion_2_anisotropic_disc_covariance():
-    disc = Ball([0.0, 0.0], 1.0)
-    cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
-    cfg = SimConfig(
-        family="reflected",
-        dt_base=1e-4,
-        t_end=40.0,
-        burn_in=10.0,
-        n_paths=128,
-        seed=2026,
-        snap_every=200,
-    )
+    cfg = load_run_config(os.path.join(
+        os.path.dirname(__file__), os.pardir, "configs", "disc_gamma21.json"))
     start = time.perf_counter()
-    batch = run_ensemble(cs, cfg, domain=disc)
+    batch = run_ensemble(cfg.cs, cfg.sim, domain=cfg.domain)
     elapsed = time.perf_counter() - start
-    k = batch.k[batch.ok]
-    checks = [
-        ("cov11", k[:, :, 0] * k[:, :, 0], 1.0),
-        ("cov22", k[:, :, 1] * k[:, :, 1], 0.5),
-        ("cov12", k[:, :, 0] * k[:, :, 1], 0.0),
-    ]
-    zs = {}
-    for name, series, target in checks:
-        mean, se, _ = batch_means_error(series)
-        zs[name] = abs(mean - target) / se
-    ang = angular_uniformity(batch, center=disc.centroid)
-    ok = (
-        max(zs.values()) <= 3.0
-        and ang.passed
-        and not ang.inconclusive
-        and elapsed <= 600.0
-    )
+    passed, checks = verdict(
+        product_law_battery(batch, StationaryMeasure(cfg.cs), cfg.tests))
     report(
         2,
-        "anisotropic Cov(K) + angular uniformity, 2d disc",
-        ok,
-        "z(cov)=%.2f/%.2f/%.2f<=3; chi2 %.2f<%.2f; %.1fs"
-        % (zs["cov11"], zs["cov22"], zs["cov12"], ang.statistic,
-           ang.threshold, elapsed),
+        "shipped disc_gamma21 config: anisotropic Cov(K), 2d disc",
+        passed and elapsed <= 600.0,
+        "%s; %.1fs" % (checks, elapsed),
     )
 
 
@@ -416,22 +400,6 @@ def test_criterion_8_structural_invariants(interval_cs, unit_interval):
     )
 
 
-def _product_law_battery(num, label, cs, dom, cfg):
-    """KS on each position coordinate, the K moments and X/K independence
-    of one reflected run against rho(x) x N(0, Gamma/2)."""
-    start = time.perf_counter()
-    batch = run_ensemble(cs, cfg, domain=dom)
-    elapsed = time.perf_counter() - start
-    sm = StationaryMeasure(cs)
-    checks = [ks_uniformity(batch, sm, coordinate=i) for i in range(dom.d)]
-    checks += [k_moment_tests(batch, sm), independence_test(batch)]
-    ok = not batch.flags.any() and all(
-        r.passed and not r.inconclusive for r in checks)
-    report(num, label, ok, "; ".join(
-        "%s %.4f<%.4f" % (r.name, r.statistic, r.threshold) for r in checks)
-        + "; %.1fs" % elapsed)
-
-
 @pytest.mark.slow
 def test_criterion_9_ellipsoid_product_form():
     # the K feedback varies around a boundary of varying curvature, which
@@ -440,8 +408,13 @@ def test_criterion_9_ellipsoid_product_form():
     cs = make_coefficients("identity", ellipse, gamma=np.diag([2.0, 1.0]))
     cfg = SimConfig(family="reflected", dt_base=2.5e-4, t_end=16.0,
                     burn_in=4.0, n_paths=512, seed=2026, snap_every=100)
-    _product_law_battery(9, "product form on the ellipsoid (1, 0.5)", cs,
-                         ellipse, cfg)
+    start = time.perf_counter()
+    batch = run_ensemble(cs, cfg, domain=ellipse)
+    elapsed = time.perf_counter() - start
+    passed, checks = verdict(
+        product_law_battery(batch, StationaryMeasure(cs), PRODUCT_LAW))
+    report(9, "product form on the ellipsoid (1, 0.5)",
+           passed and not batch.flags.any(), "%s; %.1fs" % (checks, elapsed))
 
 
 def _sigma_varying_x1(pts):
@@ -461,5 +434,10 @@ def test_criterion_10_varying_a_disc_product_form():
                         sigma=_sigma_varying_x1, vectorized=True)
     cfg = SimConfig(family="reflected", dt_base=2.5e-4, t_end=10.0,
                     burn_in=2.5, n_paths=512, seed=2026, snap_every=100)
-    _product_law_battery(10, "product form on the disc, A(x) varying", cs,
-                         disc, cfg)
+    start = time.perf_counter()
+    batch = run_ensemble(cs, cfg, domain=disc)
+    elapsed = time.perf_counter() - start
+    passed, checks = verdict(
+        product_law_battery(batch, StationaryMeasure(cs), PRODUCT_LAW))
+    report(10, "product form on the disc, A(x) varying",
+           passed and not batch.flags.any(), "%s; %.1fs" % (checks, elapsed))

@@ -30,6 +30,7 @@ from inertdrift import (
     run_ensemble,
 )
 from inertdrift._svg import histogram_svg
+from inertdrift.cli import TEST_NAMES, product_law_battery
 from inertdrift.simulate import TrajectoryBatch
 from inertdrift.stationary import StationaryMeasure, sample_stationary
 from inertdrift import analysis as an
@@ -347,30 +348,46 @@ def test_angular_uniformity_needs_plane(interval_sm):
 
 
 # ---------------------------------------------------------------------------
-# full battery on a real simulation
+# the product-law battery of ``inertdrift run``
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
-def test_reflected_run_passes_battery(unit_interval, interval_cs, interval_sm):
-    cfg = SimConfig(
-        family="reflected",
-        dt_base=1e-4,
-        t_end=20.0,
-        n_paths=128,
-        seed=42,
-        burn_in=8.0,
-        snap_every=100,
-    )
-    batch = run_ensemble(interval_cs, cfg, domain=unit_interval)
-    ks = an.ks_uniformity(batch, interval_sm)
-    mo = an.k_moment_tests(batch, interval_sm)
-    ind = an.independence_test(batch)
-    for rep in (ks, mo, ind):
+def test_battery_passes_on_product_draws(disc_batch, disc_sm):
+    reports = product_law_battery(disc_batch, disc_sm, TEST_NAMES)
+    assert [r.name for r in reports] == [
+        "ks_uniformity", "k_moments", "independence", "angular_uniformity"]
+    for rep in reports:
         assert rep.passed and not rep.inconclusive
     # reproducible bit-for-bit from the same batch
-    assert an.ks_uniformity(batch, interval_sm) == ks
-    assert an.independence_test(batch) == ind
+    assert product_law_battery(disc_batch, disc_sm, TEST_NAMES) == reports
+
+
+def test_battery_ks_names_the_failing_coordinate(disc_batch, disc_sm):
+    x = disc_batch.x.copy()
+    x[:, :, 1] = np.abs(x[:, :, 1])
+    folded = dataclasses.replace(disc_batch, x=x)
+    (ks,) = product_law_battery(folded, disc_sm, ["ks"])
+    assert not ks.passed and not ks.inconclusive
+    assert ks.detail.startswith("coordinate=1 ")
+    # the first coordinate alone does not see the fold
+    assert an.ks_uniformity(folded, disc_sm).passed
+
+
+def test_battery_ks_is_inconclusive_if_any_coordinate_is(disc_sm):
+    xs, ks = sample_stationary(disc_sm, 5000, seed=4)
+    x = np.abs(xs.reshape(50, 100, 2))
+    x[:, :, 1] = x[:, :1, 1]  # constant along each path: ESS of 50
+    batch = dataclasses.replace(synthetic_batch(xs, ks, n_paths=50), x=x)
+    (rep,) = product_law_battery(batch, disc_sm, ["ks"])
+    assert rep.detail.startswith("coordinate=0 ")
+    assert not rep.passed and rep.inconclusive
+
+
+def test_battery_ks_in_one_dimension_is_ks_uniformity(interval_sm):
+    xs, ks = sample_stationary(interval_sm, 4000, seed=6)
+    batch = synthetic_batch(xs, ks, n_paths=40)
+    assert product_law_battery(batch, interval_sm, ["ks"]) == [
+        an.ks_uniformity(batch, interval_sm)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Exit-code contract
 --strict), 1 = hard failure (statistical or runtime), 2 = config error.
 """
 
+import glob
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -22,9 +23,12 @@ from inertdrift import (
     solve_skorokhod,
     write_path_csv,
 )
+from inertdrift import cli
 from inertdrift._kernels import FLAG_REFLECT_FAILURE
 from inertdrift.cli import ConfigError, emit_histograms, load_run_config, main
-from inertdrift.simulate import SimConfig, TrajectoryBatch, run_ensemble
+from inertdrift.simulate import SimConfig, run_ensemble
+from inertdrift.stationary import StationaryMeasure, sample_stationary
+from test_analysis import synthetic_batch
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -350,6 +354,35 @@ def test_shipped_interval_config_passes(tmp_path, capsys):
     ET.parse(out / "hist_x1.svg")  # well-formed XML
 
 
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.json"))))
+def test_shipped_config_loads_and_dry_runs(tmp_path, name):
+    path = os.path.join(CONFIG_DIR, name)
+    if load_run_config(path).sim is not None:
+        assert main(["run", path, "--dry-run", "--output-dir", str(tmp_path)]) == 0
+
+
+def test_run_tests_ks_on_every_coordinate(tmp_path, capsys, monkeypatch):
+    # stationary draws on the disc with x2 folded to |x2|: only the second
+    # coordinate's marginal is wrong
+    disc = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    cfg = base_config(dimension=2, domain=disc, tests=["ks"],
+                      coefficients={"preset": "identity",
+                                    "gamma": [[2.0, 0.0], [0.0, 1.0]]})
+    xs, ks = sample_stationary(StationaryMeasure(load_run_config(cfg).cs),
+                               20_000, seed=9)
+    xs[:, 1] = np.abs(xs[:, 1])
+    folded = synthetic_batch(xs, ks, n_paths=100)
+    monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: folded)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out), "--no-histograms"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1
+    assert rows[0].startswith("ks_uniformity,") and "coordinate=1 " in rows[0]
+
+
 def test_inconclusive_passes_unless_strict(tmp_path, capsys):
     cfg = base_config(tests=["moments"])
     cfg["sim"].update(t_end=3.0, n_paths=4, seed=1, burn_in=1.0,
@@ -550,7 +583,8 @@ def test_histogram_leaves_out_flagged_paths_like_run(tmp_path):
         array[2, 7:] = np.nan
     from_run, from_file = tmp_path / "run", tmp_path / "file"
     from_run.mkdir()
-    files = emit_histograms(batch, 15, str(from_run))
+    files = emit_histograms(batch.x[batch.ok], batch.k[batch.ok], 15,
+                            str(from_run))
     batch.to_csv(str(tmp_path / "trajectory.csv"))
     assert main(["histogram", str(tmp_path / "trajectory.csv"), "--bins", "15",
                  "--output-dir", str(from_file)]) == 0
@@ -561,19 +595,6 @@ def test_histogram_leaves_out_flagged_paths_like_run(tmp_path):
 
 
 def test_emit_histograms_rejects_unusable_batch(tmp_path):
-    sim = SimConfig(family="reflected", dt_base=0.001, t_end=1.0,
-                    n_paths=1, seed=0)
-    batch = TrajectoryBatch(
-        times=np.array([1.0]),
-        x=np.zeros((1, 1, 1)),
-        k=np.zeros((1, 1, 1)),
-        ell=np.zeros((1, 1)),
-        flags=np.array([1], dtype=np.int64),  # flagged path: nothing usable
-        log_weights=None,
-        diagnostics={},
-        config=sim,
-        backend="numpy",
-        run_info={},
-    )
+    empty = np.zeros((0, 1, 1))  # every path flagged: nothing usable
     with pytest.raises(ValueError, match="usable"):
-        emit_histograms(batch, 10, str(tmp_path))
+        emit_histograms(empty, empty, 10, str(tmp_path))
