@@ -310,6 +310,8 @@ def load_run_config(source):
             raise ConfigError("tests: %r is listed more than once" % t)
     if "angular" in tests and dim != 2:
         raise ConfigError("tests: 'angular' requires dimension 2")
+    if "ks" in tests and dim > 2:  # the marginal CDF quadrature stops at d = 2
+        raise ConfigError("tests: 'ks' requires dimension 1 or 2")
     if tests and sim is not None and sim.family == "driftless_weighted":
         raise ConfigError(
             "tests cannot run on the weighted 'driftless_weighted' family; "

@@ -68,6 +68,7 @@ def _unit_rows(v):
     return v / np.sqrt(_rowsum(v * v))[:, None]
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _slab_land(lo, hi, y, push):
     """The contact rule of intervals and boxes: where each line y + s push
     enters the closed slab product [lo_i, hi_i].
@@ -80,19 +81,26 @@ def _slab_land(lo, hi, y, push):
     that enter at dl, land exactly on their faces, whose inward normals,
     averaged as ``Box`` has them at edges, are returned; the others are
     clipped into the closure against rounding.
+
+    The contact section of the reflected kernel calls this once per step
+    on a few rows, so its cost is numpy's per-call overhead: the errstate
+    is set once per call by the decorator, and with one coordinate the
+    reductions, which would return their single entries, are skipped.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo - y) / push
-        t_hi = (hi - y) / push
-        enter = np.minimum(t_lo, t_hi)
-        dl = np.fmax.reduce(enter, axis=1)
-        ok = (dl < np.inf) & (dl <= np.fmin.reduce(np.maximum(t_lo, t_hi), axis=1))
-        land = y + dl[:, None] * push
-        bind = enter == dl[:, None]
-        normal = np.where(bind, np.sign(push), 0.0)
-        if y.shape[1] > 1:  # several faces bind at an edge or a corner
-            normal = _unit_rows(normal)
-    land = np.where(bind, np.where(push > 0.0, lo, hi), land)
+    t_lo = (lo - y) / push
+    t_hi = (hi - y) / push
+    enter = np.minimum(t_lo, t_hi)
+    last = np.maximum(t_lo, t_hi)
+    if y.shape[1] == 1:
+        dl, last = enter[:, 0], last[:, 0]
+    else:
+        dl, last = np.fmax.reduce(enter, axis=1), np.fmin.reduce(last, axis=1)
+    ok = (dl < np.inf) & (dl <= last)
+    bind = enter == dl[:, None]
+    normal = np.where(bind, np.sign(push), 0.0)
+    if y.shape[1] > 1:  # several faces bind at an edge or a corner
+        normal = _unit_rows(normal)
+    land = np.where(bind, np.where(push > 0.0, lo, hi), y + dl[:, None] * push)
     return np.minimum(np.maximum(land, lo), hi), dl, normal, ok
 
 

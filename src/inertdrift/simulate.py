@@ -42,6 +42,20 @@ start of its step, gets a fresh pool from its stream through one shared
 redoes that step at once.  Every family reports one diagnostics schema
 (:func:`_diagnostics`).  Results are reproducible for a fixed seed.
 
+Two cores: a run with n_paths * d >= ``_SPLIT_MIN_FLOATS`` forks one worker
+when ``os.sched_getaffinity`` reports two usable CPUs or more.  The worker
+steps paths [P/2, P) and this process paths [0, P/2), each through the same
+block loop on its own rows of the state and snapshot arrays, which lie in
+one anonymous shared mmap, so the worker writes its rows in place; each
+side keeps its own event counters, summed into the diagnostics.  The bytes
+do not change because no row reads another: every kernel step is
+elementwise per path, and each side builds only its own paths' streams,
+``SeedSequence(seed, spawn_key=(p,))``, which is child p of
+``SeedSequence(seed)``.  The kernel constants are built before the fork.
+Narrower runs, and hosts with one usable CPU, step every path in this
+process.  The worker has exited when the run returns or raises, and its
+failure raises here with its traceback.
+
 Output: :meth:`TrajectoryBatch.to_csv` and :meth:`TrajectoryBatch.write_weights`
 stream their tables through one writer, :func:`_write_csv`, in blocks of
 ``_CSV_BLOCK_ROWS`` rows.  Where the process may run on two CPUs or more, it
@@ -49,6 +63,7 @@ forks one helper that formats every other block, so a large table is
 formatted on two cores; the bytes do not depend on the CPU count.
 """
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -305,6 +320,12 @@ _CSV_BLOCK_ROWS = 2048
 # whole chunks.  Runs with n_paths * d <= 256 keep blocks of chunk_size steps.
 _NOISE_BLOCK_FLOATS = 1 << 20
 
+# Path rows x dimension from which a run steps its second half of paths in
+# a forked worker where two CPUs are usable (see _run).  Measured on a
+# 2-CPU host: below this the fork, the second process's start-up and the
+# shorter arrays cost more than the second core gives back.
+_SPLIT_MIN_FLOATS = 4096
+
 # Extra steps per path row of the noise buffer, so that a row of 2^k bytes
 # does not put every path's step-c normal on the same few cache sets.
 _NOISE_ROW_PAD = 8
@@ -341,8 +362,8 @@ def _write_csv(path, header, n_paths, times, columns):
 
     Formatting holds the interpreter lock, so a table of two blocks or more
     is formatted by two processes when ``os.sched_getaffinity`` reports two
-    usable CPUs or more: a forked helper (:func:`_fork_helper`) formats the
-    odd blocks and this process the even ones, and this process writes every
+    usable CPUs or more: a forked helper (:func:`_forked`) formats the odd
+    blocks and this process the even ones, and this process writes every
     block in order.  Both call the same block function, so the bytes are the
     same either way.  The helper has exited when this function returns or
     raises, and a helper that fails raises here.
@@ -367,19 +388,17 @@ def _write_csv(path, header, n_paths, times, columns):
         cells += [_run_text(c[start:stop]) for c in columns]
         return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
-    pid = None
-    if n_blocks >= 2 and _usable_cpus() >= 2:
-        pid, pipe = _fork_helper(block, range(1, n_blocks, 2))
-    done = False
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode() + b"\n")
-            for i in range(n_blocks):
-                fh.write(_receive(pipe) if pid and i % 2 else block(i))
-        done = True
-    finally:
-        if pid:
-            _reap(pid, pipe, done)
+    def send_odd_blocks(send):
+        for i in range(1, n_blocks, 2):
+            send(block(i))
+
+    helper = (_forked(send_odd_blocks, "CSV helper")
+              if n_blocks >= 2 and _usable_cpus() >= 2
+              else contextlib.nullcontext())
+    with helper as receive, open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for i in range(n_blocks):
+            fh.write(receive() if receive and i % 2 else block(i))
 
 
 def _usable_cpus():
@@ -390,21 +409,32 @@ def _usable_cpus():
         return 1
 
 
-# Bytes asked of the helper's pipe: room for several blocks of a wide table
+# Bytes asked of a child's pipe: room for several blocks of a wide table
 # (the default 64 KiB holds less than one).  Linux caps it for unprivileged
 # processes at fs.pipe-max-size, 1 MiB by default.
 _PIPE_BYTES = 1 << 20
 
 
-def _fork_helper(block, indices):
-    """Fork a process that formats ``block(i)`` for each i in ``indices``.
+@contextlib.contextmanager
+def _forked(work, name):
+    """Run ``work(send)`` in a forked child process ``name`` while the with
+    block runs.
 
-    It writes each block to a pipe as an 8-byte little-endian length and
-    the bytes, flushing after every block, and always ends in ``os._exit``
-    (0 once every block is sent), so it runs no cleanup of the parent's.
-    It only indexes arrays and formats text, never BLAS, so the threads of
-    the parent that the fork leaves behind do not matter to it.  Returns
-    the helper's pid and the read end of the pipe as a binary file.
+    The child passes byte blocks up with ``send``, each written to a pipe as
+    a tag byte, an 8-byte little-endian length and the bytes, flushed per
+    block.  If ``work`` raises, the child sends its traceback instead.  It
+    always ends in ``os._exit`` (0 once ``work`` returns), so it runs no
+    cleanup of this process.  The with block gets ``receive``, which returns
+    the child's next block.  Leaving the block normally waits for the child
+    to finish; leaving it by an exception kills the child first.  Either
+    way the child has exited when the with statement ends.  A child that
+    failed, or that stopped before sending a block asked of it, raises
+    RuntimeError here, with its traceback when it sent one.
+
+    Only the calling thread goes on in the child, so ``work`` must not wait
+    on another thread of this process.  Formatting text, numpy generators
+    and elementwise numpy arithmetic do not; OpenBLAS, which numpy's LAPACK
+    calls use, restarts its threads after a fork.
     """
     import fcntl
 
@@ -424,41 +454,76 @@ def _fork_helper(block, indices):
         try:
             os.close(r)
             with open(w, "wb") as out:
-                for i in indices:
-                    data = block(i)
-                    out.write(len(data).to_bytes(8, "little") + data)
+                def send(data, tag=b"D"):
+                    out.write(tag + len(data).to_bytes(8, "little") + data)
                     out.flush()
-            status = 0
+
+                try:
+                    work(send)
+                    status = 0
+                except BaseException:
+                    import traceback
+
+                    send(traceback.format_exc().encode(), b"E")
+                    raise
         finally:
             os._exit(status)
     os.close(w)
-    return pid, open(r, "rb")
+    pipe = open(r, "rb")
+
+    def receive():
+        data = _receive(pipe, name)
+        if data is None:
+            raise RuntimeError("the %s process stopped before sending all "
+                               "its blocks" % name)
+        return data
+
+    done = False
+    try:
+        yield receive
+        done = True
+    finally:
+        _reap(pid, pipe, name, done)
 
 
-def _receive(pipe):
-    """The next block the helper sent; RuntimeError if the pipe ends first."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size) if len(head) == 8 else b""
-    if len(head) < 8 or len(data) < size:
-        raise RuntimeError("the CSV helper process stopped before sending "
-                           "all its blocks")
+def _receive(pipe, name):
+    """The child's next block, or None once it has closed its pipe;
+    RuntimeError, with the child's traceback, if it sent one."""
+    head = pipe.read(9)
+    if not head:
+        return None
+    size = int.from_bytes(head[1:], "little")
+    data = pipe.read(size) if len(head) == 9 else b""
+    if len(head) < 9 or len(data) < size:
+        raise RuntimeError("the %s process stopped in the middle of a block"
+                           % name)
+    if head[:1] == b"E":
+        raise RuntimeError("the %s process failed:\n%s"
+                           % (name, data.decode(errors="replace")))
     return data
 
 
-def _reap(pid, pipe, done):
-    """Close the pipe and wait for the helper, killing it first unless the
-    table is ``done``; RuntimeError if a helper that was not killed exited
-    with a nonzero status."""
-    pipe.close()
-    if not done:
-        import signal
+def _reap(pid, pipe, name, done):
+    """Wait for the child and close its pipe.  When the with block is
+    ``done``, first read until the child closes the pipe, raising its
+    failure; otherwise, or if that read does not end cleanly, kill it.
+    RuntimeError if a child that was not killed exited with a nonzero
+    status."""
+    finished = False
+    try:
+        if done:
+            _receive(pipe, name)  # None at a clean end; a failure raises
+            finished = True
+    finally:
+        pipe.close()
+        if not finished:
+            import signal
 
-        os.kill(pid, signal.SIGKILL)
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if done and status:
-        raise RuntimeError("the CSV helper process exited with status %d"
-                           % status)
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if finished and status:
+        raise RuntimeError("the %s process exited with status %d"
+                           % (name, status))
 
 
 def _version_info():
@@ -619,24 +684,25 @@ def _gradient_params(cs, potential, cfg, x0, guard):
     )
 
 
-def _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs):
-    """The function that advances every path through one block of noise in
-    one call, and the block length in steps (see the module docstring).
-    Kernels are looked up on :mod:`._kernels` at each call."""
+def _chunk_stepper(cs, domain, potential, cfg, x0, guard):
+    """The function that advances a range of paths through one block of
+    noise in one call, given their generators and state rows, and the block
+    length in steps (see the module docstring).  Kernels are looked up on
+    :mod:`._kernels` at each call."""
     if cfg.family != "gradient":
         params = _reflected_params(cs, domain, cfg, x0)
         block = max(1, _NOISE_BLOCK_FLOATS // (cfg.n_paths * domain.d))
-        step = lambda *state: _kernels.reflected_chunk(*state, params)
+        step = lambda rngs, *state: _kernels.reflected_chunk(*state, params)
         return step, min(cfg.chunk_size, block)
     params = _gradient_params(cs, potential, cfg, x0, guard)
     chunk = lambda *state: _kernels.gradient_chunk(
         potential.distance, *state, params)
-    step = functools.partial(_gradient_step, chunk, rngs,
+    step = functools.partial(_gradient_step, chunk,
                              cfg.max_substeps * (cfg.resample_cap + 1))
     return step, cfg.chunk_size
 
 
-def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
+def _gradient_step(chunk, draw_cap, rngs, x, k, ell, logw, flags, out_x,
                    out_k, out_ell, counters, z, gstep0):
     """Advance a gradient-family run through one chunk in one call of the
     gradient kernel, ``chunk``.
@@ -674,27 +740,64 @@ def _gradient_step(chunk, rngs, draw_cap, x, k, ell, logw, flags, out_x,
           refill, gstep0)
 
 
+def _state(P, S, d, shared):
+    """A run's state arrays, zeroed: x, k, ell, log-weights, flags, one row
+    of event counters per side of a split run, and the snapshots of x, k
+    and ell.  With ``shared`` they are views of one anonymous shared mmap,
+    so a forked child writes its rows where this process reads them."""
+    layout = [((P, d), np.float64), ((P, d), np.float64), ((P,), np.float64),
+              ((P,), np.float64), ((P,), np.int64), ((2, 3), np.int64),
+              ((P, S, d), np.float64), ((P, S, d), np.float64),
+              ((P, S), np.float64)]
+    if not shared:
+        return [np.zeros(shape, dtype) for shape, dtype in layout]
+    import mmap
+
+    sizes = [int(np.prod(shape)) for shape, _ in layout]
+    ends = np.cumsum(sizes)  # every item is 8 bytes
+    flat = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), np.float64)
+    return [flat[end - size:end].view(dtype).reshape(shape)
+            for (shape, dtype), size, end in zip(layout, sizes, ends)]
+
+
 def _run(cs, domain, potential, cfg, x0, k0, guard):
     """The host loop shared by every family: per block of steps it draws
-    each path's base normals into the run's one noise buffer and calls the
-    family's kernel once, which finishes the block (the gradient kernel's
-    reserve pool is drawn and refilled by :func:`_gradient_step`)."""
+    each path's base normals into a noise buffer reused for the whole run
+    and calls the family's kernel once, which finishes the block (the
+    gradient kernel's reserve pool is drawn and refilled by
+    :func:`_gradient_step`).  A run of n_paths * d >= _SPLIT_MIN_FLOATS
+    with two usable CPUs steps its paths [P/2, P) in a forked worker while
+    this process steps [0, P/2) (see the module docstring)."""
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
-    x = np.tile(x0, (P, 1))
-    k = np.tile(k0, (P, 1))
-    ell = np.zeros(P)
-    logw = np.zeros(P)
-    flags = np.zeros(P, dtype=np.int64)
-    counters = np.zeros(3, dtype=np.int64)  # contacts or sub-moves; redraws; refills
-    out_x = np.full((P, S, d), np.nan)
-    out_k = np.full((P, S, d), np.nan)
-    out_ell = np.full((P, S), np.nan)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(P)]
-    step, block = _chunk_stepper(cs, domain, potential, cfg, x0, guard, rngs)
-    noise = np.empty((P, min(block, cfg.n_steps) + _NOISE_ROW_PAD, d))
-    for start in range(0, cfg.n_steps, block):
-        z = _draw(rngs, min(block, cfg.n_steps - start), d, out=noise)
-        step(x, k, ell, logw, flags, out_x, out_k, out_ell, counters, z, start)
+    split = P * d >= _SPLIT_MIN_FLOATS and P >= 2 and _usable_cpus() >= 2
+    x, k, ell, logw, flags, counters, out_x, out_k, out_ell = _state(
+        P, S, d, split)
+    x[:], k[:] = x0, k0
+    for snaps in (out_x, out_k, out_ell):
+        snaps.fill(np.nan)
+    step, block = _chunk_stepper(cs, domain, potential, cfg, x0, guard)
+    n_steps = cfg.n_steps
+
+    def advance(lo, hi, counts):
+        """Step paths lo..hi-1 through the whole run into their state rows,
+        counting events in ``counts``."""
+        rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(p,)))
+                for p in range(lo, hi)]
+        rows = slice(lo, hi)
+        state = (x[rows], k[rows], ell[rows], logw[rows], flags[rows],
+                 out_x[rows], out_k[rows], out_ell[rows], counts)
+        noise = np.empty((hi - lo, min(block, n_steps) + _NOISE_ROW_PAD, d))
+        for start in range(0, n_steps, block):
+            z = _draw(rngs, min(block, n_steps - start), d, out=noise)
+            step(rngs, *state, z, start)
+
+    if split:
+        mid = P // 2
+        with _forked(lambda send: advance(mid, P, counters[1]),
+                     "ensemble worker"):
+            advance(0, mid, counters[0])
+    else:
+        advance(0, P, counters[0])
     return TrajectoryBatch(
         times=cfg.snapshot_times,
         x=out_x,
@@ -702,7 +805,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
         ell=out_ell,
         flags=flags,
         log_weights=logw if cfg.family == "driftless_weighted" else None,
-        diagnostics=_diagnostics(cfg.family, counters, flags),
+        diagnostics=_diagnostics(cfg.family, counters.sum(axis=0), flags),
         config=cfg,
         backend="numpy",
         run_info={

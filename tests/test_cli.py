@@ -103,6 +103,23 @@ def test_angular_test_needs_two_dimensions():
         load_run_config(cfg)
 
 
+def test_ks_test_above_two_dimensions_exits_2_before_simulating(tmp_path, capsys):
+    cfg = base_config(dimension=3, tests=["ks"],
+                      domain={"kind": "box", "lo": [0.0, 0.0, 0.0],
+                              "hi": [1.0, 1.0, 1.0]},
+                      coefficients={"preset": "identity",
+                                    "gamma": np.eye(3).tolist()})
+    with pytest.raises(ConfigError, match="'ks' requires dimension 1 or 2"):
+        load_run_config(cfg)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "'ks' requires dimension" in capsys.readouterr().err
+    assert not out.exists()
+    cfg["tests"] = ["moments"]  # the other tests run in three dimensions
+    assert load_run_config(cfg).dimension == 3
+
+
 def test_potential_requires_gradient_family():
     cfg = base_config(potential={"kind": "regularized_vn", "n": 2})
     with pytest.raises(ConfigError, match="gradient"):

@@ -409,6 +409,61 @@ def test_box_exit_agrees_with_signed_distance_near_faces_edges_corners():
     assert np.any(np.all(normal != 0.0, axis=1))  # some corner overshoots
 
 
+def _slab_land_reference(lo, hi, y, push):
+    """The slab contact rule as first written, kept to pin the leaner
+    ``geometry._slab_land`` bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - y) / push
+        t_hi = (hi - y) / push
+        enter = np.minimum(t_lo, t_hi)
+        dl = np.fmax.reduce(enter, axis=1)
+        ok = (dl < np.inf) & (dl <= np.fmin.reduce(np.maximum(t_lo, t_hi), axis=1))
+        land = y + dl[:, None] * push
+        bind = enter == dl[:, None]
+        normal = np.where(bind, np.sign(push), 0.0)
+        if y.shape[1] > 1:
+            normal = normal / np.sqrt(np.sum(normal * normal, axis=1))[:, None]
+    land = np.where(bind, np.where(push > 0.0, lo, hi), land)
+    return np.minimum(np.maximum(land, lo), hi), dl, normal, ok
+
+
+def _special_lines(d, rng):
+    """Points and pushes in d coordinates: on, near and beyond the faces,
+    edges and corners of [0, 1] x [0, 2] x ..., with random pushes and
+    pushes holding zeros (0/0 on a face), +-inf and NaN."""
+    hi = np.arange(1.0, d + 1.0)
+    values = [0.0, -0.0, 1e-12, -0.05, 0.37, 1.0, 1.0 + 1e-12, 1.2, 2.0,
+              2.5, -np.inf, np.inf, np.nan]
+    pushes = [1.0, -1.0, 0.5, 0.0, -0.0, 3e-300, np.inf, -np.inf, np.nan]
+    pts = rng.choice(values, (3000, d))
+    push = rng.choice(pushes, (3000, d))
+    pts[:1000] = rng.uniform(-0.5, hi + 0.5, (1000, d))  # generic lines
+    push[:1000] = rng.standard_normal((1000, d))
+    pts[1000:1100] = hi * (rng.random((100, d)) < 0.5)  # corners
+    return np.vstack([pts, np.zeros((1, d))]), np.vstack([push, np.zeros((1, d))])
+
+
+@pytest.mark.parametrize("dom", [Interval(0.0, 1.0), Interval(0.0, np.inf),
+                                 Box([0.0, 0.0], [1.0, 2.0]),
+                                 Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])],
+                         ids=["interval", "halfline", "box2", "box3"])
+def test_slab_land_matches_reference_bitwise(dom):
+    y, push = _special_lines(dom.d, np.random.default_rng(dom.d))
+    if dom.kind == "interval" and dom.unbounded:
+        y[y > 1.0] += 1e6  # far out on the half-line as well
+    with np.errstate(divide="raise", invalid="raise"):  # it sets its own
+        got = dom._land(y, push)
+    expect = _slab_land_reference(dom.lo, dom.hi, y, push)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # -0.0 and NaN bits included
+    ok, normal = expect[3], expect[2]
+    assert ok.any() and (~ok).any()
+    assert np.isnan(expect[1]).any() and np.isinf(expect[1]).any()
+    if dom.d > 1:  # some lines bind at an edge or a corner
+        assert (np.count_nonzero(normal != 0.0, axis=1) > 1).any()
+
+
 def test_ellipsoid_exit_agrees_with_signed_distance_near_the_boundary():
     ell = Ellipsoid([0.1, 0.0], [1.0, 0.5])
     angles = np.linspace(0.0, 2.0 * np.pi, 13)

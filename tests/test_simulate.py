@@ -1006,23 +1006,31 @@ def test_gradient_wall_benchmark_config_digests():
     assert b.diagnostics["substeps_total"] == 2048343 and b.ok.all()
 
 
-def test_weighted_wide_benchmark_config_digests():
+def test_weighted_wide_benchmark_config_digests(monkeypatch):
     # the perfbench weighted_wide job at workload seed 1, built inline as in
     # the gradient_wall test above: 4096 paths, so its noise comes in blocks
-    # shorter than chunk_size.  The digests were recorded while each block
-    # was a whole 4096-step chunk.
+    # shorter than chunk_size, and wide enough that with two usable CPUs a
+    # forked worker steps half the paths.  The digests were recorded while
+    # each block was a whole 4096-step chunk and one process stepped them.
     seed = int.from_bytes(hashlib.sha256(b"weighted_wide:1").digest()[:4], "big")
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
     cfg = SimConfig(family="driftless_weighted", dt_base=1e-4, t_end=0.5,
                     n_paths=4096, seed=seed, snap_every=20, x0=(0.5,))
-    b = run_ensemble(cs, cfg, domain=iv)
-    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell), _sha256(b.log_weights)) == (
-        "8f6b7407cfe9123780a6013798540b5d5547dc68e622da3278e17fb28a7c4ee0",
-        "896fc7fd7acbd2f568b6d9bd39379e924186ea88a2106055151ef119a096ce53",
-        "0bf3c539f72bd08ec6ae84bdb8db7c6d96aa3f19a8507d988ad99a24045a2875",
-        "bf31c48718c5e19ab5a2938372aa96cbfbb7b2657e0aa70b46f662c98007dc29")
-    assert b.diagnostics["contacts"] == 241430 and b.ok.all()
+    assert cfg.n_paths >= simulate._SPLIT_MIN_FLOATS
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        forks.clear()
+        b = run_ensemble(cs, cfg, domain=iv)
+        assert len(forks) == cpus - 1
+        assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell),
+                _sha256(b.log_weights)) == (
+            "8f6b7407cfe9123780a6013798540b5d5547dc68e622da3278e17fb28a7c4ee0",
+            "896fc7fd7acbd2f568b6d9bd39379e924186ea88a2106055151ef119a096ce53",
+            "0bf3c539f72bd08ec6ae84bdb8db7c6d96aa3f19a8507d988ad99a24045a2875",
+            "bf31c48718c5e19ab5a2938372aa96cbfbb7b2657e0aa70b46f662c98007dc29")
+        assert b.diagnostics["contacts"] == 241430 and b.ok.all()
 
 
 DIAGNOSTIC_KEYS = {
@@ -1388,13 +1396,19 @@ def _usable_cpus(monkeypatch, cpus):
                             raising=False)
 
 
+def _count_forks(monkeypatch):
+    """A list that gets one entry per os.fork call from now on."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 def _assert_writes_match(monkeypatch, write, ref, new):
     """``write(new)`` gives the bytes of ``ref`` however many CPUs are usable,
     forks one helper exactly when two are and the table has two blocks or
     more, and leaves no child process behind."""
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _count_forks(monkeypatch)
     expected = ref.read_bytes()
     for cpus in (None, 1, 2):
         _usable_cpus(monkeypatch, cpus)
@@ -1527,3 +1541,94 @@ def test_csv_writer_failure_leaves_no_child(tmp_path, monkeypatch,
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def _split_case(name):
+    """(cs, keyword arguments of run_ensemble, config) of a run whose paths
+    a forked worker may share: P odd, K moving from k0, pool refills, a
+    varying sigma, and paths flagged in both halves."""
+    iv = Interval(0.0, 1.0)
+    iv_cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    if name == "reflected":
+        return iv_cs, {"domain": iv}, SimConfig(
+            family="reflected", dt_base=1e-3, t_end=0.3, n_paths=9, seed=8,
+            snap_every=10, chunk_size=64, k0=(0.5,))
+    if name == "driftless_weighted":
+        disc = Ball([0.0, 0.0], 1.0)
+        return make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0])), \
+            {"domain": disc}, SimConfig(
+                family="driftless_weighted", dt_base=5e-4, t_end=0.5,
+                n_paths=8, seed=5, snap_every=25, k0=(0.5, 1.0))
+    if name == "gradient":
+        cs, pot, cfg = _gradient_case("refills")
+        return cs, {"potential": pot}, cfg
+    if name == "varying_sigma":  # S inverted by LAPACK at every step
+        cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2, vectorized=True)
+        return cs, {"domain": iv}, SimConfig(
+            family="driftless_weighted", dt_base=1e-3, t_end=0.3, n_paths=8,
+            seed=2, snap_every=10, k0=(0.5,))
+    cs, dom, cfg = _flag_case("weight_overflow", "driftless_weighted")
+    return cs, {"domain": dom}, cfg
+
+
+@pytest.mark.parametrize("name", ["reflected", "driftless_weighted", "gradient",
+                                  "varying_sigma", "weight_overflow"])
+def test_split_run_matches_serial_run(monkeypatch, name):
+    # each path reads only its own stream and state rows, so a worker that
+    # steps paths [P/2, P) changes no bit of any output
+    if name == "weight_overflow":
+        monkeypatch.setattr(_kernels, "LOG_WEIGHT_CAP", 0.3)
+    cs, kw, cfg = _split_case(name)
+    monkeypatch.setattr(simulate, "_SPLIT_MIN_FLOATS", 1)
+    forks = _count_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        forks.clear()
+        runs.append(run_ensemble(cs, cfg, **kw))
+        assert len(forks) == cpus - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    serial, split = runs
+    for field in ("x", "k", "ell", "flags", "log_weights"):
+        a, b = getattr(serial, field), getattr(split, field)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert serial.diagnostics == split.diagnostics
+    mid = cfg.n_paths // 2
+    if name == "gradient":
+        assert split.diagnostics["pool_refills"] > 0
+    elif name == "weight_overflow":  # flags set on both sides of the split
+        assert split.flags[:mid].any() and split.flags[mid:].any()
+    else:  # K moved away from k0 on both sides
+        k0 = np.array(cfg.k0)
+        assert (split.k[:mid] != k0).any() and (split.k[mid:] != k0).any()
+
+
+@pytest.mark.parametrize("side", ["caller", "worker"])
+def test_split_run_failure_reaches_the_caller(monkeypatch, side):
+    # the side that fails raises here; when the caller fails while the
+    # worker is still busy, the worker is killed rather than waited for
+    cs, kw, cfg = _split_case("reflected")
+    monkeypatch.setattr(simulate, "_SPLIT_MIN_FLOATS", 1)
+    _usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    chunk = _kernels.reflected_chunk
+
+    def failing(*args):
+        in_worker = os.getpid() != parent
+        if in_worker == (side == "worker"):
+            raise KeyError("injected")
+        if in_worker:
+            time.sleep(60)
+        return chunk(*args)
+
+    monkeypatch.setattr(_kernels, "reflected_chunk", failing)
+    expected = (pytest.raises(KeyError, match="injected") if side == "caller"
+                else pytest.raises(RuntimeError, match=r"(?s)ensemble worker.*"
+                                   r"KeyError: 'injected'"))
+    start = time.monotonic()
+    with expected:
+        run_ensemble(cs, cfg, **kw)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
