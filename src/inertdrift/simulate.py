@@ -45,13 +45,13 @@ redoes that step at once.  Every family reports one diagnostics schema
 Two cores: a run with n_paths * d >= ``_SPLIT_MIN_FLOATS`` forks one worker
 when ``os.sched_getaffinity`` reports two usable CPUs or more.  The worker
 steps paths [P/2, P) and this process paths [0, P/2), each through the same
-block loop on its own rows of the state and snapshot arrays, which lie in
-one anonymous shared mmap, so the worker writes its rows in place; each
-side keeps its own event counters, summed into the diagnostics.  The bytes
-do not change because no row reads another: every kernel step is
-elementwise per path, and each side builds only its own paths' streams,
-``SeedSequence(seed, spawn_key=(p,))``, which is child p of
-``SeedSequence(seed)``.  The kernel constants are built before the fork.
+block loop on its own rows of the state and snapshot arrays.  Every run
+allocates those arrays in anonymous shared mmaps, so the worker writes its
+rows in place; each side keeps its own event counters, summed into the
+diagnostics.  The bytes do not change because no row reads another: every
+kernel step is elementwise per path, and each side builds only its own
+paths' streams, ``SeedSequence(seed, spawn_key=(p,))``, which is child p
+of ``SeedSequence(seed)``.  The kernel constants are built before the fork.
 Narrower runs, and hosts with one usable CPU, step every path in this
 process.  The worker has exited when the run returns or raises, and its
 failure raises here with its traceback.
@@ -202,7 +202,13 @@ class SimConfig:
 
 @dataclass
 class TrajectoryBatch:
-    """Snapshot arrays for an ensemble: shapes (P, S, d) / (P, S) / (P,)."""
+    """Snapshot arrays for an ensemble: shapes (P, S, d) / (P, S) / (P,).
+
+    A batch from :func:`run_ensemble` holds x, k, ell, flags and
+    log_weights in anonymous shared memory: a child forked while the batch
+    lives that writes them writes this process's data.  ``np.array(a)``
+    gives a private copy.
+    """
 
     times: np.ndarray
     x: np.ndarray
@@ -557,7 +563,8 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     the gradient family (its domain is used), which must be the
     ``regularized_vn`` wall: the gradient kernel evaluates that formula.
     The chunked numpy kernels step every domain and coefficient set, so
-    ``backend`` may only be None or "numpy", the one backend.
+    ``backend`` may only be None or "numpy", the one backend.  The batch's
+    arrays lie in anonymous shared memory (see :class:`TrajectoryBatch`).
     """
     cfg = config
     if backend not in (None, "numpy"):
@@ -740,24 +747,13 @@ def _gradient_step(chunk, draw_cap, rngs, x, k, ell, logw, flags, out_x,
           refill, gstep0)
 
 
-def _state(P, S, d, shared):
-    """A run's state arrays, zeroed: x, k, ell, log-weights, flags, one row
-    of event counters per side of a split run, and the snapshots of x, k
-    and ell.  With ``shared`` they are views of one anonymous shared mmap,
-    so a forked child writes its rows where this process reads them."""
-    layout = [((P, d), np.float64), ((P, d), np.float64), ((P,), np.float64),
-              ((P,), np.float64), ((P,), np.int64), ((2, 3), np.int64),
-              ((P, S, d), np.float64), ((P, S, d), np.float64),
-              ((P, S), np.float64)]
-    if not shared:
-        return [np.zeros(shape, dtype) for shape, dtype in layout]
+def _shared_zeros(shape, dtype=np.float64):
+    """A zeroed array in its own anonymous shared mmap, so a child forked
+    while it lives writes its entries where this process reads them."""
     import mmap
 
-    sizes = [int(np.prod(shape)) for shape, _ in layout]
-    ends = np.cumsum(sizes)  # every item is 8 bytes
-    flat = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), np.float64)
-    return [flat[end - size:end].view(dtype).reshape(shape)
-            for (shape, dtype), size, end in zip(layout, sizes, ends)]
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, mmap.mmap(-1, max(size, 1)))
 
 
 def _run(cs, domain, potential, cfg, x0, k0, guard):
@@ -770,8 +766,11 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
     this process steps [0, P/2) (see the module docstring)."""
     P, d, S = cfg.n_paths, domain.d, cfg.n_snapshots
     split = P * d >= _SPLIT_MIN_FLOATS and P >= 2 and _usable_cpus() >= 2
-    x, k, ell, logw, flags, counters, out_x, out_k, out_ell = _state(
-        P, S, d, split)
+    x, k, ell, logw, out_x, out_k, out_ell = (
+        _shared_zeros(shape)
+        for shape in ((P, d), (P, d), (P,), (P,), (P, S, d), (P, S, d), (P, S)))
+    flags = _shared_zeros((P,), np.int64)
+    counters = _shared_zeros((2, 3), np.int64)  # one row per side of a split
     x[:], k[:] = x0, k0
     for snaps in (out_x, out_k, out_ell):
         snaps.fill(np.nan)

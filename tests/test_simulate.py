@@ -352,6 +352,19 @@ def test_snapshot_bookkeeping_counts_and_times():
     assert cfg2.snapshot_times[0] == pytest.approx(0.5)
 
 
+def test_run_without_snapshots(interval_cs, unit_interval):
+    # snap_every past the last step records nothing; the empty snapshot
+    # arrays still get shared buffers (an mmap cannot be 0 bytes long)
+    cfg = SimConfig(family="driftless_weighted", dt_base=1e-3, t_end=0.01,
+                    n_paths=3, seed=1, snap_every=50)
+    assert cfg.n_snapshots == 0
+    batch = run_ensemble(interval_cs, cfg, domain=unit_interval)
+    assert batch.x.shape == batch.k.shape == (3, 0, 1)
+    assert batch.ell.shape == (3, 0)
+    assert batch.log_weights.shape == batch.flags.shape == (3,)
+    assert not batch.flags.any()
+
+
 def test_run_requires_matching_inputs(interval_cs, unit_interval, wall_n2):
     cfg = SimConfig(family="gradient", dt_base=1e-3, t_end=0.01, n_paths=1, seed=0)
     with pytest.raises(ValueError, match="potential"):
