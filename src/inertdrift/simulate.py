@@ -59,8 +59,10 @@ failure raises here with its traceback.
 Output: :meth:`TrajectoryBatch.to_csv` and :meth:`TrajectoryBatch.write_weights`
 stream their tables through one writer, :func:`_write_csv`, in blocks of
 ``_CSV_BLOCK_ROWS`` rows.  Where the process may run on two CPUs or more, it
-forks one helper that formats every other block, so a large table is
-formatted on two cores; the bytes do not depend on the CPU count.
+forks one helper that formats the second half of the blocks into a
+temporary file, appended once this process has written the first half, so
+a large table is formatted on two cores; the bytes do not depend on the CPU
+count.
 """
 
 import contextlib
@@ -69,6 +71,9 @@ import functools
 import json
 import numbers
 import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +99,14 @@ def _as_int(value, name, low):
     return int(value)
 
 
+def _is_real(value):
+    """Whether ``value`` is a real number: not a bool, a string or a list."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(value, name):
     """ValueError unless ``value`` is a positive finite number."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (number and 0.0 < value < np.inf):
+    if not (_is_real(value) and 0.0 < value < np.inf):
         raise ValueError("%s must be a positive finite number, got %r" % (name, value))
 
 
@@ -141,12 +150,11 @@ class SimConfig:
             raise ValueError(
                 "family must be one of %s, got %r" % (FAMILIES, self.family)
             )
-        if not (self.dt_base > 0.0 and np.isfinite(self.dt_base)):
-            raise ValueError("dt_base must be a positive number")
-        if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
-            raise ValueError("t_end must be a positive number")
-        if not (0.0 <= self.burn_in < self.t_end):
-            raise ValueError("burn_in must satisfy 0 <= burn_in < t_end")
+        _check_positive(self.dt_base, "dt_base")
+        _check_positive(self.t_end, "t_end")
+        if not (_is_real(self.burn_in) and 0.0 <= self.burn_in < self.t_end):
+            raise ValueError("burn_in must be a number with 0 <= burn_in < t_end, "
+                             "got %r" % (self.burn_in,))
         for name, low in (("n_paths", 1), ("seed", 0), ("snap_every", 1),
                           ("chunk_size", 1), ("max_substeps", 1),
                           ("resample_cap", 0)):
@@ -162,8 +170,10 @@ class SimConfig:
         for name in ("x0", "k0"):
             value = getattr(self, name)
             if value is not None:
-                value = tuple(float(v) for v in np.atleast_1d(value))
-                object.__setattr__(self, name, value)
+                entries = list(value) if np.ndim(value) else [value]
+                if not all(map(_is_real, entries)):
+                    raise ValueError("%s must be a list of numbers, got %r" % (name, value))
+                object.__setattr__(self, name, tuple(map(float, entries)))
 
     @property
     def n_steps(self):
@@ -271,10 +281,18 @@ class TrajectoryBatch:
                    + [np.asarray(self.ell, dtype=float).reshape(P * S)])
         _write_csv(path, ",".join(cols), P, self.times, columns)
 
+    def _require_log_weights(self):
+        if self.log_weights is None:
+            raise ValueError("this batch has no log-weights: only a "
+                             "driftless_weighted run has them")
+        return self.log_weights
+
     def kish_ess(self):
         """Kish effective sample size (sum w)^2 / sum w^2 of the weights of
-        the paths that finished without a flag (0.0 when none did)."""
-        lw = self.log_weights[self.ok]
+        the paths that finished without a flag (0.0 when none did).
+
+        ValueError if the batch has no log-weights."""
+        lw = self._require_log_weights()[self.ok]
         if not len(lw):
             return 0.0
         w = np.exp(lw - lw.max())
@@ -286,11 +304,8 @@ class TrajectoryBatch:
         ValueError, before ``path`` is opened, if the batch has no
         log-weights (only ``driftless_weighted`` runs have them).
         """
-        if self.log_weights is None:
-            raise ValueError("this batch has no log-weights: only a "
-                             "driftless_weighted run has them")
         _write_csv(path, "path_id,log_weight", self.n_paths, None,
-                   [np.asarray(self.log_weights, dtype=float)])
+                   [np.asarray(self._require_log_weights(), dtype=float)])
 
     def manifest(self):
         """Deterministic run record: config echo, seed, versions, counters."""
@@ -368,11 +383,13 @@ def _write_csv(path, header, n_paths, times, columns):
 
     Formatting holds the interpreter lock, so a table of two blocks or more
     is formatted by two processes when ``os.sched_getaffinity`` reports two
-    usable CPUs or more: a forked helper (:func:`_forked`) formats the odd
-    blocks and this process the even ones, and this process writes every
-    block in order.  Both call the same block function, so the bytes are the
-    same either way.  The helper has exited when this function returns or
-    raises, and a helper that fails raises here.
+    usable CPUs or more: this process writes the header and the first half
+    of the blocks to ``path``, while a forked helper (:func:`_forked`)
+    writes the second half to an unlinked temporary file in the same
+    directory, which this process then appends.  Both run the same block
+    loop, so the bytes are the same either way.  The helper has exited
+    when this function returns or raises, and a helper that fails raises
+    here.
     """
     ids = np.array(["%d" % p for p in range(n_paths)], dtype=object)
     if times is None:
@@ -383,28 +400,31 @@ def _write_csv(path, header, n_paths, times, columns):
     n_rows = n_paths * n_snaps
     n_blocks = -(-n_rows // _CSV_BLOCK_ROWS)
 
-    def block(i):
-        """Block i's lines as bytes, each ending in a newline."""
-        start = i * _CSV_BLOCK_ROWS
-        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-        rows = np.arange(start, stop)
-        cells = [ids[rows // n_snaps].tolist()]
-        if time_text is not None:
-            cells.append(time_text[rows % n_snaps].tolist())
-        cells += [_run_text(c[start:stop]) for c in columns]
-        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+    def write_blocks(fh, lo, hi):
+        """Write blocks lo..hi-1 to ``fh`` and flush it."""
+        for i in range(lo, hi):
+            start = i * _CSV_BLOCK_ROWS
+            stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+            rows = np.arange(start, stop)
+            cells = [ids[rows // n_snaps].tolist()]
+            if time_text is not None:
+                cells.append(time_text[rows % n_snaps].tolist())
+            cells += [_run_text(c[start:stop]) for c in columns]
+            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+        fh.flush()
 
-    def send_odd_blocks(send):
-        for i in range(1, n_blocks, 2):
-            send(block(i))
-
-    helper = (_forked(send_odd_blocks, "CSV helper")
-              if n_blocks >= 2 and _usable_cpus() >= 2
-              else contextlib.nullcontext())
-    with helper as receive, open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for i in range(n_blocks):
-            fh.write(receive() if receive and i % 2 else block(i))
+    split = n_blocks >= 2 and _usable_cpus() >= 2
+    mid = -(-n_blocks // 2) if split else n_blocks
+    with (tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+          if split else contextlib.nullcontext()) as tail:
+        with (_forked(lambda: write_blocks(tail, mid, n_blocks), "CSV helper")
+              if split else contextlib.nullcontext()), open(path, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            write_blocks(fh, 0, mid)
+        if split:
+            tail.seek(0)
+            with open(path, "ab") as fh:
+                shutil.copyfileobj(tail, fh)
 
 
 def _usable_cpus():
@@ -415,121 +435,52 @@ def _usable_cpus():
         return 1
 
 
-# Bytes asked of a child's pipe: room for several blocks of a wide table
-# (the default 64 KiB holds less than one).  Linux caps it for unprivileged
-# processes at fs.pipe-max-size, 1 MiB by default.
-_PIPE_BYTES = 1 << 20
-
-
 @contextlib.contextmanager
 def _forked(work, name):
-    """Run ``work(send)`` in a forked child process ``name`` while the with
+    """Run ``work()`` in a forked child process ``name`` while the with
     block runs.
 
-    The child passes byte blocks up with ``send``, each written to a pipe as
-    a tag byte, an 8-byte little-endian length and the bytes, flushed per
-    block.  If ``work`` raises, the child sends its traceback instead.  It
-    always ends in ``os._exit`` (0 once ``work`` returns), so it runs no
-    cleanup of this process.  The with block gets ``receive``, which returns
-    the child's next block.  Leaving the block normally waits for the child
-    to finish; leaving it by an exception kills the child first.  Either
-    way the child has exited when the with statement ends.  A child that
-    failed, or that stopped before sending a block asked of it, raises
-    RuntimeError here, with its traceback when it sent one.
+    The child always ends in ``os._exit`` (0 once ``work`` returns), so it
+    runs no cleanup of this process; if ``work`` raises, it first writes
+    its traceback to a pipe.  Leaving the block normally reads that pipe to
+    its end and waits for the child; leaving it by an exception kills the
+    child first.  Either way the child has exited when the with statement
+    ends.  A child that exited with a nonzero status raises RuntimeError
+    here, with its traceback when it sent one.
 
     Only the calling thread goes on in the child, so ``work`` must not wait
     on another thread of this process.  Formatting text, numpy generators
     and elementwise numpy arithmetic do not; OpenBLAS, which numpy's LAPACK
     calls use, restarts its threads after a fork.
     """
-    import fcntl
-
     r, w = os.pipe()
-    try:
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except OSError:  # a smaller pipe only makes the two take more turns
-        pass
-    try:
+    with open(r, "rb") as pipe, open(w, "wb") as out:
         pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
+        if pid == 0:
+            status = 1
+            try:
+                work()
+                status = 0
+            except BaseException:
+                import traceback
+
+                out.write(traceback.format_exc().encode())
+                out.flush()
+            finally:
+                os._exit(status)
+        out.close()  # so that reading the pipe ends when the child exits
         try:
-            os.close(r)
-            with open(w, "wb") as out:
-                def send(data, tag=b"D"):
-                    out.write(tag + len(data).to_bytes(8, "little") + data)
-                    out.flush()
-
-                try:
-                    work(send)
-                    status = 0
-                except BaseException:
-                    import traceback
-
-                    send(traceback.format_exc().encode(), b"E")
-                    raise
+            try:
+                yield
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            error = pipe.read().decode(errors="replace")
         finally:
-            os._exit(status)
-    os.close(w)
-    pipe = open(r, "rb")
-
-    def receive():
-        data = _receive(pipe, name)
-        if data is None:
-            raise RuntimeError("the %s process stopped before sending all "
-                               "its blocks" % name)
-        return data
-
-    done = False
-    try:
-        yield receive
-        done = True
-    finally:
-        _reap(pid, pipe, name, done)
-
-
-def _receive(pipe, name):
-    """The child's next block, or None once it has closed its pipe;
-    RuntimeError, with the child's traceback, if it sent one."""
-    head = pipe.read(9)
-    if not head:
-        return None
-    size = int.from_bytes(head[1:], "little")
-    data = pipe.read(size) if len(head) == 9 else b""
-    if len(head) < 9 or len(data) < size:
-        raise RuntimeError("the %s process stopped in the middle of a block"
-                           % name)
-    if head[:1] == b"E":
-        raise RuntimeError("the %s process failed:\n%s"
-                           % (name, data.decode(errors="replace")))
-    return data
-
-
-def _reap(pid, pipe, name, done):
-    """Wait for the child and close its pipe.  When the with block is
-    ``done``, first read until the child closes the pipe, raising its
-    failure; otherwise, or if that read does not end cleanly, kill it.
-    RuntimeError if a child that was not killed exited with a nonzero
-    status."""
-    finished = False
-    try:
-        if done:
-            _receive(pipe, name)  # None at a clean end; a failure raises
-            finished = True
-    finally:
-        pipe.close()
-        if not finished:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if finished and status:
-        raise RuntimeError("the %s process exited with status %d"
-                           % (name, status))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise RuntimeError("the %s process exited with status %d%s"
+                           % (name, status, error and ":\n" + error))
 
 
 def _version_info():
@@ -792,8 +743,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
 
     if split:
         mid = P // 2
-        with _forked(lambda send: advance(mid, P, counters[1]),
-                     "ensemble worker"):
+        with _forked(lambda: advance(mid, P, counters[1]), "ensemble worker"):
             advance(0, mid, counters[0])
     else:
         advance(0, P, counters[0])

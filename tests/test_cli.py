@@ -148,6 +148,9 @@ def test_tests_on_weighted_family_exit_2_before_simulating(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("snap_every", 2.5), ("chunk_size", 2.5), ("n_paths", 2.5),
     ("chunk_size", 0), ("seed", -1),
+    ("dt_base", True), ("dt_base", "0.001"), ("t_end", True),
+    ("burn_in", True), ("burn_in", "0.5"),
+    ("x0", ["0.5"]), ("x0", [True]), ("k0", [False]),
 ])
 def test_bad_integer_sim_field_exits_2_before_simulating(
     tmp_path, capsys, field, value

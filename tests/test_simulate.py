@@ -20,6 +20,7 @@ v = a0 u adds 0.05, preserving the K increment when v scales with u.
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -306,6 +307,11 @@ def test_config_validation_errors():
         ("snap_every", 2.5), ("chunk_size", 2.5), ("chunk_size", 0),
         ("max_substeps", 0), ("max_substeps", float("inf")),
         ("resample_cap", -1),
+        # real-number fields: booleans, strings and lists are not numbers
+        ("dt_base", True), ("dt_base", "0.001"), ("dt_base", np.inf),
+        ("t_end", True), ("t_end", "1"), ("burn_in", True), ("burn_in", "0"),
+        ("x0", ["0.5"]), ("x0", [True]), ("x0", "0.5"), ("x0", [[0.5]]),
+        ("k0", [False]), ("k0", True), ("k0", [None]),
     ]:
         with pytest.raises(ValueError, match=name):
             SimConfig(**{**good, name: bad})
@@ -1480,7 +1486,7 @@ def test_csv_writer_matches_savetxt_on_small_shapes(tmp_path, monkeypatch, P, S,
                                   (3, 2 * _CSV_BLOCK_ROWS + 360)])
 def test_csv_writer_matches_savetxt_across_blocks(tmp_path, monkeypatch, P, S):
     # S smaller and larger than a block, dividing neither it nor P * S; an
-    # even and an odd number of blocks, so the helper formats the last or not
+    # even and an odd number of blocks, so the two halves are equal or not
     assert P * S > 2 * _CSV_BLOCK_ROWS
     assert _CSV_BLOCK_ROWS % S and S % _CSV_BLOCK_ROWS
     assert (P * S) % _CSV_BLOCK_ROWS
@@ -1525,13 +1531,21 @@ def test_write_weights_without_log_weights_opens_no_file(tmp_path):
     assert not (tmp_path / "weights.csv").exists()
 
 
+def test_kish_ess_without_log_weights_raises():
+    batch = _batch([0.5], np.zeros((3, 1, 1)), np.zeros((3, 1, 1)),
+                   np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="this batch has no log-weights"):
+        batch.kish_ess()
+
+
 @pytest.mark.parametrize("failing_block, error",
-                         [(0, KeyError), (1, RuntimeError), (2, KeyError)])
+                         [(0, KeyError), (1, KeyError), (2, RuntimeError)])
 def test_csv_writer_failure_leaves_no_child(tmp_path, monkeypatch,
                                             failing_block, error):
-    # with two CPUs the helper formats block 1 and this process blocks 0
-    # and 2: a failure in any raises here, and the helper is reaped, killed
-    # when this process fails while it is still busy (block 0)
+    # with two CPUs this process formats blocks 0 and 1 and the helper block
+    # 2: a failure in any raises here, and the helper is reaped, killed when
+    # this process fails while it is still busy (block 0); the helper's
+    # temporary file leaves no name behind
     P = 3 * _CSV_BLOCK_ROWS
     batch = _batch([0.5], np.zeros((P, 1, 1)), np.zeros((P, 1, 1)),
                    np.zeros((P, 1)), log_weights=np.arange(P, dtype=float))
@@ -1554,6 +1568,45 @@ def test_csv_writer_failure_leaves_no_child(tmp_path, monkeypatch,
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["weights.csv"]
+
+
+@pytest.mark.parametrize("how, status", [("exit", 3), ("kill", -9)])
+@pytest.mark.parametrize("child", ["CSV helper", "ensemble worker"])
+def test_child_that_dies_without_a_traceback_raises_its_status(
+    tmp_path, monkeypatch, child, how, status
+):
+    # the child ends at once, by os._exit(3) or a SIGKILL to itself, so no
+    # traceback comes up the pipe: its status alone raises here
+    parent = os.getpid()
+
+    def dying(real):
+        def call(*args):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+        return call
+
+    _usable_cpus(monkeypatch, 2)
+    if child == "CSV helper":
+        P = 3 * _CSV_BLOCK_ROWS
+        batch = _batch([0.5], np.zeros((P, 1, 1)), np.zeros((P, 1, 1)),
+                       np.zeros((P, 1)), log_weights=np.arange(P, dtype=float))
+        monkeypatch.setattr(simulate, "_run_text", dying(simulate._run_text))
+        call = lambda: batch.write_weights(tmp_path / "weights.csv")
+    else:
+        cs, kw, cfg = _split_case("reflected")
+        monkeypatch.setattr(simulate, "_SPLIT_MIN_FLOATS", 1)
+        monkeypatch.setattr(_kernels, "reflected_chunk",
+                            dying(_kernels.reflected_chunk))
+        call = lambda: run_ensemble(cs, cfg, **kw)
+    with pytest.raises(RuntimeError, match="^the %s process exited with status "
+                       "%d$" % (child, status)):
+        call()
+    assert os.listdir(tmp_path) == (["weights.csv"] if child == "CSV helper"
+                                    else [])
 
 
 def _split_case(name):
