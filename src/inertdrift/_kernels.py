@@ -10,10 +10,11 @@ the landing that ``skorokhod.reflect_step`` also uses.
 Every kernel takes the mutable state arrays, the chunk's noise, the
 global index of the chunk's first step, and ``params``: one plain tuple of
 the run's read-only constants, built once per run by the family's helper
-in :mod:`inertdrift.simulate` and unpacked in one statement.  A
-coefficient that varies with x comes as a function of the live rows'
-points instead of an array: sigma, b and the push matrix A are
-evaluated at the step start, and the inert field v at the landing point.
+in :mod:`inertdrift.simulate` and unpacked in one statement.  A sigma,
+b or A that varies with x comes as a function of the live rows' points,
+evaluated at the step start.  The push u = A n and the inert field v are
+functions of boundary points and inward normals, defined once by the
+coefficient set (:mod:`inertdrift.coefficients`).
 Each kernel finishes its chunk in one call.  The noise is drawn in
 :mod:`inertdrift.simulate`: the gradient kernel also takes the chunk's
 reserve pool and a ``refill`` callback that renews a spent path's pool
@@ -100,14 +101,15 @@ def reflected_chunk(
 ):
     """Advance every live path of a reflected-family run through one chunk.
 
-    A proposal that leaves the domain is pushed back along u = UM n, with n
-    the inward normal where it crossed, by the domain's contact rule
-    (``_exit`` and ``_land``, which ``skorokhod.reflect_step`` also calls),
-    and K gains v dL, with v = VM n or v = VM(landing point, n).  With
-    ``do_weight`` the Girsanov log-weight is updated from the step-start K
-    before the move.  S, b and UM are arrays, or functions of the points
-    at the step start when they vary; SI, the inverse of a constant S, is
-    None then.
+    A proposal that leaves the domain is pushed back along
+    u = UM(step start, n), with n the inward normal where it crossed, by the
+    domain's contact rule (``_exit`` and ``_land``, which
+    ``skorokhod.reflect_step`` also calls), and K gains v dL, with
+    v = VM(landing point, normal there).  UM and VM are the coefficient
+    set's functions of boundary points and normals.  With ``do_weight`` the
+    Girsanov log-weight is updated from the step-start K before the move.
+    S and b are arrays, or functions of the points at the step start when
+    they vary; SI, the inverse of a constant S, is None then.
 
     The live rows' x, k, ell and log-weight are copied into compact arrays
     once per chunk and stepped there, and each step reads its noise column
@@ -167,8 +169,7 @@ def reflected_chunk(
         out, normal = domain._exit(y)
         hit = out.nonzero()[0]
         if len(hit):
-            push = UM(xs[hit]) if callable(UM) else UM
-            land, dl, nl, ok = domain._land(y[hit], _rowdot(push, normal))
+            land, dl, nl, ok = domain._land(y[hit], UM(xs[hit], normal))
             failed = not ok.all()
             if failed:
                 keep = np.ones(len(rows), dtype=bool)
@@ -176,8 +177,7 @@ def reflected_chunk(
                 flags[put(~keep)] = FLAG_REFLECT_FAILURE
                 hit, land, dl, nl = _take(ok, hit, land, dl, nl)
             y[hit] = land
-            v = VM(land, nl) if callable(VM) else _rowdot(VM, nl)
-            ks[hit] += v * dl[:, None]
+            ks[hit] += VM(land, nl) * dl[:, None]
             ls[hit] += dl
             contacts += int(np.count_nonzero(dl > 0.0))
             if use_k and not vary_b:

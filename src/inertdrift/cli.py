@@ -51,7 +51,7 @@ from .analysis import (
 )
 from .coefficients import CoefficientError, Potential, make_coefficients
 from .geometry import GeometryError, SmoothDistance, make_domain
-from .simulate import SimConfig, _as_int, run_ensemble
+from .simulate import SimConfig, _as_int, _preflight, run_ensemble
 from .skorokhod import SkorokhodError, read_path_csv, solve_skorokhod
 from .stationary import (
     StationaryMeasure,
@@ -244,22 +244,15 @@ def _parse_potential(data, domain):
     return Potential("regularized_vn", distance=SmoothDistance(domain), n=n)
 
 
-def _parse_sim(data, dim):
+def _parse_sim(data):
     if "sim" not in data:
         return None
     block = _require(data, "sim", "config", dict, "a block")
     _check_fields(block, "sim", _SIM_FIELDS)
     try:
-        sim = SimConfig(**block)
+        return SimConfig(**block)
     except (TypeError, ValueError) as exc:
         raise ConfigError("sim: %s" % exc) from None
-    for key in ("x0", "k0"):
-        value = getattr(sim, key)
-        if value is not None and len(value) != dim:
-            raise ConfigError(
-                "sim.%s must have %d entries for dimension %d" % (key, dim, dim)
-            )
-    return sim
 
 
 def load_run_config(source):
@@ -287,7 +280,7 @@ def load_run_config(source):
     domain = _parse_domain(data, dim)
     cs = _parse_coefficients(data, domain, dim)
     potential = _parse_potential(data, domain)
-    sim = _parse_sim(data, dim)
+    sim = _parse_sim(data)
 
     if sim is not None:
         if sim.family == "gradient" and potential is None:
@@ -297,6 +290,11 @@ def load_run_config(source):
                 "potential block requires sim.family 'gradient', got %r"
                 % sim.family
             )
+        if cs is not None:  # the start point, as run_ensemble checks it
+            try:
+                _preflight(cs, sim, domain, potential)
+            except ValueError as exc:
+                raise ConfigError("sim: %s" % exc) from None
 
     tests = data.get("tests", [])
     if not isinstance(tests, list) or any(not isinstance(t, str) for t in tests):

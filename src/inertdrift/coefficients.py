@@ -6,12 +6,15 @@ b_k = (1/(2 rho)) * sum_i d_i(rho * a_ik)), the constant inert-drift data
 (a symmetric positive-definite matrix Gamma and a boundary field v), and
 the wall-potential family V(x) = exp(1/(n * delta(x))) built on a smooth
 interior distance, together with the gradients of all of the above.
+It is the one definition of the push u = A n and of v at boundary points:
+the reflected kernel and ``conormal_u``/``inert_v`` call the same functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _rowdot
 from .geometry import SmoothDistance, _as_batch, _unbatch
 
 __all__ = [
@@ -169,21 +172,33 @@ class CoefficientSet:
             self._rho_const = r
             self._rho_fn = None
 
-        # --- inert field ------------------------------------------------------
+        # --- boundary fields: u = A n and the inert field v ------------------
+        self.a0 = float(a0)
+        if not np.isfinite(self.a0):
+            raise CoefficientError("a0 must be a finite number, got %r" % (a0,))
+        # functions of boundary points and their inward normals (a row each),
+        # summed as the kernels sum; a custom field reads no normal
+        A = self._a_const
+        if A is not None:
+            self._push = lambda pts, nrm: _rowdot(A, nrm)
+        else:
+            self._push = lambda pts, nrm: _rowdot(self._a_batch(pts), nrm)
         if callable(inert_field):
-            self._inert_fn = _wrap(inert_field, (d,), vectorized)
-            self.inert_field = "custom"
-        elif inert_field in ("gamma_normal", "a0_conormal"):
-            self._inert_fn = None
-            self.inert_field = inert_field
+            v_of = _wrap(inert_field, (d,), vectorized)
+            self._field = lambda pts, nrm: v_of(pts)
+        elif inert_field == "gamma_normal":
+            self._field = lambda pts, nrm: _rowdot(self._gamma, nrm)
+        elif inert_field == "a0_conormal" and A is not None:
+            a0_A = self.a0 * A
+            self._field = lambda pts, nrm: _rowdot(a0_A, nrm)
+        elif inert_field == "a0_conormal":
+            self._field = lambda pts, nrm: _rowdot(self.a0 * self._a_batch(pts), nrm)
         else:
             raise CoefficientError(
                 "inert_field must be 'gamma_normal', 'a0_conormal', or a "
                 "callable, got %r" % (inert_field,)
             )
-        self.a0 = float(a0)
-        if not np.isfinite(self.a0):
-            raise CoefficientError("a0 must be a finite number, got %r" % (a0,))
+        self.inert_field = "custom" if callable(inert_field) else inert_field
 
         # --- drift ------------------------------------------------------------
         if drift_const is not None:
@@ -378,22 +393,16 @@ class CoefficientSet:
         return acc / (2.0 * self._rho_batch(pts)[:, None])
 
     def conormal_u(self, x_boundary):
-        """Conormal direction u = A n at a boundary point."""
+        """Conormal push u = A n at boundary points, as the kernels push."""
         pts, single = _as_batch(x_boundary, self.domain.d)
-        nrm = np.atleast_2d(self.domain.inward_normal(pts))
-        u = np.einsum("mik,mk->mi", self._a_batch(pts), nrm)
-        return _unbatch(u, single)
+        return _unbatch(self._push(pts, self.domain.inward_normal(pts)), single)
 
     def inert_v(self, x_boundary):
-        """Boundary field v feeding the inert component on boundary contact."""
+        """Boundary field v that K gains per unit local time, as the kernels
+        add it; a custom field also takes interior points."""
         pts, single = _as_batch(x_boundary, self.domain.d)
-        if self._inert_fn is not None:
-            return _unbatch(self._inert_fn(pts), single)
-        if self.inert_field == "gamma_normal":
-            nrm = np.atleast_2d(self.domain.inward_normal(pts))
-            return _unbatch(nrm @ self._gamma.T, single)
-        u = np.atleast_2d(self.conormal_u(pts))
-        return _unbatch(self.a0 * u, single)
+        nrm = None if self.inert_field == "custom" else self.domain.inward_normal(pts)
+        return _unbatch(self._field(pts, nrm), single)
 
     def __repr__(self):
         return "CoefficientSet(name=%r, domain=%r, inert_field=%r)" % (

@@ -517,9 +517,17 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     ``backend`` may only be None or "numpy", the one backend.  The batch's
     arrays lie in anonymous shared memory (see :class:`TrajectoryBatch`).
     """
-    cfg = config
     if backend not in (None, "numpy"):
         raise ValueError("backend must be None or 'numpy', got %r" % (backend,))
+    domain, x0, k0, guard = _preflight(cs, config, domain, potential)
+    return _run(cs, domain, potential, config, x0, k0, guard)
+
+
+def _preflight(cs, cfg, domain=None, potential=None):
+    """The checked domain, x0, k0 and wall guard (None when reflected) of a
+    run of ``cfg``; ValueError, before anything runs, for an argument
+    ``run_ensemble`` cannot step, x0 outside the domain or in the wall
+    layer included.  ``cli.load_run_config`` calls it too."""
     if cfg.family == "gradient":
         if potential is None:
             raise ValueError("the gradient family needs potential=")
@@ -530,13 +538,11 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
         if domain is not None and domain is not potential.domain:
             raise ValueError("domain and potential.domain disagree")
         domain = potential.domain
-    else:
-        if domain is None:
-            raise ValueError("the reflected families need domain=")
+    elif domain is None:
+        raise ValueError("the reflected families need domain=")
     if cs.domain.d != domain.d:  # equal-but-distinct domains are allowed
         raise ValueError("coefficients and domain dimensions disagree")
     d = domain.d
-
     if cfg.x0 is not None:
         x0 = _as_vector(cfg.x0, d, "x0")
     else:
@@ -544,22 +550,17 @@ def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     if not domain.inside(x0):
         raise ValueError("x0 must lie inside the domain")
     k0 = _as_vector(cfg.k0, d, "k0") if cfg.k0 is not None else np.zeros(d)
-
+    guard = None
     if cfg.family == "gradient":
-        guard = (
-            cfg.delta_guard
-            if cfg.delta_guard is not None
-            else _default_delta_guard(potential)
-        )
+        guard = (cfg.delta_guard if cfg.delta_guard is not None
+                 else _default_delta_guard(potential))
         start_delta = float(potential.distance.value(x0))
         if start_delta < guard:
             raise ValueError(
                 "x0 sits inside the resolvable wall layer (smoothed distance "
                 "%.3g < guard %.3g)" % (start_delta, guard)
             )
-    else:
-        guard = None
-    return _run(cs, domain, potential, cfg, x0, k0, guard)
+    return domain, x0, k0, guard
 
 
 def _domain_info(domain):
@@ -593,48 +594,39 @@ def _h_max(cfg, domain):
     return cfg.h_max_fraction * domain.inradius if cfg.adaptive else np.inf
 
 
-def _reflected_params(cs, domain, cfg, x0):
+def _drift(cs):
+    """The drift b for the kernels: a constant array, or ``cs.drift_b``."""
+    b = cs.constant_drift
+    return cs.drift_b if b is None else np.asarray(b, float)
+
+
+def _reflected_params(cs, domain, cfg):
     """Read-only constants of a reflected-family kernel run, in the order
-    the kernel unpacks them.  A coefficient that varies with x is passed as
-    a function of the live rows' points; with constant sigma every matrix
-    is evaluated once, at x0."""
+    the kernel unpacks them.  A sigma or drift that varies with x is passed
+    as a function of the live rows' points; the push u and the inert field
+    v are the coefficient set's functions of points and normals."""
     if cs.is_constant_sigma:
-        S = cs.sigma(x0)
-        SI = np.linalg.inv(S)
-        UM = cs.a_matrix(x0)
+        S, SI = cs._sigma_const, np.linalg.inv(cs._sigma_const)
     else:
         S, SI = cs._sigma_batch, None
-        UM = cs._a_batch
-    if cs.inert_field == "gamma_normal":
-        VM = np.asarray(cs.gamma, float)
-    elif cs.inert_field == "custom":
-        VM = lambda land, normal: cs._inert_fn(land)
-    elif cs.is_constant_sigma:
-        VM = cs.a0 * UM
-    else:
-        VM = lambda land, normal: _kernels._rowdot(cs.a0 * UM(land), normal)
-    b = cs.constant_drift
     return (
-        cfg.dt_base, np.sqrt(cfg.dt_base), S, SI,
-        cs.drift_b if b is None else np.asarray(b, float), UM, VM,
-        cfg.family == "reflected", cfg.family == "driftless_weighted",
+        cfg.dt_base, np.sqrt(cfg.dt_base), S, SI, _drift(cs), cs._push,
+        cs._field, cfg.family == "reflected", cfg.family == "driftless_weighted",
         domain, cfg.first_snapshot_step, cfg.snap_every,
     )
 
 
-def _gradient_params(cs, potential, cfg, x0, guard):
+def _gradient_params(cs, potential, cfg, guard):
     """Read-only constants of a gradient-family kernel run, in the order
     the kernel unpacks them, with varying coefficients passed as functions
     as in :func:`_reflected_params`; the kernel reads the wall's geometry
     from ``potential.distance`` itself."""
     if cs.is_constant_sigma:
-        S, A2 = cs.sigma(x0), 0.5 * cs.a_matrix(x0)
+        S, A2 = cs._sigma_const, 0.5 * cs._a_const
     else:
         S, A2 = cs._sigma_batch, lambda pts: 0.5 * cs._a_batch(pts)
-    b = cs.constant_drift
     return (
-        cfg.dt_base, S, cs.drift_b if b is None else np.asarray(b, float),
-        A2, 0.5 * np.asarray(cs.gamma, float),
+        cfg.dt_base, S, _drift(cs), A2, 0.5 * np.asarray(cs.gamma, float),
         float(potential.n), _h_max(cfg, potential.domain), float(guard),
         float(potential.delta_floor), float(Potential.EXPONENT_CAP),
         cfg.first_snapshot_step, cfg.snap_every,
@@ -642,17 +634,17 @@ def _gradient_params(cs, potential, cfg, x0, guard):
     )
 
 
-def _chunk_stepper(cs, domain, potential, cfg, x0, guard):
+def _chunk_stepper(cs, domain, potential, cfg, guard):
     """The function that advances a range of paths through one block of
     noise in one call, given their generators and state rows, and the block
     length in steps (see the module docstring).  Kernels are looked up on
     :mod:`._kernels` at each call."""
     if cfg.family != "gradient":
-        params = _reflected_params(cs, domain, cfg, x0)
+        params = _reflected_params(cs, domain, cfg)
         block = max(1, _NOISE_BLOCK_FLOATS // (cfg.n_paths * domain.d))
         step = lambda rngs, *state: _kernels.reflected_chunk(*state, params)
         return step, min(cfg.chunk_size, block)
-    params = _gradient_params(cs, potential, cfg, x0, guard)
+    params = _gradient_params(cs, potential, cfg, guard)
     chunk = lambda *state: _kernels.gradient_chunk(
         potential.distance, *state, params)
     step = functools.partial(_gradient_step, chunk,
@@ -725,7 +717,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
     x[:], k[:] = x0, k0
     for snaps in (out_x, out_k, out_ell):
         snaps.fill(np.nan)
-    step, block = _chunk_stepper(cs, domain, potential, cfg, x0, guard)
+    step, block = _chunk_stepper(cs, domain, potential, cfg, guard)
     n_steps = cfg.n_steps
 
     def advance(lo, hi, counts):

@@ -72,10 +72,6 @@ class DrivingPath:
     def to_csv(self, filename):
         write_path_csv(filename, self.times, self.values)
 
-    @classmethod
-    def from_csv(cls, filename):
-        return read_path_csv(filename)
-
 
 @dataclass
 class ConstrainedPath:

@@ -151,6 +151,7 @@ def test_tests_on_weighted_family_exit_2_before_simulating(tmp_path, capsys):
     ("dt_base", True), ("dt_base", "0.001"), ("t_end", True),
     ("burn_in", True), ("burn_in", "0.5"),
     ("x0", ["0.5"]), ("x0", [True]), ("k0", [False]),
+    ("x0", [0.5, 0.5]), ("k0", [0.0, 1.0]),
 ])
 def test_bad_integer_sim_field_exits_2_before_simulating(
     tmp_path, capsys, field, value
@@ -162,6 +163,27 @@ def test_bad_integer_sim_field_exits_2_before_simulating(
     assert main(["run", path, "--output-dir", str(out)]) == 2
     assert main(["run", path, "--dry-run", "--output-dir", str(out)]) == 2
     assert "sim: %s must be a" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, x0, message", [
+    ("reflected", [2.0], "sim: x0 must lie inside the domain"),
+    ("gradient", [0.001], "sim: x0 sits inside the resolvable wall layer"),
+], ids=["outside_domain", "inside_wall_layer"])
+def test_bad_start_point_exits_2_before_simulating(
+    tmp_path, capsys, family, x0, message
+):
+    # run_ensemble's own checks on the start, made while the config loads
+    cfg = base_config()
+    if family == "gradient":
+        cfg["potential"] = {"kind": "regularized_vn", "n": 2}
+    cfg["sim"].update({"family": family, "x0": x0})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", path, "--dry-run", "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -88,7 +88,7 @@ def _reflect_once(cs, dom, x, k, dt, z, family="reflected"):
         st["x"], st["k"], st["ell"], st["logw"], st["flags"], st["out_x"],
         st["out_k"], st["out_ell"], st["counters"],
         np.array(z, dtype=float).reshape(1, 1, -1), 0,
-        simulate._reflected_params(cs, dom, cfg, st["x"][0]))
+        simulate._reflected_params(cs, dom, cfg))
     return st
 
 
@@ -113,7 +113,7 @@ def _gradient_once(cs, pot, x, k, dt, z, pool=(), refill=None, **cfg_kw):
         st["out_ell"], st["counters"], np.array(z, dtype=float).reshape(1, 1, d),
         np.array(pool, dtype=float).reshape(1, -1, d), np.zeros(1, dtype=np.int64),
         refill or flag, 0,
-        simulate._gradient_params(cs, pot, cfg, st["x"][0], guard))
+        simulate._gradient_params(cs, pot, cfg, guard))
     return st
 
 
@@ -266,6 +266,61 @@ def test_varying_sigma_step_uses_step_start_coefficients(unit_interval):
     sk = 0.7 / s0
     assert w["logw"][0] == pytest.approx(
         sk * np.sqrt(dt) * 0.3 - 0.5 * sk * sk * dt, rel=1e-14)
+
+
+# a domain, a step start near its boundary and normals that leave it
+_CONTACT_CASES = {
+    "interval": (lambda: Interval(0.0, 1.0), [0.05], [-1.0]),
+    "disc": (lambda: Ball([0.0, 0.0], 1.0), [0.9, 0.3], [3.0, 1.0]),
+    "box": (lambda: Box([0.0, 0.0], [1.0, 2.0]), [0.95, 1.0], [2.0, 0.0]),
+    "ellipsoid": (lambda: Ellipsoid([0.1, 0.0], [1.0, 0.5]), [0.1, 0.45],
+                  [0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("field,varying", [
+    ("gamma_normal", False), ("a0_conormal", False), ("a0_conormal", True),
+    ("custom", True)], ids=["gamma_normal", "a0_conormal", "a0_varying", "custom"])
+@pytest.mark.parametrize("name", sorted(_CONTACT_CASES))
+def test_kernel_and_point_api_share_the_boundary_fields(
+    name, field, varying, monkeypatch
+):
+    make, x, z = _CONTACT_CASES[name]
+    dom = make()
+    d = dom.d
+    s = np.eye(d) + np.triu(np.full((d, d), 0.3))  # a non-diagonal A
+    cs = CoefficientSet(
+        dom, gamma=s @ s.T + np.eye(d), a0=1.5, vectorized=True,
+        sigma=(lambda pts: np.sqrt(1.0 + pts[:, :1, None] ** 2) * s) if varying else s,
+        inert_field=(lambda pts: pts[:, ::-1] + 2.0) if field == "custom" else field)
+    calls = []
+    land_rule = dom._land
+
+    def recording_land(y, push):
+        out = land_rule(y, push)
+        calls.append((y.copy(), push.copy(), out))
+        return out
+
+    monkeypatch.setattr(dom, "_land", recording_land)
+    st = _reflect_once(cs, dom, x, np.zeros(d), 0.01, z)
+    (y, push, (land, dl, nl, ok)), = calls
+    assert ok.all() and dl[0] > 0.0
+    # the kernel pushed along u(step start, crossing normal) and K gained
+    # v(landing point, its normal) dL, both from the coefficient set
+    np.testing.assert_array_equal(push, cs._push(np.array([x]), dom._exit(y)[1]))
+    np.testing.assert_array_equal(st["k"], cs._field(land, nl) * dl[:, None])
+    # the point API calls the same functions with the domain's own normal,
+    # which on a curved boundary may differ from nl in the last bit
+    bd = dom.inward_normal(land)
+    np.testing.assert_array_equal(cs.conormal_u(land), cs._push(land, bd))
+    np.testing.assert_array_equal(cs.inert_v(land), cs._field(land, bd))
+    if name in ("interval", "box"):
+        np.testing.assert_array_equal(bd, nl)
+        np.testing.assert_array_equal(st["k"], cs.inert_v(land) * dl[:, None])
+    else:
+        np.testing.assert_allclose(bd, nl, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(st["k"], cs.inert_v(land) * dl[:, None],
+                                   rtol=1e-14)
 
 
 def test_girsanov_weight_single_step_identities(interval_cs, unit_interval):
@@ -771,6 +826,76 @@ def test_reflected_kernel_golden_digests(name, family):
     assert not b.flags.any()
     if name == "anisotropic_disc":
         assert _sha256(2.0 * b.ell) == HALF_PUSH_ELL[family]
+
+
+_R20 = np.array([[np.cos(np.pi / 9), -np.sin(np.pi / 9)],
+                 [np.sin(np.pi / 9), np.cos(np.pi / 9)]])
+
+
+def _rotated_gamma_normal(pts):
+    """v = R_20 Gamma n on the unit disc with Gamma = diag(2, 1), n = -p/|p|
+    at a boundary point p: a coupling that breaks the product law."""
+    nrm = -pts / np.linalg.norm(pts, axis=1)[:, None]
+    return nrm @ (_R20 @ np.diag([2.0, 1.0])).T
+
+
+def _boundary_field_case(name, family):
+    """(cs, domain, config) of the runs that pin the inert fields evaluated
+    by a function of the landing point: v = a0 A(x) n with a varying sigma,
+    and a custom field."""
+    if name == "varying_sigma_a0":
+        dom = Interval(0.0, 1.0)
+        cs = CoefficientSet(dom, gamma=[[1.0]], sigma=_sigma_1x2,
+                            inert_field="a0_conormal", a0=1.5, vectorized=True)
+        kw = dict(dt_base=1e-3, t_end=0.5, burn_in=0.1, n_paths=6, seed=7,
+                  snap_every=10)
+        k0 = (0.5,)
+    else:
+        dom = Ball([0.0, 0.0], 1.0)
+        cs = CoefficientSet(dom, gamma=np.diag([2.0, 1.0]),
+                            inert_field=_rotated_gamma_normal, vectorized=True)
+        kw = dict(dt_base=5e-4, t_end=0.5, burn_in=0.1, n_paths=8, seed=5,
+                  snap_every=20)
+        k0 = (0.5, 1.0)
+    if family == "driftless_weighted":
+        kw["k0"] = k0
+    return cs, dom, SimConfig(family=family, **kw)
+
+
+# sha256 of x, k, ell and log_weights (None for the reflected family), and
+# the contact count, of multi-step runs whose inert field is a function of
+# the landing point, recorded while the kernel constants still built v
+# themselves
+BOUNDARY_FIELD_GOLDEN = {
+    ("varying_sigma_a0", "reflected"): (
+        "fc95950030cbf34b0c42a4e677067962b58ea59f54cc3a8b942bf0e5553cb260",
+        "450365de8fb80d309008a7b9afa108e930b9fc2200bfc1041bc175cb3435c6d9",
+        "71a140cc2db09652beeb6d9a22cae8288a580cff1925ea65e7676c012dc970bd",
+        None, 162),
+    ("varying_sigma_a0", "driftless_weighted"): (
+        "d2dd034326e4b47dd316969da763e823581e5a965f3890920aada364df8de07f",
+        "c129580b5b72c99b4671c9b8e6c9c2ce8cce22da230cdf52623be7f880850c77",
+        "5a163e414b82d8863101b155e90c43b74063da8e14fbbe633b57c8cdfd2207e0",
+        "b3d9e6cf62c0844b2987677d42bc245da8e5f9d3633b707c4733abc38ad77125", 184),
+    ("rotated_disc", "reflected"): (
+        "bbfa4e159cb1818009e6212a1b2ea4838f4a4a8acfc41cc353908cae4f90e23e",
+        "a32503fa02da8606e60141b42659756c5d505c849672e8d276cb3db2dfbf0202",
+        "cc1ce547e264d2a29320fd85edb390b976415761f97726e180c4a3d26d699afe",
+        None, 41),
+    ("rotated_disc", "driftless_weighted"): (
+        "12a3920fa9afd7fdeed24525b20d1be45c4993b9013b6331e48ea4a775a4010c",
+        "0288e8f0d81bf7d3dd4fad39ec619119e9f9bb1c7b2073bea2d1329fe46ea6ab",
+        "d0d09780add894ab38b70ea0fda37c47b989be89f48d97ca2d33252467b85f20",
+        "d1a784f538dea5e06d681a89415daf9197898bbcfe362742129a6ba7e4aed02c", 44),
+}
+
+
+@pytest.mark.parametrize("name,family", sorted(BOUNDARY_FIELD_GOLDEN))
+def test_inert_field_functions_golden_digests(name, family):
+    cs, dom, cfg = _boundary_field_case(name, family)
+    b = run_ensemble(cs, cfg, domain=dom)
+    assert _digests(b) == BOUNDARY_FIELD_GOLDEN[name, family]
+    assert not b.flags.any() and b.diagnostics["contacts"] > 0
 
 
 class _BrittleInterval(Interval):
