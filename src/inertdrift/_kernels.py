@@ -107,7 +107,8 @@ def reflected_chunk(
     ``skorokhod.reflect_step`` also calls), and K gains v dL, with
     v = VM(landing point, normal there).  UM and VM are the coefficient
     set's functions of boundary points and normals.  With ``do_weight`` the
-    Girsanov log-weight is updated from the step-start K before the move.
+    drift leaves out K and the Girsanov log-weight is updated from the
+    step-start K before the move (the driftless_weighted family).
     S and b are arrays, or functions of the points at the step start when
     they vary; SI, the inverse of a constant S, is None then.
 
@@ -119,8 +120,9 @@ def reflected_chunk(
     recomputes them at every step.  A row that gets flagged is written back
     at once and dropped; the others are written back at the chunk end.
     """
-    (dt, sqrt_dt, S, SI, b, UM, VM, use_k, do_weight, domain, first_snap,
+    (dt, sqrt_dt, S, SI, b, UM, VM, do_weight, domain, first_snap,
      snap_every) = params
+    use_k = not do_weight
     vary_s, vary_b = callable(S), callable(b)
     C, d = z.shape[1:]
     rows = (flags == FLAG_OK).nonzero()[0]

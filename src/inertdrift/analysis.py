@@ -2,12 +2,12 @@
 
 Snapshot series from a single trajectory are autocorrelated, so every
 test here works with an *effective* sample size estimated by batch means
-(50 batches per path by default): the asymptotic variance of a series
-mean is estimated as ``m * Var(batch means)`` — guarded by the variance
-of the independent per-path means, which stays unbiased when the batch
-length is shorter than the autocorrelation time — and the effective
-size is ``n * marginal variance / asymptotic variance``, capped at the
-raw count.  Tests report a :class:`TestReport`; the pass flag always means
+(``DEFAULT_BATCHES`` = 50 batches per path): the asymptotic variance of
+a series mean is estimated as ``m * Var(batch means)`` — guarded by the
+variance of the independent per-path means, which stays unbiased when
+the batch length is shorter than the autocorrelation time — and the
+effective size is ``n * marginal variance / asymptotic variance``,
+capped at the raw count.  Tests report a :class:`TestReport`; the pass flag always means
 ``statistic <= threshold``, and reports with effective size below 100
 are flagged inconclusive rather than failed.
 
@@ -23,14 +23,14 @@ Checks
   gaussian fourth moments (within 4).
 * ``independence_test`` — cross-correlations corr(X_i, K_j) within 3
   standard errors of zero plus a 4x4 quartile-bin contingency
-  chi-square on (X_1, K_1) at level 0.01.
-* ``angular_uniformity`` — chi-square over angular sectors for
-  rotation-invariant planar ensembles.
+  chi-square on (X_1, K_1) at level ``LEVEL``.
+* ``angular_uniformity`` — chi-square over ``SECTORS`` angular sectors
+  for rotation-invariant planar ensembles.
 * ``weak_convergence_sweep`` — simulates the smooth-wall gradient
   family for an increasing sequence of wall indices n and measures the
   1-Wasserstein distance of each position marginal to a reflected
-  baseline (sliced over 32 fixed random projections above one
-  dimension); the noise floor is the distance between two reflected
+  baseline (sliced over ``PROJECTIONS`` fixed random directions above
+  one dimension); the noise floor is the distance between two reflected
   runs with split seeds.
 
 The critical values come from the limiting Kolmogorov distribution and
@@ -53,6 +53,10 @@ from .stationary import marginal_cdf_grid
 
 MIN_EFFECTIVE_SIZE = 100.0
 DEFAULT_BATCHES = 50
+LEVEL = 0.01  # the level of every distributional test
+SECTORS = 8  # angular sectors of angular_uniformity
+PROJECTIONS = 32  # sliced-Wasserstein directions of the sweep, above d = 1
+PROJECTION_SEED = 2027
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +100,7 @@ def _report(name, statistic, threshold, sample_size, standard_error=None,
 # ---------------------------------------------------------------------------
 
 
-def _asymptotic_variance(v, n_batches):
+def _asymptotic_variance(v):
     """Estimate of lim S * Var(series mean) for one path, from (P, S) data.
 
     Two estimators are combined conservatively: within-path batch means
@@ -108,7 +112,7 @@ def _asymptotic_variance(v, n_batches):
     n_paths, n_snaps = v.shape
     estimates = []
     if n_snaps > 1:
-        n_b = min(int(n_batches), n_snaps)
+        n_b = min(DEFAULT_BATCHES, n_snaps)
         m = n_snaps // n_b
         means = v[:, : n_b * m].reshape(n_paths, n_b, m).mean(axis=2)
         estimates.append(m * float(means.var(axis=1, ddof=1).mean()))
@@ -117,7 +121,7 @@ def _asymptotic_variance(v, n_batches):
     return max(estimates) if estimates else 0.0
 
 
-def effective_sample_size(values, n_batches=DEFAULT_BATCHES):
+def effective_sample_size(values):
     """Batch-means effective sample size of a (paths, snapshots) series.
 
     Paths are independent; snapshots within a path are autocorrelated.
@@ -132,16 +136,16 @@ def effective_sample_size(values, n_batches=DEFAULT_BATCHES):
     s2 = float(v.var())
     if s2 == 0.0:
         return float(total)
-    sigma2 = _asymptotic_variance(v, n_batches)
+    sigma2 = _asymptotic_variance(v)
     if sigma2 == 0.0:
         return float(total)
     return float(min(total * s2 / sigma2, total))
 
 
-def batch_means_error(values, n_batches=DEFAULT_BATCHES):
+def batch_means_error(values):
     """Return (mean, standard error of the mean, effective sample size)."""
     v = np.atleast_2d(np.asarray(values, float))
-    ess = effective_sample_size(v, n_batches)
+    ess = effective_sample_size(v)
     s2 = float(v.var())
     return float(v.mean()), float(np.sqrt(s2 / ess)), ess
 
@@ -265,16 +269,16 @@ def _ks_statistic(u):
 # ---------------------------------------------------------------------------
 
 
-def ks_uniformity(batch, sm, coordinate=0, level=0.01):
+def ks_uniformity(batch, sm, coordinate=0):
     """KS test of one position coordinate against the stationary marginal.
 
     Snapshot values are mapped through the quadrature CDF; under the
     stationary law the result is uniform on (0, 1).  The critical value
-    x / sqrt(ESS), where x is the level-``level`` point of the limiting
+    x / sqrt(ESS), where x is the level-``LEVEL`` point of the limiting
     Kolmogorov distribution, uses the batch-means effective sample size
-    of the transformed series.  ``level`` must lie in (0, 1).
+    of the transformed series.
     """
-    critical = _kolmogorov_isf(level)
+    critical = _kolmogorov_isf(LEVEL)
     x, _ = _usable(batch)
     series = x[:, :, int(coordinate)]
     grid, cdf = marginal_cdf_grid(sm, axis=int(coordinate))
@@ -283,7 +287,7 @@ def ks_uniformity(batch, sm, coordinate=0, level=0.01):
     ess = effective_sample_size(u)
     threshold = float(critical / np.sqrt(ess))
     inconclusive = ess < MIN_EFFECTIVE_SIZE
-    detail = "coordinate=%d level=%g ess=%.1f" % (coordinate, level, ess)
+    detail = "coordinate=%d level=%g ess=%.1f" % (coordinate, LEVEL, ess)
     if inconclusive:
         detail += "; effective sample size below %d — lengthen the run" % int(
             MIN_EFFECTIVE_SIZE
@@ -299,7 +303,7 @@ def ks_uniformity(batch, sm, coordinate=0, level=0.01):
     )
 
 
-def k_moment_tests(batch, sm, n_batches=DEFAULT_BATCHES):
+def k_moment_tests(batch, sm):
     """Gaussian moment checks on the inert drift.
 
     Means within 3 standard errors of zero, second moments within 3 of
@@ -326,7 +330,7 @@ def k_moment_tests(batch, sm, n_batches=DEFAULT_BATCHES):
                 )
             )
         for series, want, allowance, label in checks:
-            mean, se, ess = batch_means_error(series, n_batches)
+            mean, se, ess = batch_means_error(series)
             z = _z_score(mean - want, se) / allowance
             min_ess = min(min_ess, ess)
             if z > worst:
@@ -345,18 +349,17 @@ def k_moment_tests(batch, sm, n_batches=DEFAULT_BATCHES):
     )
 
 
-def independence_test(batch, level=0.01, n_batches=DEFAULT_BATCHES):
+def independence_test(batch):
     """Position/inert-drift independence under the stationary law.
 
     Cross-correlations corr(X_i, K_j) must stay within 3 standard
     errors of zero (1/sqrt(ESS) each), and a 4x4 quartile-binned
     contingency chi-square on (X_1, K_1), thinned to roughly independent
-    snapshots, must stay below its level-``level`` critical value (9
+    snapshots, must stay below its level-``LEVEL`` critical value (9
     degrees of freedom).  Both parts are normalized by their own
-    allowance; the statistic is the worse one.  ``level`` must lie in
-    (0, 1).
+    allowance; the statistic is the worse one.
     """
-    crit = _chi2_isf(level, 9)
+    crit = _chi2_isf(LEVEL, 9)
     x, k = _usable(batch)
     d = x.shape[2]
     worst, worst_label, min_ess = -np.inf, "", np.inf
@@ -368,7 +371,7 @@ def independence_test(batch, level=0.01, n_batches=DEFAULT_BATCHES):
             if denom == 0.0:
                 continue
             r = float((xi * kj).mean()) / denom
-            ess = effective_sample_size(xi * kj, n_batches)
+            ess = effective_sample_size(xi * kj)
             min_ess = min(min_ess, ess)
             z = abs(r) * np.sqrt(ess) / 3.0
             if z > worst:
@@ -412,20 +415,15 @@ def independence_test(batch, level=0.01, n_batches=DEFAULT_BATCHES):
     )
 
 
-def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
+def angular_uniformity(batch, center=(0.0, 0.0)):
     """Chi-square for rotational symmetry of planar position snapshots.
 
     Valid when the stationary x-marginal is rotation invariant about
-    ``center`` (uniform density on a disc): sector counts of the
-    snapshot angles, thinned by the effective sample size of
-    (cos, sin), against equal expectations.  Needs at least 2 sectors
-    and ``level`` in (0, 1).
+    ``center`` (uniform density on a disc): counts of the snapshot angles
+    in ``SECTORS`` equal sectors, thinned by the effective sample size of
+    (cos, sin), against equal expectations, at level ``LEVEL``.
     """
-    if isinstance(sectors, bool) or int(sectors) != sectors or sectors < 2:
-        raise ValueError("angular_uniformity needs an integer sectors >= 2, got %r"
-                         % (sectors,))
-    sectors = int(sectors)
-    crit = _chi2_isf(level, sectors - 1)
+    crit = _chi2_isf(LEVEL, SECTORS - 1)
     x, _ = _usable(batch)
     if x.shape[2] != 2:
         raise ValueError("angular_uniformity needs a 2-dimensional ensemble")
@@ -439,11 +437,11 @@ def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
     stride = max(1, int(np.ceil(n_paths * n_snaps / max(ess, 1.0))))
     pooled = theta[:, ::stride].ravel()
     idx = np.clip(
-        ((pooled + np.pi) / (2.0 * np.pi / sectors)).astype(int), 0, sectors - 1
+        ((pooled + np.pi) / (2.0 * np.pi / SECTORS)).astype(int), 0, SECTORS - 1
     )
-    counts = np.bincount(idx, minlength=sectors).astype(float)
+    counts = np.bincount(idx, minlength=SECTORS).astype(float)
     n = pooled.size
-    expected = n / sectors
+    expected = n / SECTORS
     chi2_stat = float(((counts - expected) ** 2 / expected).sum())
     inconclusive = n < MIN_EFFECTIVE_SIZE
     return _report(
@@ -452,7 +450,7 @@ def angular_uniformity(batch, center=(0.0, 0.0), sectors=8, level=0.01):
         crit,
         n,
         inconclusive=inconclusive,
-        detail="sectors=%d level=%g thin_stride=%d" % (sectors, level, stride),
+        detail="sectors=%d level=%g thin_stride=%d" % (SECTORS, LEVEL, stride),
     )
 
 
@@ -486,14 +484,13 @@ def _pooled_positions(batch):
     return x.reshape(-1, x.shape[2])
 
 
-def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None,
-                           projections=32, projection_seed=2027):
+def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None):
     """Distance of smooth-wall position laws to the reflected baseline.
 
     For each wall index n the gradient family with the regularized wall
     potential V_n is simulated under ``cfg`` and the 1-Wasserstein
     distance between its pooled position snapshots and a reflected run
-    is recorded (above one dimension: sliced over ``projections`` fixed
+    is recorded (above one dimension: sliced over ``PROJECTIONS`` fixed
     random directions).  The report passes when the final distance drops
     below the first by at least ``margin`` (default: three times the
     noise floor, which is the distance between two reflected runs with
@@ -506,8 +503,8 @@ def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None,
     d = domain.d
     directions = None
     if d > 1:
-        rng = np.random.default_rng(projection_seed)
-        directions = rng.standard_normal((int(projections), d))
+        rng = np.random.default_rng(PROJECTION_SEED)
+        directions = rng.standard_normal((PROJECTIONS, d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
     ref_cfg = dataclasses.replace(cfg, family="reflected")
@@ -620,10 +617,9 @@ def write_report_csv(path, reports):
             )
 
 
-def write_histogram_csv(path, values, bins=50, value_range=None):
+def write_histogram_csv(path, values, bins=50):
     """Histogram a sample to CSV rows of bin_lo,bin_hi,count."""
-    counts, edges = np.histogram(np.asarray(values, float).ravel(),
-                                 bins=bins, range=value_range)
+    counts, edges = np.histogram(np.asarray(values, float).ravel(), bins=bins)
     with open(path, "w") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):

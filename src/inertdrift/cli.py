@@ -308,6 +308,9 @@ def load_run_config(source):
             raise ConfigError("tests: %r is listed more than once" % t)
     if "angular" in tests and dim != 2:
         raise ConfigError("tests: 'angular' requires dimension 2")
+    if "angular" in tests and (domain.kind != "ball" or not (
+            cs is None or cs.is_constant_rho)):  # else not rotation invariant
+        raise ConfigError("tests: 'angular' requires a disc with constant rho")
     if "ks" in tests and dim > 2:  # the marginal CDF quadrature stops at d = 2
         raise ConfigError("tests: 'ks' requires dimension 1 or 2")
     if tests and sim is not None and sim.family == "driftless_weighted":

@@ -137,7 +137,6 @@ class CoefficientSet:
         self._gamma.setflags(write=False)
         self._gamma_chol = L
         self._gamma_chol.setflags(write=False)
-        self._gamma_inv_cache = None
 
         # --- sigma ----------------------------------------------------------
         if sigma is None:
@@ -312,14 +311,6 @@ class CoefficientSet:
     def gamma_cholesky(self):
         """Lower-triangular factor L with L L^T = gamma."""
         return self._gamma_chol
-
-    @property
-    def gamma_inv(self):
-        if self._gamma_inv_cache is None:
-            inv = np.linalg.inv(self._gamma)
-            inv.setflags(write=False)
-            self._gamma_inv_cache = inv
-        return self._gamma_inv_cache
 
     def gamma_solve(self, y):
         """Solve gamma @ z = y for z; accepts a (d,) vector or (m, d) batch."""

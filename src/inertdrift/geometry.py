@@ -27,6 +27,7 @@ __all__ = [
     "Ellipsoid",
     "SmoothDistance",
     "GeometryError",
+    "domain_info",
     "make_domain",
 ]
 
@@ -155,13 +156,9 @@ class Domain:
     def inside(self, x):
         return self.signed_distance(x) > 0.0
 
-    def in_closure(self, x, tol=0.0):
-        return self.signed_distance(x) >= -tol
-
     def _in_closure(self, pts):
         """Which of the (m, d) points lie in the closure within ``tol_bd``;
-        False for a point with a NaN coordinate, which ``in_closure``
-        refuses."""
+        False for a point with a NaN coordinate."""
         return self._sd(pts) >= -self.tol_bd
 
     def project_to_boundary(self, x):
@@ -601,6 +598,10 @@ class Ellipsoid(Domain):
         return self.center - self.radii, self.center + self.radii
 
 
+_PARAMS = {"interval": ("lo", "hi"), "ball": ("center", "radius"),
+           "box": ("lo", "hi"), "ellipsoid": ("center", "radii")}
+
+
 def make_domain(kind, **params):
     """Construct a domain by kind name and numeric parameters (config entry point)."""
     kind = str(kind)
@@ -613,6 +614,17 @@ def make_domain(kind, **params):
     if kind == "ellipsoid":
         return Ellipsoid(params["center"], params["radii"])
     raise GeometryError(f"unknown domain kind {kind!r}")
+
+
+def domain_info(domain):
+    """The domain's kind, dimension and parameters as a JSON-ready dict:
+    what a run manifest records, and what two domains must share for a
+    coefficient set on one to run, or be integrated, on the other."""
+    info = {"kind": domain.kind, "dim": int(domain.d)}
+    for name in _PARAMS[domain.kind]:
+        value = np.asarray(getattr(domain, name), float).tolist()
+        info[name] = "inf" if value == np.inf else value
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +798,8 @@ class SmoothDistance:
         return self._value_and_grad(pts)[1]
 
     def _closure_batch(self, x):
-        """``x`` as an (m, d) batch; GeometryError, as from ``in_closure``,
-        for a non-finite point, and for a point outside the closure."""
+        """``x`` as an (m, d) batch; GeometryError for a non-finite point,
+        and for a point outside the closure."""
         pts, single = _as_batch(x, self.domain.d)
         if not np.all(np.isfinite(pts)):
             raise GeometryError("smooth distance: point has non-finite components")
@@ -804,7 +816,3 @@ class SmoothDistance:
     def grad(self, x):
         pts, single = self._closure_batch(x)
         return _unbatch(self._grad(pts), single)
-
-    @property
-    def declared_constants(self):
-        return self.c1, self.c2

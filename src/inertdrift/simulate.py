@@ -81,6 +81,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import FLAG_BOUNDARY_OVERFLOW, FLAG_NAMES, FLAG_OK
 from .coefficients import Potential
+from .geometry import domain_info
 
 FAMILIES = ("reflected", "gradient", "driftless_weighted")
 
@@ -540,8 +541,10 @@ def _preflight(cs, cfg, domain=None, potential=None):
         domain = potential.domain
     elif domain is None:
         raise ValueError("the reflected families need domain=")
-    if cs.domain.d != domain.d:  # equal-but-distinct domains are allowed
-        raise ValueError("coefficients and domain dimensions disagree")
+    ours, run = domain_info(cs.domain), domain_info(domain)
+    if ours != run:  # equal-but-distinct domains are allowed
+        raise ValueError("the coefficients' domain %s is not the run's %s"
+                         % (ours, run))
     d = domain.d
     if cfg.x0 is not None:
         x0 = _as_vector(cfg.x0, d, "x0")
@@ -561,23 +564,6 @@ def _preflight(cs, cfg, domain=None, potential=None):
                 "%.3g < guard %.3g)" % (start_delta, guard)
             )
     return domain, x0, k0, guard
-
-
-def _domain_info(domain):
-    info = {"kind": domain.kind, "dim": int(domain.d)}
-    if domain.kind == "interval":
-        info["lo"] = float(domain.lo)
-        info["hi"] = float(domain.hi) if np.isfinite(domain.hi) else "inf"
-    elif domain.kind == "ball":
-        info["center"] = [float(c) for c in domain.center]
-        info["radius"] = float(domain.radius)
-    elif domain.kind == "box":
-        info["lo"] = [float(c) for c in domain.lo]
-        info["hi"] = [float(c) for c in domain.hi]
-    else:
-        info["center"] = [float(c) for c in domain.center]
-        info["radii"] = [float(r) for r in domain.radii]
-    return info
 
 
 def _draw(rngs, C, d, out=None):
@@ -611,8 +597,8 @@ def _reflected_params(cs, domain, cfg):
         S, SI = cs._sigma_batch, None
     return (
         cfg.dt_base, np.sqrt(cfg.dt_base), S, SI, _drift(cs), cs._push,
-        cs._field, cfg.family == "reflected", cfg.family == "driftless_weighted",
-        domain, cfg.first_snapshot_step, cfg.snap_every,
+        cs._field, cfg.family == "driftless_weighted", domain,
+        cfg.first_snapshot_step, cfg.snap_every,
     )
 
 
@@ -752,7 +738,7 @@ def _run(cs, domain, potential, cfg, x0, k0, guard):
         run_info={
             "family": cfg.family,
             "coefficients": cs.name,
-            "domain": _domain_info(domain),
+            "domain": domain_info(domain),
             "potential": (
                 {"kind": potential.kind, "n": potential.n}
                 if potential is not None

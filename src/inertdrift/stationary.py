@@ -25,7 +25,7 @@ import csv
 import numpy as np
 
 from .coefficients import CoefficientError
-from .geometry import GeometryError
+from .geometry import GeometryError, domain_info
 
 __all__ = [
     "BumpTestFunction",
@@ -41,6 +41,10 @@ __all__ = [
 
 # rejection sampling gives up below this acceptance rate
 MIN_ACCEPT_RATE = 1e-4
+MC_SEED = 20210501  # the Monte Carlo normalizer's stream, above two dimensions
+CHORD_NODES = 128  # Gauss-Legendre nodes per chord of a planar marginal
+CDF_GRID = 4097  # uniform points of a marginal CDF grid, before refinement
+MAX_BLOCK = 200_000  # generator evaluations per residual quadrature block
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +141,13 @@ class StationaryMeasure:
     """
 
     def __init__(self, cs, potential=None, v_scale=1.0, nodes_per_panel=24,
-                 n_angles=512, mc_samples=400_000, mc_seed=20210501):
-        if potential is not None and potential.domain is not cs.domain:
-            if potential.domain.d != cs.domain.d:
-                raise CoefficientError(
-                    "coefficients and potential dimensions disagree"
-                )
+                 n_angles=512, mc_samples=400_000):
+        ours = domain_info(cs.domain)
+        wall = ours if potential is None else domain_info(potential.domain)
+        if wall != ours:  # equal-but-distinct domains are allowed
+            raise CoefficientError(
+                "the potential's domain %s is not the coefficients' %s"
+                % (wall, ours))
         self.cs = cs
         self.domain = cs.domain
         self.potential = potential
@@ -157,7 +162,7 @@ class StationaryMeasure:
             np.pi ** (self.domain.d / 2.0)
             * np.sqrt(np.linalg.det(cs.gamma))
         )
-        mass = self._x_mass(nodes_per_panel, n_angles, mc_samples, mc_seed)
+        mass = self._x_mass(nodes_per_panel, n_angles, mc_samples)
         if not (mass > 0.0 and np.isfinite(mass)):
             raise CoefficientError(
                 "position weight integrated to %r; not a usable density" % mass
@@ -197,9 +202,6 @@ class StationaryMeasure:
     def y_pdf(self, y):
         return self._cy * self.y_weight(y)
 
-    def pdf(self, x, y):
-        return self.x_pdf(x) * self.y_pdf(y)
-
     @property
     def c_x(self):
         return self._cx
@@ -215,7 +217,7 @@ class StationaryMeasure:
 
     # -- the position normalizer -------------------------------------------------
 
-    def _x_mass(self, nodes_per_panel, n_angles, mc_samples, mc_seed):
+    def _x_mass(self, nodes_per_panel, n_angles, mc_samples):
         dom = self.domain
         cuts = self._radial_cuts()
         if dom.d == 1:  # the bounding segment, cut where delta is only C2
@@ -239,7 +241,7 @@ class StationaryMeasure:
             return float(wx @ vals @ wy)
         if dom.kind in ("ball", "ellipsoid") and dom.d == 2:
             return self._mass_radial(nodes_per_panel, n_angles, cuts)
-        return self._mass_monte_carlo(mc_samples, mc_seed)
+        return self._mass_monte_carlo(mc_samples)
 
     def _radial_cuts(self):
         """Interior points where the smoothed wall distance is only C2."""
@@ -273,12 +275,12 @@ class StationaryMeasure:
         ang = vals.mean(axis=1) * (2.0 * np.pi)
         return jac * float(np.sum(rw * rr * ang))
 
-    def _mass_monte_carlo(self, mc_samples, mc_seed):
+    def _mass_monte_carlo(self, mc_samples):
         lo, hi = self.domain.bounding_box()
         lo = np.atleast_1d(np.asarray(lo, float))
         hi = np.atleast_1d(np.asarray(hi, float))
         vol = float(np.prod(hi - lo))
-        rng = np.random.default_rng(mc_seed)
+        rng = np.random.default_rng(MC_SEED)
         half = mc_samples // 2
         u = rng.random((half, self.domain.d))
         pts = np.concatenate([lo + u * (hi - lo), hi - u * (hi - lo)])
@@ -294,11 +296,12 @@ class StationaryMeasure:
 # ---------------------------------------------------------------------------
 
 
-def marginal_pdf(sm, axis, t_grid, chord_nodes=128):
+def marginal_pdf(sm, axis, t_grid):
     """Density of one position coordinate under the stationary x-marginal.
 
     Above one dimension the joint density is integrated over convex
-    cross-sections by Gauss–Legendre quadrature on each chord.
+    cross-sections by ``CHORD_NODES``-point Gauss–Legendre quadrature on
+    each chord.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, float))
     d = sm.domain.d
@@ -307,29 +310,29 @@ def marginal_pdf(sm, axis, t_grid, chord_nodes=128):
     if d != 2:
         raise ValueError("marginal CDF quadrature is implemented for d <= 2")
     s_lo, s_hi, nonempty = _chord_bounds(sm.domain, axis, t_grid)
-    g, w = _panel_quadrature([-1.0, 1.0], chord_nodes)  # the rule on [-1, 1]
+    g, w = _panel_quadrature([-1.0, 1.0], CHORD_NODES)  # the rule on [-1, 1]
     half = 0.5 * (s_hi - s_lo)
     nodes = 0.5 * (s_hi + s_lo)[:, None] + half[:, None] * g[None, :]
-    pts = np.empty((t_grid.size, chord_nodes, 2))
+    pts = np.empty((t_grid.size, CHORD_NODES, 2))
     pts[:, :, axis] = t_grid[:, None]
     pts[:, :, 1 - axis] = nodes
-    vals = sm.x_pdf(pts.reshape(-1, 2)).reshape(t_grid.size, chord_nodes)
+    vals = sm.x_pdf(pts.reshape(-1, 2)).reshape(t_grid.size, CHORD_NODES)
     out = (vals @ w) * half
     out[~nonempty] = 0.0
     return out
 
 
-def marginal_cdf_grid(sm, axis=0, n_grid=4097):
+def marginal_cdf_grid(sm, axis=0):
     """(grid, cdf) arrays for one position coordinate of the x-marginal.
 
-    The grid spans the bounding box with dyadic refinement toward the
-    walls; the CDF is a renormalized cumulative trapezoid rule.  Above
-    one dimension the marginal density integrates the joint density over
-    cross-sections (convex domains).
+    The grid, ``CDF_GRID`` uniform points, spans the bounding box with
+    dyadic refinement toward the walls; the CDF is a renormalized
+    cumulative trapezoid rule.  Above one dimension the marginal density
+    integrates the joint density over cross-sections (convex domains).
     """
     lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in sm.domain.bounding_box())
     cuts = sm._radial_cuts() if sm.domain.d == 1 else ()
-    grid = _scan_grid(lo[axis], hi[axis], int(n_grid), cuts)
+    grid = _scan_grid(lo[axis], hi[axis], CDF_GRID, cuts)
     pdf = marginal_pdf(sm, axis, grid)
     cdf = np.concatenate(
         [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))]
@@ -506,7 +509,7 @@ def generator_apply(cs, potential, f, x, y):
     return out
 
 
-def stationarity_residual(sm, f, x_nodes=None, y_nodes=None, max_block=200_000):
+def stationarity_residual(sm, f, x_nodes=None, y_nodes=None):
     """Integrate G f against the stationary measure over the support of f.
 
     Tensor quadrature: composite Gauss-Legendre per position axis (split
@@ -565,7 +568,7 @@ def stationarity_residual(sm, f, x_nodes=None, y_nodes=None, max_block=200_000):
     x_w = x_w * sm.x_pdf(x_pts)
     y_w = y_w * sm.y_pdf(y_pts)
 
-    block = max(1, max_block // max(1, x_pts.shape[0]))
+    block = max(1, MAX_BLOCK // max(1, x_pts.shape[0]))
     total = 0.0
     for start in range(0, y_pts.shape[0], block):
         yb = y_pts[start : start + block]
@@ -584,16 +587,17 @@ def stationarity_residual(sm, f, x_nodes=None, y_nodes=None, max_block=200_000):
 # ---------------------------------------------------------------------------
 
 
-def sample_stationary(sm, n, seed=None, rng=None):
+def sample_stationary(sm, n, seed=None):
     """Draw n independent points from the stationary law.
 
     Positions come from rejection sampling against the bounding box with
     a grid-estimated envelope (1.25 safety margin); inert drifts are a
     linear transform of standard normals realizing covariance Gamma / 2.
-    Raises when the acceptance rate falls below 1e-4.
+    ``seed`` is anything ``numpy.random.default_rng`` takes, a
+    ``SeedSequence`` included.  Raises when the acceptance rate falls
+    below 1e-4.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = sm.domain.d
     n = int(n)
     if n == 0:

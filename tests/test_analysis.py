@@ -217,29 +217,17 @@ def test_svg_title_escapes_like_saxutils(tmp_path):
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.01, 1.5, float("nan")])
-def test_impossible_levels_are_refused(level, disc_batch, disc_sm):
+def test_impossible_levels_are_refused(level):
     with pytest.raises(ValueError, match="level"):
         an._kolmogorov_isf(level)
     with pytest.raises(ValueError, match="level"):
         an._chi2_isf(level, 3)
-    with pytest.raises(ValueError, match="level"):
-        an.ks_uniformity(disc_batch, disc_sm, level=level)
-    with pytest.raises(ValueError, match="level"):
-        an.independence_test(disc_batch, level=level)
-    with pytest.raises(ValueError, match="level"):
-        an.angular_uniformity(disc_batch, level=level)
 
 
 @pytest.mark.parametrize("df", [0, -2, 2.5])
 def test_chi2_isf_refuses_bad_degrees_of_freedom(df):
     with pytest.raises(ValueError, match="degrees of freedom"):
         an._chi2_isf(0.01, df)
-
-
-@pytest.mark.parametrize("sectors", [1, 0, -3, 2.5])
-def test_angular_uniformity_refuses_fewer_than_two_sectors(disc_batch, sectors):
-    with pytest.raises(ValueError, match="sectors"):
-        an.angular_uniformity(disc_batch, sectors=sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +447,7 @@ def test_report_csv_roundtrip(tmp_path, disc_batch, disc_sm):
 def test_histogram_csv(tmp_path):
     rng = np.random.default_rng(0)
     counts, edges = an.write_histogram_csv(
-        tmp_path / "h.csv", rng.random(1000), bins=10, value_range=(0.0, 1.0)
+        tmp_path / "h.csv", rng.random(1000), bins=10
     )
     lines = (tmp_path / "h.csv").read_text().strip().split("\n")
     assert lines[0] == "bin_lo,bin_hi,count"

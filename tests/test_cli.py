@@ -8,6 +8,8 @@ Exit-code contract
 """
 
 import glob
+import hashlib
+import importlib.util
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -31,6 +33,7 @@ from inertdrift.stationary import StationaryMeasure, sample_stationary
 from test_analysis import synthetic_batch
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def base_config(**overrides):
@@ -101,6 +104,34 @@ def test_angular_test_needs_two_dimensions():
     cfg = base_config(tests=["angular"])
     with pytest.raises(ConfigError, match="angular"):
         load_run_config(cfg)
+
+
+@pytest.mark.parametrize("domain, preset", [
+    ({"kind": "ellipsoid", "center": [0.0, 0.0], "radii": [1.0, 0.5]},
+     "identity"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, "exp_density"),
+], ids=["ellipsoid", "exp_density_disc"])
+def test_angular_test_needs_a_rotation_invariant_law_exits_2_before_simulating(
+        tmp_path, capsys, domain, preset):
+    cfg = base_config(dimension=2, domain=domain, tests=["angular"],
+                      coefficients={"preset": preset,
+                                    "gamma": [[2.0, 0.0], [0.0, 1.0]]})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "'angular' requires a disc" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_angular_test_loads_on_the_shipped_and_benchmark_discs(tmp_path):
+    path = os.path.join(CONFIG_DIR, "disc_gamma21.json")
+    assert "angular" in load_run_config(path).tests
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(PERFBENCH_DIR, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # making the workload loads its config
+    assert "angular" in workloads.DiscNarrow(1, str(tmp_path)).parsed.tests
 
 
 def test_ks_test_above_two_dimensions_exits_2_before_simulating(tmp_path, capsys):
@@ -322,6 +353,25 @@ def test_run_outputs_are_byte_identical(tmp_path):
             "hist_x1.svg", "hist_k1.csv", "hist_k1.svg"} <= set(names)
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# sha256 of report.csv from a short disc_gamma21 run: every number and
+# detail string of the four-test battery (level=0.01, sectors=8)
+DISC_REPORT_SHA = (
+    "d9ace3202e6d12fd4f589607153b645f22ef3a784ea1f01222c46d3401fb76b2")
+
+
+def test_disc_battery_report_is_pinned(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "disc_gamma21.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sim"].update(dt_base=1e-3, t_end=2.0, n_paths=64, burn_in=0.5,
+                      snap_every=10)
+    path = write_config(tmp_path, "disc.json", cfg)
+    out = tmp_path / "out"
+    main(["run", path, "--no-histograms", "--output-dir", str(out)])
+    report = (out / "report.csv").read_bytes()
+    assert b"sectors=8 level=0.01 " in report
+    assert hashlib.sha256(report).hexdigest() == DISC_REPORT_SHA
 
 
 def test_run_writes_the_importance_weights(tmp_path):

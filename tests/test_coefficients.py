@@ -233,7 +233,7 @@ def test_gamma_solve_matches_direct_inverse():
     sol = cs.gamma_solve(ys)
     resid = ys - sol @ np.asarray(GAMMA_2D).T
     assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(ys)
-    np.testing.assert_allclose(sol, ys @ cs.gamma_inv.T, atol=1e-13)
+    np.testing.assert_allclose(sol, ys @ np.linalg.inv(cs.gamma).T, atol=1e-13)
     one = cs.gamma_solve(ys[0])
     np.testing.assert_allclose(one, sol[0])
 

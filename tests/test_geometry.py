@@ -208,7 +208,7 @@ def test_smooth_distance_sandwich_10k_points(dom):
     pts = dom.sample_interior(10_000, rng)
     delta = rd.value(pts)
     dd = dom.signed_distance(pts)
-    c1, c2 = rd.declared_constants
+    c1, c2 = rd.c1, rd.c2
     assert np.all(delta >= c1 * dd - 1e-12 * dom.reference_length)
     assert np.all(delta <= c2 * dd + 1e-12 * dom.reference_length)
 
@@ -219,7 +219,7 @@ def test_box_measured_constants_grid_scan():
     rng = np.random.default_rng(23)
     pts = dom.sample_interior(10_000, rng)
     ratios = rd.value(pts) / dom.signed_distance(pts)
-    c1, c2 = rd.declared_constants
+    c1, c2 = rd.c1, rd.c2
     assert c1 <= ratios.min() and ratios.max() <= c2
     # declared constants are meaningful, not vacuous
     assert c1 >= 0.5 and c2 <= 1.5
@@ -256,7 +256,7 @@ def test_halfline_smooth_distance_is_exact():
     rd = SmoothDistance(Interval(0.0, np.inf))
     assert rd.value(3.7) == pytest.approx(3.7, abs=0)
     assert rd.grad(3.7) == pytest.approx(1.0, abs=0)
-    assert rd.declared_constants == (1.0, 1.0)
+    assert (rd.c1, rd.c2) == (1.0, 1.0)
 
 
 def _separate_formulas(rd, pts):

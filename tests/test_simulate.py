@@ -128,6 +128,32 @@ def test_gradient_step_frozen_halfline_values():
     assert s1["out_x"][0, 0, 0] == s1["x"][0, 0]  # step 1 is recorded
 
 
+@pytest.mark.parametrize("dom, x0", [
+    (Interval(0.0, 1.0), [0.3]),
+    (Interval(0.0, np.inf), [0.7]),
+    (Ball([0.0, 0.0], 1.0), [0.4, -0.3]),
+    (Box([0.0, 0.0], [1.0, 2.0]), [0.3, 1.2]),
+    (Ellipsoid([0.1, 0.0], [1.0, 0.5]), [0.5, 0.2]),
+], ids=["interval", "half_line", "disc", "box", "ellipsoid"])
+def test_gradient_step_drifts_with_the_potential_gradient(dom, x0):
+    # the simulated wall is the V_n whose grad V StationaryMeasure and
+    # generator_apply integrate: one zero-noise step is x + mu dt and
+    # k - (Gamma / 2) grad V dt, with mu = b - (A / 2) grad V + k, exactly
+    d = dom.d
+    gamma = [[1.5]] if d == 1 else [[2.0, 0.3], [0.3, 1.0]]
+    cs = make_coefficients("anisotropic", dom, gamma=gamma,
+                           a_diag=[2.0, 0.5][:d])
+    pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+    x, k, dt = np.array([x0]), np.array([[0.2, -0.1][:d]]), 1e-4
+    s1 = _gradient_once(cs, pot, x0, k[0], dt, np.zeros(d))
+    gV = pot.grad(x)
+    mu = (cs.drift_b(x) - _kernels._rowdot(0.5 * cs.a_matrix(x)[0], gV)) + k
+    assert np.array_equal(s1["x"], x + mu * dt)
+    assert np.array_equal(
+        s1["k"], k - _kernels._rowdot(0.5 * np.asarray(cs.gamma), gV) * dt)
+    assert not s1["flags"].any() and s1["counters"][1] == 0
+
+
 def test_gradient_step_richardson_order_two(interval_cs, wall_n2):
     def advance(dt, nsteps):
         x, k = [0.5], [0.2]
@@ -383,6 +409,27 @@ def test_config_validation_errors():
     whole = SimConfig(**{**good, "n_paths": 4.0, "seed": np.int64(2)})
     assert type(whole.n_paths) is int and type(whole.seed) is int
     assert whole.as_dict()["n_paths"] == 4
+
+
+@pytest.mark.parametrize("family", ["reflected", "gradient"])
+def test_coefficients_on_another_domain_raise_before_any_step(
+        interval_cs, family, monkeypatch):
+    def on(dom):
+        if family == "gradient":
+            return {"potential": Potential(
+                "regularized_vn", distance=SmoothDistance(dom), n=2)}
+        return {"domain": dom}
+
+    cfg = dict(family=family, dt_base=1e-3, t_end=0.01, n_paths=2, seed=0)
+    # equal but distinct domain objects are the same domain
+    assert run_ensemble(interval_cs, SimConfig(**cfg),
+                        **on(Interval(0.0, 1.0))).ok.all()
+    # [0, 1] coefficients stepped on [0, 2] from x0 = 1.5, outside their domain
+    monkeypatch.setattr(simulate, "_run",
+                        lambda *a: pytest.fail("stepped a mismatched run"))
+    with pytest.raises(ValueError, match="domain"):
+        run_ensemble(interval_cs, SimConfig(**cfg, x0=(1.5,)),
+                     **on(Interval(0.0, 2.0)))
 
 
 def test_snapshot_bookkeeping_counts_and_times():

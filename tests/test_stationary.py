@@ -223,6 +223,19 @@ def test_unbounded_domain_is_rejected():
         StationaryMeasure(cs)
 
 
+def test_potential_on_another_domain_is_rejected(interval_cs):
+    # a [0, 2] wall under [0, 1] coefficients would integrate to c_x = 13.26
+    wide_wall = Potential("regularized_vn",
+                          distance=SmoothDistance(Interval(0.0, 2.0)), n=2)
+    with pytest.raises(CoefficientError, match="domain"):
+        StationaryMeasure(interval_cs, potential=wide_wall)
+    # an equal but distinct domain object is the same domain
+    twin_wall = Potential("regularized_vn",
+                          distance=SmoothDistance(Interval(0.0, 1.0)), n=2)
+    assert twin_wall.domain is not interval_cs.domain
+    assert StationaryMeasure(interval_cs, potential=twin_wall).c_x > 0.0
+
+
 def test_inert_factor_normalizer_and_moments(disc_cs):
     sm = StationaryMeasure(disc_cs)
     assert sm.c_y == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)), rel=1e-14)
@@ -441,6 +454,8 @@ def test_sampler_is_deterministic(disc_cs):
     xa, ya = sample_stationary(sm, 200, seed=3)
     xb, yb = sample_stationary(sm, 200, seed=3)
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+    xs, ys = sample_stationary(sm, 200, seed=np.random.SeedSequence(3))
+    assert np.array_equal(xs, xa) and np.array_equal(ys, ya)
 
 
 def test_sampler_refuses_unresolvable_peak(unit_interval, interval_cs):
