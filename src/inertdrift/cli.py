@@ -55,6 +55,7 @@ from .simulate import SimConfig, _as_int, _preflight, run_ensemble
 from .skorokhod import SkorokhodError, read_path_csv, solve_skorokhod
 from .stationary import (
     StationaryMeasure,
+    _residual_preflight,
     bump_basis,
     marginal_pdf,
     stationarity_residual,
@@ -551,6 +552,10 @@ def cmd_residual(args):
         raise ConfigError("residual count must be at least 1, got %d" % count)
     seed = _int_field(seed, "residual seed", 0)
     _number_field(tol, "residual tolerance")
+    try:
+        _residual_preflight(cfg.cs)
+    except ValueError as exc:
+        raise ConfigError("residual: %s" % exc) from None
     config_id = _config_id(args.config)
     out_dir = _resolve_out_dir(args.output_dir, cfg.output_dir, "residual",
                                config_id)
@@ -590,13 +595,21 @@ def cmd_sweep(args):
         n_list = cfg.sweep["n_list"]
     margin = args.margin if args.margin is not None else cfg.sweep["margin"]
     _number_field(margin, "sweep margin")
+    # the start point of each wall's gradient run, as run_ensemble checks it
+    sd = SmoothDistance(cfg.domain)
+    g_sim = dataclasses.replace(cfg.sim, family="gradient")
+    for n in n_list:
+        try:
+            _preflight(cfg.cs, g_sim, cfg.domain,
+                       Potential("regularized_vn", distance=sd, n=n))
+        except ValueError as exc:
+            raise ConfigError("sim (gradient run, n=%d): %s" % (n, exc)) from None
     os.makedirs(out_dir, exist_ok=True)
     report = weak_convergence_sweep(
         cfg.domain, cfg.cs, n_list, cfg.sim, margin=margin
     )
     write_report_csv(os.path.join(out_dir, "report.csv"), [report])
 
-    sd = SmoothDistance(cfg.domain)
     with open(os.path.join(out_dir, "masses.csv"), "w") as fh:
         fh.write("n,mass\n")
         for n in n_list:

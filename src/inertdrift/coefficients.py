@@ -48,16 +48,11 @@ def _domain_scale(domain):
     return diam if np.isfinite(diam) else domain.reference_length
 
 
-def _wrap(fn, shape, vectorized):
-    """Normalize a coefficient callable to act on (m, d) batches, giving
-    float64 values of shape (m,) + ``shape``: one call on the whole batch
-    when ``vectorized``, else one call per point."""
+def _wrap(fn, shape):
+    """The batch callable ``fn`` with float64 values of shape (m,) + ``shape``
+    on an (m, d) batch of points: one call on the whole batch."""
     def batched(pts):
-        if vectorized:
-            vals = fn(pts)
-        else:
-            vals = [np.asarray(fn(p), dtype=float).reshape(shape) for p in pts]
-        return np.asarray(vals, dtype=float).reshape((len(pts),) + shape)
+        return np.asarray(fn(pts), dtype=float).reshape((len(pts),) + shape)
     return batched
 
 
@@ -71,17 +66,17 @@ class CoefficientSet:
     gamma : array_like
         Symmetric positive-definite (d, d) matrix scaling the inert drift.
     sigma : array_like or callable, optional
-        Dispersion matrix: a constant (d, d) array, or a callable mapping a
-        point (length-d array) to a (d, d) matrix (with ``vectorized=True``
-        the callable maps (m, d) batches to (m, d, d)).  Defaults to the
+        Dispersion matrix: a constant (d, d) array, or a callable mapping an
+        (m, d) batch of points to (m, d, d) matrices.  Defaults to the
         identity.
     rho : float or callable, optional
-        Strictly positive density, constant or a callable with the same
-        batching convention.  Defaults to 1.
+        Strictly positive density: a constant, or a callable mapping an
+        (m, d) batch to m values.  Defaults to 1.
     inert_field : str or callable, optional
         Boundary field driving the inert component: ``"gamma_normal"``
         (v = Gamma n, the product-measure case, default), ``"a0_conormal"``
-        (v = a0 * u), or a callable returning v at boundary points.
+        (v = a0 * u), or a callable mapping an (m, d) batch of boundary
+        points to (m, d) values of v.
     a0 : float, optional
         Scale used by ``"a0_conormal"``.
     drift_const : array_like, optional
@@ -91,8 +86,6 @@ class CoefficientSet:
         differentiates rho * A by central differences with step 1e-5 times
         the domain scale, falling back to one-sided stencils next to the
         boundary (counted in ``diagnostics``).
-    vectorized : bool, optional
-        Declare all supplied callables batch-aware.
     name : str, optional
         Label recorded in run manifests.
 
@@ -110,7 +103,6 @@ class CoefficientSet:
         inert_field="gamma_normal",
         a0=1.0,
         drift_const=None,
-        vectorized=False,
         name="custom",
     ):
         self.domain = domain
@@ -144,7 +136,7 @@ class CoefficientSet:
             self._sigma_fn = None
         elif callable(sigma):
             self._sigma_const = None
-            self._sigma_fn = _wrap(sigma, (d, d), vectorized)
+            self._sigma_fn = _wrap(sigma, (d, d))
         else:
             M = np.asarray(sigma, dtype=float)
             if M.shape != (d, d) or not np.all(np.isfinite(M)):
@@ -163,7 +155,7 @@ class CoefficientSet:
         # --- rho --------------------------------------------------------------
         if callable(rho):
             self._rho_const = None
-            self._rho_fn = _wrap(rho, (), vectorized)
+            self._rho_fn = _wrap(rho, ())
         else:
             r = float(rho)
             if not np.isfinite(r) or r <= 0.0:
@@ -183,7 +175,7 @@ class CoefficientSet:
         else:
             self._push = lambda pts, nrm: _rowdot(self._a_batch(pts), nrm)
         if callable(inert_field):
-            v_of = _wrap(inert_field, (d,), vectorized)
+            v_of = _wrap(inert_field, (d,))
             self._field = lambda pts, nrm: v_of(pts)
         elif inert_field == "gamma_normal":
             self._field = lambda pts, nrm: _rowdot(self._gamma, nrm)
@@ -431,7 +423,6 @@ def make_coefficients(preset, domain, gamma, *, a_diag=None, **kwargs):
             gamma=gamma,
             rho=rho,
             drift_const=drift,
-            vectorized=True,
             name="exp_density",
             **kwargs,
         )
@@ -470,7 +461,8 @@ class Potential:
         and sharpness index n >= 1.  V >= 1 inside the domain, blows up at
         the boundary, and exp(-V) increases pointwise with n.
     ``user_supplied``
-        Arbitrary callables V and grad_V on a given domain.
+        Arbitrary callables V and grad_V on a given domain, each mapping an
+        (m, d) batch of points to m values or (m, d) gradients.
 
     Evaluation of ``value``/``grad`` near the boundary is guarded twice:
     when the distance falls below ``delta_floor`` (1e-12 of the domain
@@ -493,7 +485,6 @@ class Potential:
         domain=None,
         V=None,
         grad_V=None,
-        vectorized=False,
     ):
         if kind == "regularized_vn":
             if not isinstance(distance, SmoothDistance):
@@ -519,8 +510,8 @@ class Potential:
             self.distance = None
             self.domain = domain
             self.n = None
-            self._v_fn = _wrap(V, (), vectorized)
-            self._dv_fn = _wrap(grad_V, (domain.d,), vectorized)
+            self._v_fn = _wrap(V, ())
+            self._dv_fn = _wrap(grad_V, (domain.d,))
         else:
             raise CoefficientError(
                 "unknown potential kind %r; expected 'regularized_vn' or "

@@ -85,6 +85,10 @@ from .geometry import domain_info
 
 FAMILIES = ("reflected", "gradient", "driftless_weighted")
 
+# The gradient family's step limits, read when a run starts: a sub-move's
+# drift stays within H_MAX_FRACTION of the inradius, a step takes at most
+# MAX_SUBSTEPS sub-moves and a proposal is redrawn at most RESAMPLE_CAP times.
+H_MAX_FRACTION = 0.05
 MAX_SUBSTEPS = 200
 RESAMPLE_CAP = 50
 
@@ -122,12 +126,11 @@ def _as_vector(value, d, name):
 class SimConfig:
     """Ensemble run description.
 
-    ``dt_base`` is the outer step; the gradient family may sub-divide it
-    adaptively (``adaptive``) so that no sub-move exceeds
-    ``h_max_fraction`` of the domain inradius, and redraws proposals whose
-    smoothed distance falls below ``delta_guard`` (None: the potential's
-    resolvable wall layer).  Snapshots are recorded at every
-    ``snap_every``-th step whose time exceeds ``burn_in``.
+    ``dt_base`` is the outer step; the gradient family sub-divides it so
+    that no sub-move exceeds ``H_MAX_FRACTION`` of the domain inradius, and
+    redraws proposals whose smoothed distance falls below the potential's
+    resolvable wall layer (see the module constants).  Snapshots are
+    recorded at every ``snap_every``-th step whose time exceeds ``burn_in``.
     """
 
     family: str
@@ -140,11 +143,6 @@ class SimConfig:
     x0: tuple = None
     k0: tuple = None
     chunk_size: int = 4096
-    adaptive: bool = True
-    h_max_fraction: float = 0.05
-    delta_guard: float = None
-    max_substeps: int = MAX_SUBSTEPS
-    resample_cap: int = RESAMPLE_CAP
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -157,14 +155,8 @@ class SimConfig:
             raise ValueError("burn_in must be a number with 0 <= burn_in < t_end, "
                              "got %r" % (self.burn_in,))
         for name, low in (("n_paths", 1), ("seed", 0), ("snap_every", 1),
-                          ("chunk_size", 1), ("max_substeps", 1),
-                          ("resample_cap", 0)):
+                          ("chunk_size", 1)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
-        if not isinstance(self.adaptive, bool):
-            raise ValueError("adaptive must be true or false, got %r" % (self.adaptive,))
-        _check_positive(self.h_max_fraction, "h_max_fraction")
-        if self.delta_guard is not None:
-            _check_positive(self.delta_guard, "delta_guard")
         q = self.t_end / self.dt_base
         if abs(q - round(q)) > 1e-6 * max(1.0, abs(q)):
             raise ValueError("t_end must be an integer multiple of dt_base")
@@ -536,8 +528,10 @@ def _preflight(cs, cfg, domain=None, potential=None):
             raise ValueError(
                 "the gradient family steps the regularized_vn wall potential "
                 "only, got %r" % (potential.kind,))
-        if domain is not None and domain is not potential.domain:
-            raise ValueError("domain and potential.domain disagree")
+        wall = domain_info(potential.domain)
+        if domain is not None and domain_info(domain) != wall:
+            raise ValueError("domain %s and potential.domain %s disagree"
+                             % (domain_info(domain), wall))
         domain = potential.domain
     elif domain is None:
         raise ValueError("the reflected families need domain=")
@@ -555,8 +549,7 @@ def _preflight(cs, cfg, domain=None, potential=None):
     k0 = _as_vector(cfg.k0, d, "k0") if cfg.k0 is not None else np.zeros(d)
     guard = None
     if cfg.family == "gradient":
-        guard = (cfg.delta_guard if cfg.delta_guard is not None
-                 else _default_delta_guard(potential))
+        guard = _default_delta_guard(potential)
         start_delta = float(potential.distance.value(x0))
         if start_delta < guard:
             raise ValueError(
@@ -573,11 +566,6 @@ def _draw(rngs, C, d, out=None):
     for rng, rows in zip(rngs, out):
         rng.standard_normal(out=rows)
     return out
-
-
-def _h_max(cfg, domain):
-    """Largest drift displacement of one gradient-family sub-move."""
-    return cfg.h_max_fraction * domain.inradius if cfg.adaptive else np.inf
 
 
 def _drift(cs):
@@ -613,10 +601,10 @@ def _gradient_params(cs, potential, cfg, guard):
         S, A2 = cs._sigma_batch, lambda pts: 0.5 * cs._a_batch(pts)
     return (
         cfg.dt_base, S, _drift(cs), A2, 0.5 * np.asarray(cs.gamma, float),
-        float(potential.n), _h_max(cfg, potential.domain), float(guard),
-        float(potential.delta_floor), float(Potential.EXPONENT_CAP),
-        cfg.first_snapshot_step, cfg.snap_every,
-        cfg.max_substeps, cfg.resample_cap,
+        float(potential.n), H_MAX_FRACTION * potential.domain.inradius,
+        float(guard), float(potential.delta_floor),
+        float(Potential.EXPONENT_CAP), cfg.first_snapshot_step,
+        cfg.snap_every, MAX_SUBSTEPS, RESAMPLE_CAP,
     )
 
 
@@ -634,7 +622,7 @@ def _chunk_stepper(cs, domain, potential, cfg, guard):
     chunk = lambda *state: _kernels.gradient_chunk(
         potential.distance, *state, params)
     step = functools.partial(_gradient_step, chunk,
-                             cfg.max_substeps * (cfg.resample_cap + 1))
+                             MAX_SUBSTEPS * (RESAMPLE_CAP + 1))
     return step, cfg.chunk_size
 
 
@@ -647,7 +635,7 @@ def _gradient_step(chunk, draw_cap, rngs, x, k, ell, logw, flags, out_x,
     normals.  A path whose pool runs out on step c goes back to its step
     start, and ``refill(rows, c)`` draws it a fresh pool (counted in
     ``counters[2]``) on which it redoes step c.  One attempt at a step
-    draws fewer than ``draw_cap = max_substeps * (resample_cap + 1)``
+    draws fewer than ``draw_cap = MAX_SUBSTEPS * (RESAMPLE_CAP + 1)``
     normals, so with C at least that a refilled attempt never runs out.
     With a shorter pool, a path refilled again on the same step once its
     refills times C exceed ``draw_cap`` is flagged ``boundary_overflow``.

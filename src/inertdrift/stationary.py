@@ -45,6 +45,12 @@ MC_SEED = 20210501  # the Monte Carlo normalizer's stream, above two dimensions
 CHORD_NODES = 128  # Gauss-Legendre nodes per chord of a planar marginal
 CDF_GRID = 4097  # uniform points of a marginal CDF grid, before refinement
 MAX_BLOCK = 200_000  # generator evaluations per residual quadrature block
+NODES_PER_PANEL = 24  # Gauss-Legendre nodes per panel of a position normalizer
+N_ANGLES = 512  # trapezoid angles of a normalizer on a disc or an ellipse
+MC_SAMPLES = 400_000  # Monte Carlo points of a normalizer above two dimensions
+# residual quadrature nodes per position and per inert-drift axis, by dimension:
+# the residual resolves to well below 1e-6 (d = 1) and 1e-4 (d = 2)
+RESIDUAL_NODES = {1: (400, 80), 2: (48, 24)}
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +140,14 @@ class StationaryMeasure:
     pi^(d/2) sqrt(det Gamma).
 
     Position normalizers are computed by composite Gauss-Legendre
-    quadrature on the bounding segment of any 1-D domain and on 2-D boxes,
-    polar quadrature on discs (an ellipsoid is mapped to the unit disc
-    first), and antithetic Monte Carlo above two dimensions (the standard
-    error is stored on ``c_x_standard_error``).
+    quadrature (``NODES_PER_PANEL`` nodes per panel) on the bounding
+    segment of any 1-D domain and on 2-D boxes, polar quadrature on discs
+    (``N_ANGLES`` angles; an ellipsoid is mapped to the unit disc first),
+    and antithetic Monte Carlo (``MC_SAMPLES`` points) above two dimensions
+    (the standard error is stored on ``c_x_standard_error``).
     """
 
-    def __init__(self, cs, potential=None, v_scale=1.0, nodes_per_panel=24,
-                 n_angles=512, mc_samples=400_000):
+    def __init__(self, cs, potential=None, v_scale=1.0):
         ours = domain_info(cs.domain)
         wall = ours if potential is None else domain_info(potential.domain)
         if wall != ours:  # equal-but-distinct domains are allowed
@@ -162,7 +168,7 @@ class StationaryMeasure:
             np.pi ** (self.domain.d / 2.0)
             * np.sqrt(np.linalg.det(cs.gamma))
         )
-        mass = self._x_mass(nodes_per_panel, n_angles, mc_samples)
+        mass = self._x_mass()
         if not (mass > 0.0 and np.isfinite(mass)):
             raise CoefficientError(
                 "position weight integrated to %r; not a usable density" % mass
@@ -217,22 +223,17 @@ class StationaryMeasure:
 
     # -- the position normalizer -------------------------------------------------
 
-    def _x_mass(self, nodes_per_panel, n_angles, mc_samples):
+    def _x_mass(self):
         dom = self.domain
         cuts = self._radial_cuts()
         if dom.d == 1:  # the bounding segment, cut where delta is only C2
             lo, hi = dom.bounding_box()
             edges = _wall_refined_edges(float(lo[0]), float(hi[0]), cuts)
-            nodes, weights = _panel_quadrature(edges, nodes_per_panel)
+            nodes, weights = _panel_quadrature(edges, NODES_PER_PANEL)
             return float(np.sum(weights * self.x_weight(nodes[:, None])))
         if dom.kind == "box" and dom.d == 2:
-            axes = [
-                _panel_quadrature(
-                    _wall_refined_edges(dom.lo[i], dom.hi[i], cuts),
-                    nodes_per_panel,
-                )
-                for i in range(dom.d)
-            ]
+            axes = [_panel_quadrature(_wall_refined_edges(dom.lo[i], dom.hi[i], cuts),
+                                      NODES_PER_PANEL) for i in range(dom.d)]
             nx, wx = axes[0]
             ny, wy = axes[1]
             xx, yy = np.meshgrid(nx, ny, indexing="ij")
@@ -240,8 +241,8 @@ class StationaryMeasure:
             vals = self.x_weight(pts).reshape(len(nx), len(ny))
             return float(wx @ vals @ wy)
         if dom.kind in ("ball", "ellipsoid") and dom.d == 2:
-            return self._mass_radial(nodes_per_panel, n_angles, cuts)
-        return self._mass_monte_carlo(mc_samples)
+            return self._mass_radial(cuts)
+        return self._mass_monte_carlo()
 
     def _radial_cuts(self):
         """Interior points where the smoothed wall distance is only C2."""
@@ -253,7 +254,7 @@ class StationaryMeasure:
             return [sd._cap]
         return list(sd.breakpoints_1d)
 
-    def _mass_radial(self, nodes_per_panel, n_angles, cuts):
+    def _mass_radial(self, cuts):
         dom = self.domain
         if dom.kind == "ball":
             center, radii, jac = dom.center, np.full(2, dom.radius), 1.0
@@ -266,8 +267,8 @@ class StationaryMeasure:
         # coordinates: trapezoid in the (periodic, analytic) angle,
         # wall-refined panels in the radius
         edges = _wall_refined_edges(0.0, rmax, cuts)
-        rr, rw = _panel_quadrature(edges, nodes_per_panel)
-        th = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+        rr, rw = _panel_quadrature(edges, NODES_PER_PANEL)
+        th = np.linspace(0.0, 2.0 * np.pi, N_ANGLES, endpoint=False)
         dirs = np.column_stack([np.cos(th), np.sin(th)])  # (M, 2)
         scale = radii / rmax
         pts = center + (rr[:, None, None] * dirs[None, :, :]) * scale
@@ -275,13 +276,13 @@ class StationaryMeasure:
         ang = vals.mean(axis=1) * (2.0 * np.pi)
         return jac * float(np.sum(rw * rr * ang))
 
-    def _mass_monte_carlo(self, mc_samples):
+    def _mass_monte_carlo(self):
         lo, hi = self.domain.bounding_box()
         lo = np.atleast_1d(np.asarray(lo, float))
         hi = np.atleast_1d(np.asarray(hi, float))
         vol = float(np.prod(hi - lo))
         rng = np.random.default_rng(MC_SEED)
-        half = mc_samples // 2
+        half = MC_SAMPLES // 2
         u = rng.random((half, self.domain.d))
         pts = np.concatenate([lo + u * (hi - lo), hi - u * (hi - lo)])
         vals = self.x_weight(pts) * vol
@@ -509,23 +510,30 @@ def generator_apply(cs, potential, f, x, y):
     return out
 
 
-def stationarity_residual(sm, f, x_nodes=None, y_nodes=None):
-    """Integrate G f against the stationary measure over the support of f.
-
-    Tensor quadrature: composite Gauss-Legendre per position axis (split
-    where the smoothed wall distance is only C2) times Gauss-Legendre per
-    inert-drift axis.  ``x_nodes``/``y_nodes`` count nodes per axis and
-    default to 400/80 in one dimension and 48/24 in two; those defaults
-    resolve the residual to well below 1e-6 and 1e-4 respectively.  The
-    support of f must lie strictly inside the domain, and the identity
-    requires a constant reference density rho.
-    """
-    cs, potential, domain = sm.cs, sm.potential, sm.domain
+def _residual_preflight(cs):
+    """CoefficientError for a varying rho, ValueError above two dimensions:
+    the coefficients whose residual :func:`stationarity_residual` refuses."""
     if not cs.is_constant_rho:
         raise CoefficientError(
             "the stationarity identity holds for constant rho only "
             "(a varying reference density leaves a y.grad(log rho) remainder)"
         )
+    if cs.domain.d not in RESIDUAL_NODES:
+        raise ValueError("the residual quadrature is implemented for d <= 2")
+
+
+def stationarity_residual(sm, f):
+    """Integrate G f against the stationary measure over the support of f.
+
+    Tensor quadrature: composite Gauss-Legendre per position axis (split
+    where the smoothed wall distance is only C2) times Gauss-Legendre per
+    inert-drift axis, with the node counts per axis of ``RESIDUAL_NODES``
+    (400 and 80 in one dimension, 48 and 24 in two).  The support of f
+    must lie strictly inside the domain, the identity requires a constant
+    reference density rho, and the domain has one or two dimensions.
+    """
+    cs, potential, domain = sm.cs, sm.potential, sm.domain
+    _residual_preflight(cs)
     (x_lo, x_hi), (y_lo, y_hi) = f.support
     d = domain.d
     if x_lo.shape[0] != d:
@@ -540,10 +548,7 @@ def stationarity_residual(sm, f, x_nodes=None, y_nodes=None):
             "the domain"
         )
 
-    if x_nodes is None:
-        x_nodes = 400 if d == 1 else 48
-    if y_nodes is None:
-        y_nodes = 80 if d == 1 else 24
+    x_nodes, y_nodes = RESIDUAL_NODES[d]
     cuts = sm._radial_cuts() if d == 1 else []
     ax_x = [
         _split_axis_quadrature(x_lo[i], x_hi[i], cuts, x_nodes)

@@ -429,7 +429,7 @@ def test_criterion_10_varying_a_disc_product_form():
     # drift b = (x_1, 0) vary with x
     disc = Ball([0.0, 0.0], 1.0)
     cs = CoefficientSet(disc, gamma=np.diag([2.0, 1.0]),
-                        sigma=_sigma_varying_x1, vectorized=True)
+                        sigma=_sigma_varying_x1)
     cfg = SimConfig(family="reflected", dt_base=2.5e-4, t_end=10.0,
                     burn_in=2.5, n_paths=512, seed=2026, snap_every=100)
     start = time.perf_counter()

@@ -34,6 +34,7 @@ from inertdrift.cli import TEST_NAMES, product_law_battery
 from inertdrift.simulate import TrajectoryBatch
 from inertdrift.stationary import StationaryMeasure, sample_stationary
 from inertdrift import analysis as an
+from inertdrift import stationary
 
 
 @pytest.fixture(scope="module")
@@ -150,17 +151,17 @@ def test_marginal_cdf_user_potential_is_symmetric(unit_interval, interval_cs):
     def gV(pts):
         return 8.0 * (pts - 0.5)
 
-    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV,
-                    vectorized=True)
+    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV)
     grid, cdf = an.marginal_cdf_grid(StationaryMeasure(interval_cs, potential=pot))
     assert np.interp(0.5, grid, cdf) == pytest.approx(0.5, abs=1e-8)
     assert cdf[0] == 0.0 and cdf[-1] == 1.0
 
 
-def test_marginal_cdf_rejects_high_dimension():
+def test_marginal_cdf_rejects_high_dimension(monkeypatch):
     box = Box([0.0] * 3, [1.0] * 3)
     cs = make_coefficients("identity", box, gamma=np.eye(3))
-    sm = StationaryMeasure(cs, mc_samples=20_000)
+    monkeypatch.setattr(stationary, "MC_SAMPLES", 20_000)
+    sm = StationaryMeasure(cs)
     with pytest.raises(ValueError, match="d <= 2"):
         an.marginal_cdf_grid(sm)
 

@@ -7,11 +7,13 @@ Exit-code contract
 --strict), 1 = hard failure (statistical or runtime), 2 = config error.
 """
 
+import dataclasses
 import glob
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -219,20 +221,37 @@ def test_bad_start_point_exits_2_before_simulating(
 
 
 @pytest.mark.parametrize("field, value", [
-    ("delta_guard", -0.1), ("delta_guard", float("nan")), ("delta_guard", 0),
-    ("h_max_fraction", -0.05), ("h_max_fraction", 0),
-    ("h_max_fraction", float("nan")), ("adaptive", 1), ("adaptive", "no"),
+    ("adaptive", True), ("h_max_fraction", 0.05), ("delta_guard", 0.01),
+    ("max_substeps", 200), ("resample_cap", 50),
 ])
-def test_bad_wall_layer_sim_field_exits_2_before_simulating(
+def test_removed_step_limit_sim_field_exits_2_before_simulating(
     tmp_path, capsys, field, value
 ):
+    # the gradient family's step limits are constants of simulate
     cfg = base_config(potential={"kind": "regularized_vn", "n": 8})
     cfg["sim"].update({"family": "gradient", field: value})
     path = write_config(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
     assert main(["run", path, "--output-dir", str(out)]) == 2
-    assert "sim: %s must be" % field in capsys.readouterr().err
+    assert "sim.%s is not a recognized field" % field in capsys.readouterr().err
     assert not out.exists()
+
+
+SIM_FIELDS = ("family", "dt_base", "t_end", "n_paths", "seed", "burn_in",
+              "snap_every", "x0", "k0", "chunk_size")
+
+
+def test_sim_fields_are_pinned_and_documented():
+    # adding a sim field is a deliberate change: here and in the README
+    fields = dataclasses.fields(SimConfig)
+    assert tuple(f.name for f in fields) == SIM_FIELDS
+    optional = {f.name for f in fields if f.default is not dataclasses.MISSING}
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    schema = readme.split("### Config schema", 1)[1].split("```", 2)[1]
+    listed = schema.split("// optional:", 1)[1].split("unknown keys", 1)[0]
+    assert set(re.findall(r"(\w+) \(", listed)) == optional
 
 
 @pytest.mark.parametrize("coefficients, message", [
@@ -583,6 +602,25 @@ def test_residual_overrides_are_validated(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"coefficients": {"preset": "exp_density", "gamma": [[1.0]]}},
+     "constant rho only"),
+    ({"dimension": 3,
+      "domain": {"kind": "box", "lo": [0.0] * 3, "hi": [1.0] * 3},
+      "coefficients": {"preset": "identity", "gamma": np.eye(3).tolist()},
+      "residual": {"count": 1}},
+     "implemented for d <= 2"),
+], ids=["varying_rho", "three_dimensions"])
+def test_residual_refuses_unsupported_configs_before_making_outputs(
+    tmp_path, capsys, overrides, message
+):
+    path = write_config(tmp_path, "cfg.json", base_config(**overrides))
+    out = tmp_path / "out"
+    assert main(["residual", path, "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_residual_subcommand_honours_zero_tolerance(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", base_config())
     out = tmp_path / "out"
@@ -611,6 +649,22 @@ def test_sweep_subcommand_reports_and_masses(tmp_path, capsys):
     assert list(rows[:, 0]) == [1.0, 2.0, 8.0]
     assert np.all(np.diff(rows[:, 1]) > 0)  # smoothed mass grows with n
     assert "noise floor" in capsys.readouterr().out
+
+
+def test_sweep_checks_the_gradient_start_before_simulating(
+    tmp_path, capsys, monkeypatch
+):
+    # x0 = 0.001 is inside the domain, so the reflected sim block loads, but
+    # it sits in every wall's resolvable layer
+    cfg = base_config()
+    cfg["sim"]["x0"] = [0.001]
+    path = write_config(tmp_path, "cfg.json", cfg)
+    monkeypatch.setattr(cli, "weak_convergence_sweep",
+                        lambda *a, **k: pytest.fail("simulated"))
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--output-dir", str(out)]) == 2
+    assert "x0 sits inside the resolvable wall layer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_n_list(tmp_path, capsys):

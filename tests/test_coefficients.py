@@ -65,7 +65,7 @@ def test_exp_density_drift_matches_half_log_slope():
     fd = CoefficientSet(
         Interval(0.0, 1.0),
         gamma=[[1.0]],
-        rho=lambda p: math.exp(p[0]),
+        rho=lambda p: np.exp(p[:, 0]),
     )
     pts = np.array([[0.2], [0.5], [0.77]])
     np.testing.assert_allclose(fd.drift_b(pts), 0.5, rtol=1e-6)
@@ -74,11 +74,7 @@ def test_exp_density_drift_matches_half_log_slope():
 def test_finite_difference_drift_recovers_quadratic_diffusion_gradient():
     # A = diag(1 + x1^2, 1), rho = 1  =>  b = (d_1 a_11 / 2, 0) = (x1, 0)
     dom = Box([-1.0, -1.0], [1.0, 1.0])
-    cs = CoefficientSet(
-        dom,
-        gamma=GAMMA_2D,
-        sigma=lambda p: np.diag([math.sqrt(1.0 + p[0] ** 2), 1.0]),
-    )
+    cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=_sigma_diag_1x2)
     pts = np.array([[0.3, 0.1], [-0.5, 0.4], [0.0, 0.0], [0.62, -0.7]])
     b = cs.drift_b(pts)
     np.testing.assert_allclose(b[:, 0], pts[:, 0], rtol=1e-6, atol=1e-9)
@@ -88,11 +84,8 @@ def test_finite_difference_drift_recovers_quadratic_diffusion_gradient():
 def test_finite_difference_drift_on_the_circle():
     # the reflected kernel lands on the circle; there both tangential stencil
     # points leave the disc by about h^2 / 2, within the boundary tolerance
-    cs = CoefficientSet(
-        Ball([0.0, 0.0], 1.0),
-        gamma=GAMMA_2D,
-        sigma=lambda p: np.diag([math.sqrt(1.0 + p[0] ** 2), 1.0]),
-    )
+    cs = CoefficientSet(Ball([0.0, 0.0], 1.0), gamma=GAMMA_2D,
+                        sigma=_sigma_diag_1x2)
     rim = np.array([[-6.98959332e-06, 1.0], [0.6, -0.8], [1.0, 0.0]])
     rim /= np.linalg.norm(rim, axis=1)[:, None]
     b = cs.drift_b(rim)
@@ -105,7 +98,7 @@ def test_one_sided_stencil_near_boundary_flagged():
     cs = CoefficientSet(
         Interval(0.0, 1.0),
         gamma=[[1.0]],
-        rho=lambda p: math.exp(p[0]),
+        rho=lambda p: np.exp(p[:, 0]),
     )
     assert cs.diagnostics["one_sided_stencil_points"] == 0
     b = cs.drift_b(4e-6)  # x - h falls outside (0, 1): one-sided difference
@@ -125,8 +118,7 @@ def test_ellipsoid_drift_searches_only_outside_stencil_points(monkeypatch):
     # the drift at interior points and at boundary landing points (as the
     # reflected kernel makes them), whose +-h stencils leave the closure
     dom = Ellipsoid([0.1, 0.0], [1.0, 0.5])
-    cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=_sigma_diag_1x2,
-                        vectorized=True)
+    cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=_sigma_diag_1x2)
     rng = np.random.default_rng(8)
     interior = dom.sample_interior(40, rng)
     lo, hi = dom.bounding_box()
@@ -197,7 +189,8 @@ def test_inert_field_variants():
     np.testing.assert_allclose(ac.inert_v([1.0, 0.0]), [-1.4, 0.0], atol=1e-12)
 
     custom = CoefficientSet(
-        dom, gamma=np.eye(2), inert_field=lambda p: np.array([0.0, 1.0])
+        dom, gamma=np.eye(2),
+        inert_field=lambda p: np.broadcast_to([0.0, 1.0], p.shape)
     )
     np.testing.assert_allclose(custom.inert_v([1.0, 0.0]), [0.0, 1.0])
     # batched evaluation keeps shape
@@ -241,7 +234,7 @@ def test_gamma_solve_matches_direct_inverse():
 def test_rho_must_be_positive_on_grid():
     with pytest.raises(CoefficientError, match="rho"):
         CoefficientSet(
-            Interval(0.0, 1.0), gamma=[[1.0]], rho=lambda p: p[0] - 2.0
+            Interval(0.0, 1.0), gamma=[[1.0]], rho=lambda p: p[:, 0] - 2.0
         )
     cs = make_coefficients("exp_density", Interval(0.0, 1.0), gamma=[[1.0]])
     rmin, rmax = cs.rho_bounds
@@ -377,8 +370,8 @@ def test_user_supplied_potential_delegates():
     pot = Potential(
         "user_supplied",
         domain=dom,
-        V=lambda p: p[0] ** 2 + 2.0 * p[1] ** 2,
-        grad_V=lambda p: np.array([2.0 * p[0], 4.0 * p[1]]),
+        V=lambda p: p[:, 0] ** 2 + 2.0 * p[:, 1] ** 2,
+        grad_V=lambda p: p * [2.0, 4.0],
     )
     assert pot.value([0.3, 0.4]) == pytest.approx(0.41, rel=1e-14)
     np.testing.assert_allclose(pot.grad([0.3, 0.4]), [0.6, 1.6])
@@ -391,8 +384,10 @@ def test_user_supplied_potential_delegates():
 
 def test_per_point_and_batch_callables_agree_and_take_empty_batches():
     dom = Ball([0.0, 0.0], 1.0)
+    calls = []
 
     def sigma_batch(pts):
+        calls.append(pts.shape)
         s = np.zeros((pts.shape[0], 2, 2))
         s[:, 0, 0] = np.sqrt(1.0 + pts[:, 0] * pts[:, 0])
         s[:, 0, 1] = 0.1 * pts[:, 1]
@@ -405,32 +400,29 @@ def test_per_point_and_batch_callables_agree_and_take_empty_batches():
     def field_batch(pts):
         return np.column_stack([2.0 * pts[:, 0], pts[:, 1] - 0.25])
 
-    def per_point(fn):
-        # a point at a time; an int result must come back as float64 too
-        return lambda p: fn(np.asarray(p, float)[None, :])[0].tolist()
+    cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=sigma_batch, rho=rho_batch,
+                        inert_field=field_batch)
+    pot = Potential("user_supplied", domain=dom, V=rho_batch, grad_V=field_batch)
 
-    def build(vectorized):
-        wrap = (lambda fn: fn) if vectorized else per_point
-        cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=wrap(sigma_batch),
-                            rho=wrap(rho_batch), inert_field=wrap(field_batch),
-                            vectorized=vectorized)
-        pot = Potential("user_supplied", domain=dom, V=wrap(rho_batch),
-                        grad_V=wrap(field_batch), vectorized=vectorized)
-        return cs, pot
+    def evaluate(probe):
+        return [cs.sigma(probe), cs.rho(probe), cs.inert_v(probe),
+                pot.value(probe), pot.grad(probe)]
 
     pts = Ball([0.0, 0.0], 0.9).sample_interior(17, np.random.default_rng(3))
     empty = np.zeros((0, 2))
-    per, vec = build(False), build(True)
     for probe, shapes in ((pts, [(17, 2, 2), (17,), (17, 2), (17,), (17, 2)]),
                           (empty, [(0, 2, 2), (0,), (0, 2), (0,), (0, 2)])):
-        got = []
-        for cs, pot in (per, vec):
-            vals = [cs.sigma(probe), cs.rho(probe), cs.inert_v(probe),
-                    pot.value(probe), pot.grad(probe)]
-            assert [v.shape for v in vals] == shapes
-            assert all(v.dtype == np.float64 for v in vals)
-            got.append(vals)
-        for a, b in zip(*got):
-            np.testing.assert_array_equal(a, b)
-    assert CoefficientSet(dom, gamma=GAMMA_2D, rho=lambda p: 2).rho(pts[:3]).dtype \
-        == np.float64
+        vals = evaluate(probe)
+        assert [v.shape for v in vals] == shapes
+        assert all(v.dtype == np.float64 for v in vals)
+    # one call per batch, none per point
+    calls.clear()
+    batch = evaluate(pts)
+    assert calls == [(17, 2)]
+    # a single point is a batch of one, with the batch's values
+    for i, p in enumerate(pts):
+        for one, many in zip(evaluate(p), batch):
+            np.testing.assert_array_equal(one, many[i])
+    # an int result comes back as float64 too
+    ints = CoefficientSet(dom, gamma=GAMMA_2D, rho=lambda p: np.full(len(p), 2))
+    assert ints.rho(pts[:3]).dtype == np.float64

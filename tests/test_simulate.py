@@ -92,15 +92,18 @@ def _reflect_once(cs, dom, x, k, dt, z, family="reflected"):
     return st
 
 
-def _gradient_once(cs, pot, x, k, dt, z, pool=(), refill=None, **cfg_kw):
+def _gradient_once(cs, pot, x, k, dt, z, pool=(), refill=None, **limits):
     """One gradient-kernel step of one path from (x, k) on the normals z,
     with ``pool`` as its reserve normals; ``refill`` defaults to flagging
-    the path.  No sub-step cap unless ``cfg_kw`` sets one."""
-    cfg_kw.setdefault("adaptive", False)
-    cfg = SimConfig(family="gradient", dt_base=dt, t_end=dt, n_paths=1,
-                    seed=0, **cfg_kw)
-    guard = (cfg.delta_guard if cfg.delta_guard is not None
-             else simulate._default_delta_guard(pot))
+    the path.  ``limits`` patches the step-limit constants of ``simulate``
+    by name; H_MAX_FRACTION defaults to inf, so no sub-step cap."""
+    limits = {"H_MAX_FRACTION": np.inf, **limits}
+    cfg = SimConfig(family="gradient", dt_base=dt, t_end=dt, n_paths=1, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in limits.items():
+            mp.setattr(simulate, name, value)
+        params = simulate._gradient_params(
+            cs, pot, cfg, simulate._default_delta_guard(pot))
     st = _state(x, k)
     d = st["x"].shape[1]
 
@@ -112,8 +115,7 @@ def _gradient_once(cs, pot, x, k, dt, z, pool=(), refill=None, **cfg_kw):
         pot.distance, st["x"], st["k"], st["flags"], st["out_x"], st["out_k"],
         st["out_ell"], st["counters"], np.array(z, dtype=float).reshape(1, 1, d),
         np.array(pool, dtype=float).reshape(1, -1, d), np.zeros(1, dtype=np.int64),
-        refill or flag, 0,
-        simulate._gradient_params(cs, pot, cfg, guard))
+        refill or flag, 0, params)
     return st
 
 
@@ -206,12 +208,12 @@ def test_gradient_step_budget_exhaustion_raises(interval_cs, unit_interval):
     # one sub-step cannot cover a stiff move capped at h_max = 1e-4: flagged
     # on the second sub-step, before it draws
     s1 = _gradient_once(interval_cs, pot, [0.3], [0.0], 0.01, [0.0], pool=pool,
-                        adaptive=True, h_max_fraction=2e-4, max_substeps=1)
+                        H_MAX_FRACTION=2e-4, MAX_SUBSTEPS=1)
     assert s1["flags"][0] == _kernels.FLAG_BOUNDARY_OVERFLOW
     assert s1["counters"].tolist() == [1, 0, 0]
     # a rejected proposal with no redraws allowed: flagged on its first redraw
     s2 = _gradient_once(interval_cs, pot, [0.03], [0.0], 1e-4, [-5.0], pool=pool,
-                        resample_cap=0)
+                        RESAMPLE_CAP=0)
     assert s2["flags"][0] == _kernels.FLAG_BOUNDARY_OVERFLOW
     assert s2["counters"].tolist() == [1, 1, 0]
 
@@ -261,7 +263,6 @@ def test_reflected_step_evaluates_inert_field_at_landing(unit_interval):
         unit_interval,
         gamma=[[1.0]],
         inert_field=lambda pts: pts + 2.0,
-        vectorized=True,
     )
     out = _reflect_once(cs, unit_interval, [0.05], [0.0], 0.01, [-1.0])
     # landing at x=0: v = 2.0 there (4.1 would mean start/midpoint evaluation)
@@ -277,7 +278,7 @@ def test_varying_sigma_step_uses_step_start_coefficients(unit_interval):
     # sigma, b and the push u = A n come from the step start x = 0.05, and
     # v = a0 u from the landing point x = 0; the weight uses sigma(0.05)
     cs = CoefficientSet(unit_interval, gamma=[[1.0]], sigma=_sigma_1x2,
-                        inert_field="a0_conormal", a0=3.0, vectorized=True)
+                        inert_field="a0_conormal", a0=3.0)
     x0, dt, z = 0.05, 0.01, -1.0
     s0 = np.sqrt(1.0 + x0 ** 2)
     out = _reflect_once(cs, unit_interval, [x0], [0.0], dt, [z])
@@ -316,7 +317,7 @@ def test_kernel_and_point_api_share_the_boundary_fields(
     d = dom.d
     s = np.eye(d) + np.triu(np.full((d, d), 0.3))  # a non-diagonal A
     cs = CoefficientSet(
-        dom, gamma=s @ s.T + np.eye(d), a0=1.5, vectorized=True,
+        dom, gamma=s @ s.T + np.eye(d), a0=1.5,
         sigma=(lambda pts: np.sqrt(1.0 + pts[:, :1, None] ** 2) * s) if varying else s,
         inert_field=(lambda pts: pts[:, ::-1] + 2.0) if field == "custom" else field)
     calls = []
@@ -386,8 +387,6 @@ def test_config_validation_errors():
     for name, bad in [
         ("n_paths", 2.5), ("n_paths", True), ("seed", -1), ("seed", "3"),
         ("snap_every", 2.5), ("chunk_size", 2.5), ("chunk_size", 0),
-        ("max_substeps", 0), ("max_substeps", float("inf")),
-        ("resample_cap", -1),
         # real-number fields: booleans, strings and lists are not numbers
         ("dt_base", True), ("dt_base", "0.001"), ("dt_base", np.inf),
         ("t_end", True), ("t_end", "1"), ("burn_in", True), ("burn_in", "0"),
@@ -396,16 +395,6 @@ def test_config_validation_errors():
     ]:
         with pytest.raises(ValueError, match=name):
             SimConfig(**{**good, name: bad})
-    # the gradient family's wall-layer settings
-    for name, bad in [
-        ("delta_guard", -0.1), ("delta_guard", 0.0), ("delta_guard", np.nan),
-        ("delta_guard", np.inf), ("delta_guard", True), ("delta_guard", "0.1"),
-        ("h_max_fraction", -0.05), ("h_max_fraction", 0.0),
-        ("h_max_fraction", np.nan), ("h_max_fraction", None),
-        ("adaptive", 1), ("adaptive", "false"), ("adaptive", None),
-    ]:
-        with pytest.raises(ValueError, match=name):
-            SimConfig(**{**good, "family": "gradient", name: bad})
     whole = SimConfig(**{**good, "n_paths": 4.0, "seed": np.int64(2)})
     assert type(whole.n_paths) is int and type(whole.seed) is int
     assert whole.as_dict()["n_paths"] == 4
@@ -430,6 +419,21 @@ def test_coefficients_on_another_domain_raise_before_any_step(
     with pytest.raises(ValueError, match="domain"):
         run_ensemble(interval_cs, SimConfig(**cfg, x0=(1.5,)),
                      **on(Interval(0.0, 2.0)))
+
+
+def test_gradient_run_compares_domain_and_wall_by_description(
+        interval_cs, monkeypatch):
+    cfg = SimConfig(family="gradient", dt_base=1e-3, t_end=0.01, n_paths=2,
+                    seed=0)
+    wall = Potential("regularized_vn",
+                     distance=SmoothDistance(Interval(0.0, 1.0)), n=2)
+    # equal but distinct domain objects are the same domain
+    assert run_ensemble(interval_cs, cfg, domain=Interval(0.0, 1.0),
+                        potential=wall).ok.all()
+    monkeypatch.setattr(simulate, "_run",
+                        lambda *a: pytest.fail("stepped a mismatched run"))
+    with pytest.raises(ValueError, match="disagree"):
+        run_ensemble(interval_cs, cfg, domain=Interval(0.0, 2.0), potential=wall)
 
 
 def test_snapshot_bookkeeping_counts_and_times():
@@ -893,14 +897,14 @@ def _boundary_field_case(name, family):
     if name == "varying_sigma_a0":
         dom = Interval(0.0, 1.0)
         cs = CoefficientSet(dom, gamma=[[1.0]], sigma=_sigma_1x2,
-                            inert_field="a0_conormal", a0=1.5, vectorized=True)
+                            inert_field="a0_conormal", a0=1.5)
         kw = dict(dt_base=1e-3, t_end=0.5, burn_in=0.1, n_paths=6, seed=7,
                   snap_every=10)
         k0 = (0.5,)
     else:
         dom = Ball([0.0, 0.0], 1.0)
         cs = CoefficientSet(dom, gamma=np.diag([2.0, 1.0]),
-                            inert_field=_rotated_gamma_normal, vectorized=True)
+                            inert_field=_rotated_gamma_normal)
         kw = dict(dt_base=5e-4, t_end=0.5, burn_in=0.1, n_paths=8, seed=5,
                   snap_every=20)
         k0 = (0.5, 1.0)
@@ -1051,7 +1055,7 @@ def _gradient_case(name):
                                   n_paths=5, seed=4, snap_every=5,
                                   chunk_size=64)
     if name == "varying_sigma":  # callable S, b and A2
-        cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2, vectorized=True)
+        cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2)
         pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=6, seed=4, snap_every=5,
@@ -1071,11 +1075,15 @@ def _gradient_case(name):
         return cs, pot, SimConfig(family="gradient", dt_base=0.01, t_end=0.5,
                                   burn_in=0.1, n_paths=6, seed=4,
                                   snap_every=5, chunk_size=10)
-    # a soft wall with a wide guard layer: proposals get redrawn
+    # a soft wall, run with the wide guard layer REDRAWS_GUARD: proposals
+    # get redrawn
     pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=8)
     return cs, pot, SimConfig(family="gradient", dt_base=0.01, t_end=2.0,
                               n_paths=6, seed=4, snap_every=5, chunk_size=10,
-                              x0=(0.3,), delta_guard=0.05)
+                              x0=(0.3,))
+
+
+REDRAWS_GUARD = 0.05
 
 
 # sha256 of the numpy kernel's x, k and flags arrays, and its event
@@ -1129,9 +1137,12 @@ def _sha256(array):
 
 
 @pytest.mark.parametrize("name", sorted(GRADIENT_GOLDEN))
-def test_generic_gradient_matches_numpy_bitwise(name):
+def test_generic_gradient_matches_numpy_bitwise(name, monkeypatch):
     # the goldens hold the digests of earlier kernels (see GRADIENT_GOLDEN)
     cs, pot, cfg = _gradient_case(name)
+    if name == "redraws":
+        monkeypatch.setattr(simulate, "_default_delta_guard",
+                            lambda potential: REDRAWS_GUARD)
     g_np = run_ensemble(cs, cfg, potential=pot, backend="numpy")
     x_sha, k_sha, flags_sha, events = GRADIENT_GOLDEN[name]
     assert (_sha256(g_np.x), _sha256(g_np.k), _sha256(g_np.flags)) == (
@@ -1254,7 +1265,8 @@ def test_every_backend_reports_one_diagnostics_schema(
         assert b.diagnostics["pool_refills"] == 0
 
 
-def test_gradient_substep_budget_flag_is_deterministic(interval_cs, unit_interval):
+def test_gradient_substep_budget_flag_is_deterministic(
+        interval_cs, unit_interval, monkeypatch):
     pot = Potential(
         "regularized_vn", distance=SmoothDistance(unit_interval), n=1
     )
@@ -1266,8 +1278,8 @@ def test_gradient_substep_budget_flag_is_deterministic(interval_cs, unit_interva
         n_paths=3,
         seed=4,
         snap_every=1,
-        max_substeps=1,
     )
+    monkeypatch.setattr(simulate, "MAX_SUBSTEPS", 1)
     b = run_ensemble(interval_cs, cfg, potential=pot)
     assert b.flags.tolist() == [1, 1, 1]
     # the x digest both backends gave: NaN snapshots after the flags
@@ -1280,16 +1292,20 @@ def test_gradient_substep_budget_flag_is_deterministic(interval_cs, unit_interva
 
 
 # every proposal of every step is thrown out of D, so each attempt needs
-# resample_cap + 1 = 51 reserve normals from a pool of C = 20
+# RESAMPLE_CAP + 1 = 51 reserve normals from a pool of C = 20; the step
+# limits are patched before the run: no sub-step cap, a guard of 1e-12 and
+# one sub-step per step
 _POOL_OVERRUN_SCRIPT = """
 import hashlib, json
 from inertdrift import (Interval, Potential, SimConfig, SmoothDistance,
-                        make_coefficients, run_ensemble)
+                        make_coefficients, run_ensemble, simulate)
+simulate.H_MAX_FRACTION = float("inf")
+simulate.MAX_SUBSTEPS = 1
+simulate._default_delta_guard = lambda potential: 1e-12
 iv = Interval(0.0, 1.0)
 cs = make_coefficients("identity", iv, gamma=[[1.0]])
 pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
-cfg = SimConfig(family="gradient", dt_base=0.05, t_end=1.0, adaptive=False,
-                delta_guard=1e-12, n_paths=16, seed=5, max_substeps=1)
+cfg = SimConfig(family="gradient", dt_base=0.05, t_end=1.0, n_paths=16, seed=5)
 b = run_ensemble(cs, cfg, potential=pot, backend="numpy")
 print(json.dumps({
     "x": hashlib.sha256(b.x.tobytes()).hexdigest(),
@@ -1320,8 +1336,8 @@ def test_pool_overrun_is_flagged_not_retried_forever():
     assert diag["pool_refills"] == 32
 
 
-# the stiff wall of the "refills" parity case with resample_cap=0, so the
-# pool (C normals) is longer than the max_substeps normals an attempt can
+# the stiff wall of the "refills" parity case with RESAMPLE_CAP = 0, so the
+# pool (C normals) is longer than the MAX_SUBSTEPS normals an attempt can
 # draw: a step's first refill must go through, as the uncapped retry did.
 # The x digests, and the k digests per chunk length, are the ones both
 # backends gave.
@@ -1339,22 +1355,23 @@ POOL_LONGER_CASES = pytest.mark.parametrize("chunk, max_substeps, flags, refills
 ])
 
 
-def _pool_longer_run(chunk, max_substeps):
+def _pool_longer_run(monkeypatch, chunk, max_substeps):
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
     pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
     cfg = SimConfig(family="gradient", dt_base=0.01, t_end=0.5, burn_in=0.1,
-                    n_paths=6, seed=4, snap_every=5, chunk_size=chunk,
-                    resample_cap=0, max_substeps=max_substeps)
-    assert cfg.max_substeps * (cfg.resample_cap + 1) < chunk
+                    n_paths=6, seed=4, snap_every=5, chunk_size=chunk)
+    monkeypatch.setattr(simulate, "RESAMPLE_CAP", 0)
+    monkeypatch.setattr(simulate, "MAX_SUBSTEPS", max_substeps)
+    assert simulate.MAX_SUBSTEPS * (simulate.RESAMPLE_CAP + 1) < chunk
     return run_ensemble(cs, cfg, potential=pot, backend="numpy")
 
 
 @POOL_LONGER_CASES
 def test_pool_longer_than_attempt_budget_refills_without_flagging(
-    chunk, max_substeps, flags, refills, x_sha
+    monkeypatch, chunk, max_substeps, flags, refills, x_sha
 ):
-    g_np = _pool_longer_run(chunk, max_substeps)
+    g_np = _pool_longer_run(monkeypatch, chunk, max_substeps)
     assert g_np.flags.tolist() == flags
     assert g_np.diagnostics["pool_refills"] == refills
     # flagged paths record NaN
@@ -1369,7 +1386,7 @@ def test_noise_block_cap_leaves_gradient_runs_alone(
     # keeps blocks of chunk_size steps: a cap that would give a reflected
     # run of 6 paths blocks of 3 steps changes neither refills nor paths
     monkeypatch.setattr(simulate, "_NOISE_BLOCK_FLOATS", 3 * 6)
-    g_np = _pool_longer_run(chunk, max_substeps)
+    g_np = _pool_longer_run(monkeypatch, chunk, max_substeps)
     assert g_np.flags.tolist() == flags
     assert g_np.diagnostics["pool_refills"] == refills
     assert (_sha256(g_np.x), _sha256(g_np.k)) == (x_sha, POOL_LONGER_K_SHA[chunk])
@@ -1386,7 +1403,7 @@ def test_gradient_kernel_single_step_matches_step_api(interval_cs, wall_n2):
     for p in range(5):
         z = np.random.default_rng(seqs[p]).standard_normal((1, 1))[0]
         s1 = _gradient_once(interval_cs, wall_n2, [0.5], [0.0], 1e-3, z,
-                            adaptive=True)
+                            H_MAX_FRACTION=simulate.H_MAX_FRACTION)
         assert b.x[p, 0, 0] == pytest.approx(s1["x"][0, 0], rel=1e-12)
         assert b.k[p, 0, 0] == pytest.approx(s1["k"][0, 0], rel=1e-12)
 
@@ -1425,7 +1442,6 @@ def test_driftless_weights_are_exactly_one_when_k_stays_zero(unit_interval):
         unit_interval,
         gamma=[[1.0]],
         inert_field=lambda pts: np.zeros_like(pts),
-        vectorized=True,
     )
     cfg = SimConfig(
         family="driftless_weighted",
@@ -1801,7 +1817,7 @@ def _split_case(name):
         cs, pot, cfg = _gradient_case("refills")
         return cs, {"potential": pot}, cfg
     if name == "varying_sigma":  # S inverted by LAPACK at every step
-        cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2, vectorized=True)
+        cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2)
         return cs, {"domain": iv}, SimConfig(
             family="driftless_weighted", dt_base=1e-3, t_end=0.3, n_paths=8,
             seed=2, snap_every=10, k0=(0.5,))

@@ -30,6 +30,7 @@ from inertdrift import (
     SmoothDistance,
     make_coefficients,
 )
+from inertdrift import stationary
 from inertdrift.stationary import (
     BumpTestFunction,
     StationaryMeasure,
@@ -153,7 +154,7 @@ def test_position_normalizer_box_volume():
 
 
 def test_position_normalizer_smooth_wall_matches_adaptive_quadrature(
-    interval_cs, wall_n2
+    interval_cs, wall_n2, monkeypatch
 ):
     sm = StationaryMeasure(interval_cs, potential=wall_n2)
     ref, _ = quad(
@@ -167,7 +168,8 @@ def test_position_normalizer_smooth_wall_matches_adaptive_quadrature(
     )
     assert 1.0 / sm.c_x == pytest.approx(ref, rel=1e-11)
     # refinement stability
-    fine = StationaryMeasure(interval_cs, potential=wall_n2, nodes_per_panel=48)
+    monkeypatch.setattr(stationary, "NODES_PER_PANEL", 48)
+    fine = StationaryMeasure(interval_cs, potential=wall_n2)
     assert fine.c_x == pytest.approx(sm.c_x, rel=1e-12)
 
 
@@ -193,25 +195,29 @@ def test_smooth_wall_mass_increases_with_sharpness(interval_cs, unit_interval):
     assert masses[-1] < np.exp(-1.0)  # the pointwise ceiling
 
 
-def test_smooth_wall_on_ellipsoid_has_no_radial_cut():
+def test_smooth_wall_on_ellipsoid_has_no_radial_cut(monkeypatch):
     # the ellipsoid's delta has no centre cap (only the ball's has one)
     ell = Ellipsoid([0.0, 0.0], [1.0, 0.5])
     cs = make_coefficients("identity", ell, gamma=np.eye(2))
     pot = Potential("regularized_vn", distance=SmoothDistance(ell), n=2)
-    sm = StationaryMeasure(cs, potential=pot, nodes_per_panel=8, n_angles=64)
-    # the mass at the default nodes_per_panel=24, n_angles=512
+    # coarse quadratures, to keep the test quick
+    monkeypatch.setattr(stationary, "NODES_PER_PANEL", 8)
+    monkeypatch.setattr(stationary, "N_ANGLES", 64)
+    monkeypatch.setitem(stationary.RESIDUAL_NODES, 2, (16, 8))
+    sm = StationaryMeasure(cs, potential=pot)
+    # the mass at NODES_PER_PANEL = 24, N_ANGLES = 512
     assert 1.0 / sm.c_x == pytest.approx(1.38752032008e-4, rel=2e-9)
     f = bump_basis(ell, cs.gamma, count=1, seed=5)[0]
-    assert abs(stationarity_residual(sm, f, x_nodes=16, y_nodes=8)) <= 1e-5
-    off = StationaryMeasure(cs, potential=pot, v_scale=1.1, nodes_per_panel=8,
-                            n_angles=64)
-    assert abs(stationarity_residual(off, f, x_nodes=16, y_nodes=8)) > 1e-2
+    assert abs(stationarity_residual(sm, f)) <= 1e-5
+    off = StationaryMeasure(cs, potential=pot, v_scale=1.1)
+    assert abs(stationarity_residual(off, f)) > 1e-2
 
 
-def test_monte_carlo_normalizer_reports_standard_error():
+def test_monte_carlo_normalizer_reports_standard_error(monkeypatch):
     box = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     cs = make_coefficients("identity", box, gamma=np.eye(3))
-    sm = StationaryMeasure(cs, mc_samples=100_000)
+    monkeypatch.setattr(stationary, "MC_SAMPLES", 100_000)
+    sm = StationaryMeasure(cs)
     assert sm.c_x_standard_error is not None
     assert 1.0 / sm.c_x == pytest.approx(1.0, abs=4.0 * max(sm.c_x_standard_error, 1e-12))
 
@@ -417,6 +423,16 @@ def test_residual_rejects_bad_inputs(unit_interval, interval_cs, wall_n2):
         stationarity_residual(sm_var, f)
 
 
+def test_residual_refuses_three_dimensions(monkeypatch):
+    # no node count was chosen above two dimensions
+    box = Box([0.0] * 3, [1.0] * 3)
+    cs = make_coefficients("identity", box, gamma=np.eye(3))
+    monkeypatch.setattr(stationary, "MC_SAMPLES", 20_000)
+    f = bump_basis(box, cs.gamma, count=1, seed=0)[0]
+    with pytest.raises(ValueError, match="d <= 2"):
+        stationarity_residual(StationaryMeasure(cs), f)
+
+
 # ---------------------------------------------------------------------------
 # sampling and reporting
 # ---------------------------------------------------------------------------
@@ -473,9 +489,7 @@ def test_sampler_refuses_unresolvable_peak(unit_interval, interval_cs):
         peak = np.exp(-s * s)
         return np.column_stack([peak * 2.0 * s / 5e-5 / (1e-3 + peak)])
 
-    pot = Potential(
-        "user_supplied", domain=unit_interval, V=V, grad_V=gV, vectorized=True
-    )
+    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV)
     sm = StationaryMeasure(interval_cs, potential=pot)
     with pytest.raises(CoefficientError, match="envelope"):
         sample_stationary(sm, 50_000, seed=2)
@@ -490,9 +504,7 @@ def test_sampler_refuses_hopeless_acceptance_rate(unit_interval, interval_cs):
     def gV(pts):
         return np.full_like(pts, 1e5)
 
-    pot = Potential(
-        "user_supplied", domain=unit_interval, V=V, grad_V=gV, vectorized=True
-    )
+    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV)
     sm = StationaryMeasure(interval_cs, potential=pot)
     assert 1.0 / sm.c_x == pytest.approx(1e-5, rel=1e-10)
     with pytest.raises(CoefficientError, match="acceptance rate"):
