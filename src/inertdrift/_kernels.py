@@ -114,17 +114,18 @@ def reflected_chunk(
 
     The live rows' x, k, ell and log-weight are copied into compact arrays
     once per chunk and stepped there, and each step reads its noise column
-    once.  With constant S and b the terms that depend on K, (b + K) dt and
-    the weight's w and 0.5 |w|^2 dt, are cached per row and recomputed for
-    the contact rows only, since K moves only there; a varying S or b
-    recomputes them at every step.  A row that gets flagged is written back
+    once, as a view of the block while every row is live.  With constant S
+    and b the terms that depend on K, (b + K) dt and the weight's w and
+    0.5 |w|^2 dt, are cached per row and recomputed for the contact rows
+    only, since K moves only there; a varying S or b recomputes them at
+    every step.  A row that gets flagged is written back
     at once and dropped; the others are written back at the chunk end.
     """
     (dt, sqrt_dt, S, SI, b, UM, VM, do_weight, domain, first_snap,
      snap_every) = params
     use_k = not do_weight
     vary_s, vary_b = callable(S), callable(b)
-    C, d = z.shape[1:]
+    P, C, d = z.shape
     rows = (flags == FLAG_OK).nonzero()[0]
     xs, ks, ls, lw = x[rows], k[rows], ell[rows], logw[rows]
 
@@ -147,7 +148,7 @@ def reflected_chunk(
     for c in range(C):
         if not len(rows):
             break
-        Z = z[rows, c]
+        Z = z[:, c] if len(rows) == P else z[rows, c]
         if vary_s:
             Sx = S(xs)
             if do_weight:

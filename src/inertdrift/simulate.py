@@ -58,11 +58,15 @@ failure raises here with its traceback.
 
 Output: :meth:`TrajectoryBatch.to_csv` and :meth:`TrajectoryBatch.write_weights`
 stream their tables through one writer, :func:`_write_csv`, in blocks of
-``_CSV_BLOCK_ROWS`` rows.  Where the process may run on two CPUs or more, it
-forks one helper that formats the second half of the blocks into a
-temporary file, appended once this process has written the first half, so
-a large table is formatted on two cores; the bytes do not depend on the CPU
-count.
+``_CSV_BLOCK_ROWS`` rows.  Every float goes through one formatter,
+:func:`_g17`, whose text is that of ``%.17g``: for 1e-4 <= |v| < 1 it
+computes the exact 17-digit decimal in numpy (an error-free product with
+a power of ten), so Python formats only integers there, and it hands every
+other value to ``%.17g``.  Where the process may run on two CPUs or more,
+the writer forks one helper that formats the second half of the blocks
+into a temporary file, appended once this process has written the first
+half, so a large table is formatted on two cores; the bytes do not depend
+on the CPU count.
 """
 
 import contextlib
@@ -345,11 +349,71 @@ _SPLIT_MIN_FLOATS = 4096
 _NOISE_ROW_PAD = 8
 
 
+# _g17's decades: |v| in [_G17_BOUNDS[i-1], _G17_BOUNDS[i]) is decade i.  A
+# value in decade 1..4 is scaled by _G17_SCALE[i] (exact in float64) to 17
+# digits before the point, and its text is _G17_TEXT[i], or _G17_TEXT[6 + i]
+# when its sign bit is set; decades 0 and 5 keep ``%.17g``.
+_G17_BOUNDS = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_G17_SCALE = np.array([0.0, 1e20, 1e19, 1e18, 1e17, 0.0])
+_G17_TEXT = np.array(["%.17g", "0.000%d", "0.00%d", "0.0%d", "0.%d", "%.17g",
+                      "%.17g", "-0.000%d", "-0.00%d", "-0.0%d", "-0.%d", "%.17g"],
+                     dtype=object)
+
+
 def _g17(values):
-    """The ``%.17g`` text of each float in ``values``, in one ``%`` call."""
+    """The ``%.17g`` text of each float in ``values``, in one ``%`` call.
+
+    For 1e-4 <= |v| < 1, ``%.17g`` prints fixed notation: "0.", then -X-1
+    zeros with X = floor(log10 |v|), then the 17 significant digits D of v
+    without their trailing zeros.  Those values get D from numpy, so Python
+    formats an integer for them, not a float.  D is exact:
+
+    - X is found by comparing |v| with ``_G17_BOUNDS``, each the least
+      float not below its power of ten, so no float lies between the two.
+    - D is the integer nearest to p = |v| * 10^(16-X), ties to even as in
+      ``%.17g``.  10^(16-X) is exact in float64, and Dekker's TwoProduct
+      (:func:`_exact_product`) gives p exactly as hi + lo.  hi >= 1e16 >
+      2^53 is an even integer and |lo| <= 8, so hi + rint(lo) is p rounded
+      half to even.
+    - D < 1e17: the float below each decade's top is at least 8 units of D
+      below it, so D never rounds up into the next decade.
+
+    Every other value (|v| >= 1, |v| < 1e-4, zeros, infinities and NaN) is
+    formatted by ``%.17g`` in the same call.
+    """
     if not len(values):
         return []
-    return ("\n".join(["%.17g"] * len(values)) % tuple(values.tolist())).split("\n")
+    mag = np.abs(values)
+    decade = np.searchsorted(_G17_BOUNDS, mag, side="right")
+    text = _G17_TEXT[decade + 6 * np.signbit(values)].tolist()
+    fast = np.flatnonzero((decade > 0) & (decade < 5))
+    hi, lo = _exact_product(mag[fast], _G17_SCALE[decade[fast]])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ends = np.flatnonzero(digits % 10 == 0)
+    while len(ends):
+        digits[ends] //= 10
+        ends = ends[digits[ends] % 10 == 0]
+    args = values.astype(object)
+    args[fast] = digits
+    return ("\n".join(text) % tuple(args)).split("\n")
+
+
+def _exact_product(a, b):
+    """The product a * b as (hi, lo), hi = fl(a * b) and hi + lo exact.
+
+    Dekker's TwoProduct, each factor split into halves of 26 bits by
+    Veltkamp's constant 2^27 + 1; exact while no partial product
+    overflows or underflows.
+    """
+    hi = a * b
+    c = 134217729.0 * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = 134217729.0 * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
 
 
 def _run_text(values):
@@ -372,7 +436,8 @@ def _write_csv(path, header, n_paths, times, columns):
     float64 column's entry at that row.  The bytes equal those of
     ``np.savetxt`` with ``fmt=["%d"] + ["%.17g", ...]``, ``delimiter=","``
     and ``comments=""``; the ids are formatted once per path, the times once
-    per snapshot and each run of equal values once.
+    per snapshot and each run of equal values once, every float by
+    :func:`_g17`.
 
     Formatting holds the interpreter lock, so a table of two blocks or more
     is formatted by two processes when ``os.sched_getaffinity`` reports two

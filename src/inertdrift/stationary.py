@@ -129,6 +129,15 @@ def _chord_bounds(domain, axis, t_grid):
 # ---------------------------------------------------------------------------
 
 
+def _require_bounded(domain):
+    """CoefficientError unless ``domain`` is bounded, the one kind of domain
+    on which the position factor is normalizable."""
+    if not (np.isfinite(domain.inradius) and np.isfinite(domain.diameter)):
+        raise CoefficientError(
+            "the position factor is not normalizable on an unbounded domain"
+        )
+
+
 class StationaryMeasure:
     """Product stationary law: position factor times Gaussian inert factor.
 
@@ -159,11 +168,7 @@ class StationaryMeasure:
         self.potential = potential
         self.v_scale = float(v_scale)
         self.c_x_standard_error = None
-        inr = self.domain.inradius
-        if not np.isfinite(inr) or not np.isfinite(self.domain.diameter):
-            raise CoefficientError(
-                "the position factor is not normalizable on an unbounded domain"
-            )
+        _require_bounded(self.domain)
         self._cy = 1.0 / (
             np.pi ** (self.domain.d / 2.0)
             * np.sqrt(np.linalg.det(cs.gamma))
@@ -511,8 +516,10 @@ def generator_apply(cs, potential, f, x, y):
 
 
 def _residual_preflight(cs):
-    """CoefficientError for a varying rho, ValueError above two dimensions:
-    the coefficients whose residual :func:`stationarity_residual` refuses."""
+    """CoefficientError for a varying rho or an unbounded domain, ValueError
+    above two dimensions: the coefficients whose residual
+    :func:`stationarity_residual` refuses."""
+    _require_bounded(cs.domain)
     if not cs.is_constant_rho:
         raise CoefficientError(
             "the stationarity identity holds for constant rho only "

@@ -610,7 +610,10 @@ def test_residual_overrides_are_validated(tmp_path, capsys, flag, value):
       "coefficients": {"preset": "identity", "gamma": np.eye(3).tolist()},
       "residual": {"count": 1}},
      "implemented for d <= 2"),
-], ids=["varying_rho", "three_dimensions"])
+    ({"domain": {"kind": "interval", "bounds": [0.0, float("inf")]},
+      "sim": dict(base_config()["sim"], x0=[0.5])},
+     "not normalizable on an unbounded domain"),
+], ids=["varying_rho", "three_dimensions", "unbounded_domain"])
 def test_residual_refuses_unsupported_configs_before_making_outputs(
     tmp_path, capsys, overrides, message
 ):

@@ -24,9 +24,13 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inertdrift
 from inertdrift import (
@@ -1189,7 +1193,7 @@ def test_gradient_kernel_finishes_each_chunk_in_one_call(monkeypatch):
     assert calls == [0, 10, 20, 30, 40]
 
 
-def test_gradient_wall_benchmark_config_digests():
+def test_gradient_wall_benchmark_config_digests(tmp_path):
     # the perfbench gradient_wall job at workload seed 1, built inline: its
     # simulation seed is the first 4 bytes of sha256("gradient_wall:1"), as
     # perfbench/workloads.derived_seed makes it.  The digests were recorded
@@ -1206,6 +1210,11 @@ def test_gradient_wall_benchmark_config_digests():
         "43935d5d64b18d88554775bb53d194b2d6b418d746828fcf043bb149db1700fd",
         "2d4da04b861bb9dbe77c871415931785a18138d6db035f1bbcd0cf8277c6fc23")
     assert b.diagnostics["substeps_total"] == 2048343 and b.ok.all()
+    # the trajectory.csv bytes, recorded while every value went through
+    # %.17g itself
+    b.to_csv(tmp_path / "trajectory.csv")
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == (
+        "055a968c26e9fae812dd767b02099f76bd222359bb64fc58bfe0b35ab61e9e8e")
 
 
 def test_weighted_wide_benchmark_config_digests(monkeypatch):
@@ -1645,7 +1654,53 @@ def _in_runs(rng, shape, change=0.1):
 _NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
 _SPECIAL = [0.0, -0.0, -0.0, 0.0, np.inf, -np.inf, np.inf, 5e-324,
             2.2250738585072014e-308 / 3, 1e300, 1e300, -1e300, 1e-300,
-            0.1, 1.0 / 3.0, _NAN_PAYLOAD, -np.nan, np.nan, np.nan, 7.0]
+            0.1, 1.0 / 3.0, _NAN_PAYLOAD, -np.nan, np.nan, np.nan, 7.0,
+            # the edges of _g17's decimal path, 1e-4 <= |v| < 1
+            1e-4, np.nextafter(1e-4, 0.0), -1e-4, np.nextafter(1.0, 0.0), 0.5,
+            -0.1]
+
+
+def _assert_g17_is_percent_g(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert simulate._g17(values) == ["%.17g" % v for v in values.tolist()]
+
+
+_FLOAT_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats()),
+    # every bit pattern: subnormals, both zeros and NaN payloads among them
+    hnp.arrays(np.uint64, st.integers(0, 40)).map(lambda a: a.view(np.float64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOAT_ARRAYS)
+def test_g17_matches_percent_g_on_any_floats(values):
+    _assert_g17_is_percent_g(values)
+
+
+def test_g17_matches_percent_g_on_bits_decades_and_ties():
+    rng = np.random.default_rng(26)
+    _assert_g17_is_percent_g(
+        rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64))
+    logu = 10.0 ** rng.uniform(-6.0, 1.0, 100_000)
+    _assert_g17_is_percent_g(np.where(rng.random(len(logu)) < 0.5, logu, -logu))
+    # the floats nearest each power of ten and their neighbours both sides
+    tens = np.array([float("1e%d" % q) for q in range(-5, 18)])
+    _assert_g17_is_percent_g(np.concatenate(
+        [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens]))
+    # m / 2^j for j <= 24 includes values whose 18th digit is an exact 5,
+    # which %.17g rounds half to even
+    dyadic = rng.integers(1, 2 ** 24, 100_000) / 2.0 ** rng.integers(1, 25, 100_000)
+    ties = 30001 / 2.0 ** 18  # 0.114444732666015625
+    _assert_g17_is_percent_g(np.r_[dyadic, ties, -ties])
+    assert simulate._g17(np.array([ties])) == ["0.11444473266601562"]
+
+
+def test_g17_decade_bounds_are_the_least_floats_from_their_powers_of_ten():
+    # so comparing a value with the bounds finds its decade exactly
+    for j, bound in enumerate(simulate._G17_BOUNDS[::-1].tolist()):
+        assert Fraction(bound) >= Fraction(1, 10 ** j)
+        assert Fraction(np.nextafter(bound, 0.0).item()) < Fraction(1, 10 ** j)
 
 
 def test_csv_writer_matches_savetxt_on_special_values(tmp_path, monkeypatch):
