@@ -10,8 +10,9 @@ coefficients
     Diffusion data sigma/A/rho, the divergence-form drift, conormal and
     inert coupling fields, and the regularized wall potential.
 skorokhod
-    Discrete constrained-path solver: per-step reflection and the full
-    driving-path transform with local time.
+    Discrete constrained-path solver: per-step reflection along an
+    inward push field, and the normal-push transform of a whole driving
+    path with its local time.
 simulate
     Ensemble integrators for the reflected, reweighted-driftless, and
     gradient (smooth wall) families, one chunked numpy kernel per family

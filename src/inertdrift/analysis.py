@@ -30,8 +30,9 @@ Checks
   family for an increasing sequence of wall indices n and measures the
   1-Wasserstein distance of each position marginal to a reflected
   baseline (sliced over ``PROJECTIONS`` fixed random directions above
-  one dimension); the noise floor is the distance between two reflected
-  runs with split seeds.
+  one dimension).  It passes when the last distance falls below the
+  first by three noise floors; the noise floor is the distance between
+  two reflected runs with split seeds.
 
 The critical values come from the limiting Kolmogorov distribution and
 the chi-square distribution with integer degrees of freedom, computed
@@ -64,9 +65,9 @@ class TestReport:
     """Outcome of one statistical check.
 
     ``passed`` always equals ``statistic <= threshold``; ``inconclusive``
-    marks reports whose effective sample size was too small (or whose
-    noise floor swamped the declared margin) to mean anything either
-    way.  ``series`` carries per-step values for sweep-style tests.
+    marks reports whose effective sample size was too small to mean
+    anything either way.  ``series`` carries per-step values for
+    sweep-style tests.
     """
 
     name: str
@@ -484,7 +485,7 @@ def _pooled_positions(batch):
     return x.reshape(-1, x.shape[2])
 
 
-def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None):
+def weak_convergence_sweep(domain, cs, n_list, cfg):
     """Distance of smooth-wall position laws to the reflected baseline.
 
     For each wall index n the gradient family with the regularized wall
@@ -492,10 +493,9 @@ def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None):
     distance between its pooled position snapshots and a reflected run
     is recorded (above one dimension: sliced over ``PROJECTIONS`` fixed
     random directions).  The report passes when the final distance drops
-    below the first by at least ``margin`` (default: three times the
-    noise floor, which is the distance between two reflected runs with
-    split seeds and is stored as the report's standard error).  A
-    declared margin below the noise floor makes the report inconclusive.
+    below the first by at least a margin of three noise floors; the noise
+    floor is the distance between two reflected runs with split seeds and
+    is stored as the report's standard error.
     """
     n_list = [int(v) for v in n_list]
     if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
@@ -516,7 +516,7 @@ def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None):
     sd = SmoothDistance(domain)
     distances = []
     for step, n in enumerate(n_list):
-        pot = Potential("regularized_vn", distance=sd, n=n)
+        pot = Potential(sd, n)
         g_cfg = dataclasses.replace(
             cfg, family="gradient", seed=cfg.seed + 7919 * (step + 1)
         )
@@ -525,25 +525,19 @@ def weak_convergence_sweep(domain, cs, n_list, cfg, margin=None):
             _wasserstein(_pooled_positions(run), baseline, directions)
         )
 
-    declared = margin is not None
-    if margin is None:
-        margin = 3.0 * noise_floor
-    inconclusive = declared and noise_floor > margin
+    margin = 3.0 * noise_floor
     detail = "n=%s distances=%s noise_floor=%.6g margin=%.6g" % (
         n_list,
         ["%.6g" % v for v in distances],
         noise_floor,
         margin,
     )
-    if inconclusive:
-        detail += "; noise floor exceeds the margin — raise n_paths"
     return _report(
         "weak_convergence_sweep",
         distances[-1],
         distances[0] - margin,
         baseline.shape[0],
         standard_error=noise_floor,
-        inconclusive=inconclusive,
         detail=detail,
         series=distances,
     )

@@ -14,7 +14,7 @@ field path.  Blocks::
       "tests": ["ks", "moments", "independence"],           # optional
       "histogram": {"bins": 40},                            # optional
       "residual": {"count": 6, "seed": 0, "tolerance": null},
-      "sweep": {"n_list": [1, 2, 4, 8], "margin": null},
+      "sweep": {"n_list": [1, 2, 4, 8]},
       "output_dir": "runs/interval"                         # optional
     }
 
@@ -173,6 +173,8 @@ def _parse_gamma(block, dim):
         raise ConfigError(
             "coefficients.gamma must be %dx%d for dimension %d" % (dim, dim, dim)
         )
+    if not np.all(np.isfinite(g)):
+        raise ConfigError("coefficients.gamma must be finite")
     if not np.allclose(g, g.T, atol=1e-12):
         raise ConfigError("coefficients.gamma must be symmetric")
     if np.any(np.linalg.eigvalsh(g) <= 0.0):
@@ -242,7 +244,7 @@ def _parse_potential(data, domain):
     n = _require(block, "n", "potential", (int, float), "a positive integer")
     n = _int_field(n, "potential.n", 1)
     _check_fields(block, "potential", {"kind", "n"})
-    return Potential("regularized_vn", distance=SmoothDistance(domain), n=n)
+    return Potential(SmoothDistance(domain), n)
 
 
 def _parse_sim(data):
@@ -339,13 +341,12 @@ def load_run_config(source):
     if residual["tolerance"] is None:
         residual["tolerance"] = 1e-5 if dim == 1 else 1e-4
 
-    sweep = {"n_list": [1, 2, 4, 8], "margin": None}
+    sweep = {"n_list": [1, 2, 4, 8]}
     if "sweep" in data:
         block = _require(data, "sweep", "config", dict, "a block")
         _check_fields(block, "sweep", sweep)
         sweep.update(block)
     sweep["n_list"] = _n_list_field(sweep["n_list"], "sweep.n_list")
-    _number_field(sweep["margin"], "sweep.margin")
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -593,27 +594,22 @@ def cmd_sweep(args):
         n_list = _n_list_field(n_list, "sweep --n-list")
     else:
         n_list = cfg.sweep["n_list"]
-    margin = args.margin if args.margin is not None else cfg.sweep["margin"]
-    _number_field(margin, "sweep margin")
     # the start point of each wall's gradient run, as run_ensemble checks it
     sd = SmoothDistance(cfg.domain)
     g_sim = dataclasses.replace(cfg.sim, family="gradient")
     for n in n_list:
         try:
-            _preflight(cfg.cs, g_sim, cfg.domain,
-                       Potential("regularized_vn", distance=sd, n=n))
+            _preflight(cfg.cs, g_sim, cfg.domain, Potential(sd, n))
         except ValueError as exc:
             raise ConfigError("sim (gradient run, n=%d): %s" % (n, exc)) from None
     os.makedirs(out_dir, exist_ok=True)
-    report = weak_convergence_sweep(
-        cfg.domain, cfg.cs, n_list, cfg.sim, margin=margin
-    )
+    report = weak_convergence_sweep(cfg.domain, cfg.cs, n_list, cfg.sim)
     write_report_csv(os.path.join(out_dir, "report.csv"), [report])
 
     with open(os.path.join(out_dir, "masses.csv"), "w") as fh:
         fh.write("n,mass\n")
         for n in n_list:
-            pot = Potential("regularized_vn", distance=sd, n=n)
+            pot = Potential(sd, n)
             mass = 1.0 / StationaryMeasure(cfg.cs, potential=pot).c_x
             fh.write("%d,%.17g\n" % (n, mass))
     for n, dist in zip(n_list, report.series):
@@ -696,7 +692,6 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--output-dir")
     p.add_argument("--n-list", help="comma-separated wall indices, e.g. 1,2,4,8")
-    p.add_argument("--margin", type=float)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

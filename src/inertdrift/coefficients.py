@@ -89,6 +89,12 @@ class CoefficientSet:
     name : str, optional
         Label recorded in run manifests.
 
+    Every callable must compute each row of its batch from that row alone,
+    as the kernels compute each path from its own state: row p of a run
+    then does not depend on the other paths or on how many there are.  A
+    matrix product over the batch (``pts @ M.T``) can break this, because
+    BLAS may sum a row's terms in an order that depends on the batch size.
+
     Instances are immutable after construction and safe to share across
     trajectories; the ``diagnostics`` counters are advisory bookkeeping only.
     """
@@ -111,11 +117,15 @@ class CoefficientSet:
 
         # --- gamma ----------------------------------------------------------
         G = np.asarray(gamma, dtype=float)
-        if G.shape != (d, d) or not np.all(np.isfinite(G)):
+        if G.shape != (d, d):
             raise CoefficientError(
-                "gamma must be a finite (%d, %d) matrix, got shape %s"
-                % (d, d, G.shape)
+                "gamma must be a (%d, %d) matrix, got shape %s" % (d, d, G.shape)
             )
+        bad = np.argwhere(~np.isfinite(G))
+        if len(bad):
+            i, j = bad[0]
+            raise CoefficientError("gamma must be finite; entry (%d, %d) is %r"
+                                   % (i, j, float(G[i, j])))
         scale = max(1.0, float(np.abs(G).max()))
         if np.abs(G - G.T).max() > 1e-12 * scale:
             raise CoefficientError("gamma must be symmetric")
@@ -454,15 +464,14 @@ def make_coefficients(preset, domain, gamma, *, a_diag=None, **kwargs):
 
 
 class Potential:
-    """Wall potential with gradient, in two kinds.
+    """The regularized wall potential V_n and its gradient.
 
-    ``regularized_vn``
-        V(x) = exp(1 / (n * delta(x))) for a smooth interior distance delta
-        and sharpness index n >= 1.  V >= 1 inside the domain, blows up at
-        the boundary, and exp(-V) increases pointwise with n.
-    ``user_supplied``
-        Arbitrary callables V and grad_V on a given domain, each mapping an
-        (m, d) batch of points to m values or (m, d) gradients.
+    V(x) = exp(1 / (n * delta(x))) for the smooth interior distance
+    ``distance`` (a :class:`SmoothDistance`) and the sharpness index
+    ``n >= 1``.  V >= 1 inside the domain, blows up at the boundary, and
+    exp(-V) increases pointwise with n to the indicator of the domain, so
+    the n -> infinity limit is the reflected law.  ``kind`` names this
+    family in run manifests.
 
     Evaluation of ``value``/``grad`` near the boundary is guarded twice:
     when the distance falls below ``delta_floor`` (1e-12 of the domain
@@ -475,48 +484,16 @@ class Potential:
     """
 
     EXPONENT_CAP = 700.0
+    kind = "regularized_vn"
 
-    def __init__(
-        self,
-        kind,
-        *,
-        distance=None,
-        n=None,
-        domain=None,
-        V=None,
-        grad_V=None,
-    ):
-        if kind == "regularized_vn":
-            if not isinstance(distance, SmoothDistance):
-                raise CoefficientError(
-                    "kind 'regularized_vn' needs a SmoothDistance instance"
-                )
-            if n is None or int(n) != n or int(n) < 1:
-                raise CoefficientError(
-                    "n must be a positive integer, got %r" % (n,)
-                )
-            self.kind = kind
-            self.distance = distance
-            self.domain = distance.domain
-            self.n = int(n)
-            self._v_fn = None
-            self._dv_fn = None
-        elif kind == "user_supplied":
-            if domain is None or V is None or grad_V is None:
-                raise CoefficientError(
-                    "kind 'user_supplied' needs domain, V, and grad_V"
-                )
-            self.kind = kind
-            self.distance = None
-            self.domain = domain
-            self.n = None
-            self._v_fn = _wrap(V, ())
-            self._dv_fn = _wrap(grad_V, (domain.d,))
-        else:
-            raise CoefficientError(
-                "unknown potential kind %r; expected 'regularized_vn' or "
-                "'user_supplied'" % (kind,)
-            )
+    def __init__(self, distance, n):
+        if not isinstance(distance, SmoothDistance):
+            raise CoefficientError("distance must be a SmoothDistance instance")
+        if int(n) != n or n < 1:
+            raise CoefficientError("n must be a positive integer, got %r" % (n,))
+        self.distance = distance
+        self.domain = distance.domain
+        self.n = int(n)
 
     @property
     def delta_floor(self):
@@ -545,16 +522,12 @@ class Potential:
     def value(self, x):
         """Potential value; raises PotentialOverflowError too near the wall."""
         pts, single = _as_batch(x, self.domain.d)
-        if self.kind == "user_supplied":
-            return _unbatch(self._v_fn(pts), single)
         _, expo = self._guarded_exponent(pts)
         return _unbatch(np.exp(expo), single)
 
     def grad(self, x):
         """Gradient of the potential (chain rule through the smooth distance)."""
         pts, single = _as_batch(x, self.domain.d)
-        if self.kind == "user_supplied":
-            return _unbatch(self._dv_fn(pts), single)
         dl, expo = self._guarded_exponent(pts)
         gd = np.atleast_2d(self.distance.grad(pts))
         pref = -np.exp(expo) / (self.n * dl**2)
@@ -563,8 +536,6 @@ class Potential:
     def boltzmann(self, x):
         """exp(-V(x)), defined on the whole closure (zero at the boundary)."""
         pts, single = _as_batch(x, self.domain.d)
-        if self.kind == "user_supplied":
-            return _unbatch(np.exp(-self._v_fn(pts)), single)
         dl = np.atleast_1d(self.distance.value(pts))
         out = np.zeros(pts.shape[0])
         pos = dl > 0.0
@@ -577,6 +548,4 @@ class Potential:
         return _unbatch(out, single)
 
     def __repr__(self):
-        if self.kind == "regularized_vn":
-            return "Potential(kind='regularized_vn', n=%d)" % self.n
-        return "Potential(kind='user_supplied')"
+        return "Potential(kind='regularized_vn', n=%d)" % self.n

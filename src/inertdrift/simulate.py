@@ -437,7 +437,7 @@ def _write_csv(path, header, n_paths, times, columns):
     ``np.savetxt`` with ``fmt=["%d"] + ["%.17g", ...]``, ``delimiter=","``
     and ``comments=""``; the ids are formatted once per path, the times once
     per snapshot and each run of equal values once, every float by
-    :func:`_g17`.
+    :func:`_g17`, one call for all of a block's float columns.
 
     Formatting holds the interpreter lock, so a table of two blocks or more
     is formatted by two processes when ``os.sched_getaffinity`` reports two
@@ -467,7 +467,11 @@ def _write_csv(path, header, n_paths, times, columns):
             cells = [ids[rows // n_snaps].tolist()]
             if time_text is not None:
                 cells.append(time_text[rows % n_snaps].tolist())
-            cells += [_run_text(c[start:stop]) for c in columns]
+            # one call for every float column: a run across a column
+            # boundary holds equal bits, so it gets equal text
+            text = _run_text(np.concatenate([c[start:stop] for c in columns]))
+            n = stop - start
+            cells += [text[j:j + n] for j in range(0, len(text), n)]
             fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
         fh.flush()
 
@@ -568,9 +572,9 @@ def _default_delta_guard(potential):
 def run_ensemble(cs, config, domain=None, potential=None, backend=None):
     """Integrate an ensemble and return its snapshot TrajectoryBatch.
 
-    ``domain`` is required for the reflected families; ``potential`` for
-    the gradient family (its domain is used), which must be the
-    ``regularized_vn`` wall: the gradient kernel evaluates that formula.
+    ``domain`` is required for the reflected families; ``potential``, the
+    wall whose formula the gradient kernel evaluates, for the gradient
+    family (its domain is used).
     The chunked numpy kernels step every domain and coefficient set, so
     ``backend`` may only be None or "numpy", the one backend.  The batch's
     arrays lie in anonymous shared memory (see :class:`TrajectoryBatch`).
@@ -589,10 +593,6 @@ def _preflight(cs, cfg, domain=None, potential=None):
     if cfg.family == "gradient":
         if potential is None:
             raise ValueError("the gradient family needs potential=")
-        if potential.kind != "regularized_vn":
-            raise ValueError(
-                "the gradient family steps the regularized_vn wall potential "
-                "only, got %r" % (potential.kind,))
         wall = domain_info(potential.domain)
         if domain is not None and domain_info(domain) != wall:
             raise ValueError("domain %s and potential.domain %s disagree"

@@ -7,9 +7,10 @@ satisfying the additive decomposition
     g(t_i) = f(t_i) + sum_{j <= i} push(xi_j) * dl_j,
 
 where each increment dl_j >= 0 is the smallest push that returns the step to
-the closure and xi_j is the boundary contact point.  The push direction is
-the inward normal by default, or any supplied field with a positive inward
-component (e.g. a conormal).
+the closure and xi_j is the boundary contact point.  The path solver
+pushes along the inward normal, which gives the classical reflected path
+and its local time; a single step (``reflect_step``) takes any push field
+with a positive inward component (e.g. a conormal).
 """
 
 from __future__ import annotations
@@ -88,15 +89,6 @@ class ConstrainedPath:
     dl: np.ndarray = field(repr=False)
     contact_dirs: np.ndarray = field(repr=False)
 
-    def reconstruction_residual(self, driving):
-        """Max deviation of ``values`` from the additive decomposition
-        f + cumulative(push * dl)."""
-        pushes = np.vstack(
-            [np.zeros((1, self.values.shape[1])), self.contact_dirs * self.dl[:, None]]
-        )
-        rebuilt = driving.values + np.cumsum(pushes, axis=0)
-        return float(np.abs(rebuilt - self.values).max())
-
     def to_csv(self, filename):
         d = self.values.shape[1]
         header = "t," + ",".join("x%d" % (i + 1) for i in range(d)) + ",ell"
@@ -147,7 +139,7 @@ def _resolve_push(push_dir, contact, d):
     return push
 
 
-def reflect_step(domain, x, increment, push_dir, max_step=None):
+def reflect_step(domain, x, increment, push_dir):
     """Advance one step and push back along ``push_dir`` if the move exits.
 
     Returns ``(x_new, dl)`` with ``x_new`` in the closure and ``dl >= 0``
@@ -158,24 +150,25 @@ def reflect_step(domain, x, increment, push_dir, max_step=None):
     and ``_land``), the one the numpy reflected kernel calls; raises
     SkorokhodError when the push cannot return the point to the closure.
 
-    The per-step push-back is only locally valid, so callers stepping a
-    whole path should cap increments by passing ``max_step`` (the path
-    solver uses the domain's feature-size guard).
+    The push-back is only locally valid: the path solver refuses every
+    increment longer than the domain's feature-size guard, while a single
+    step takes the increment it is given.
     """
-    x_new, dl, _ = _step(domain, x, increment, push_dir, max_step)
+    x_new, dl, _ = _step(domain, x, increment, push_dir)
     if not np.all(np.isfinite(x_new)):  # a NaN passes the exit test
         raise SkorokhodError("step from %s by %s is not finite" % (x, increment))
     return x_new, dl
 
 
-def _step(domain, x, increment, push_dir, max_step):
+def _step(domain, x, increment, push_dir, max_step=np.inf):
     """``reflect_step``, also returning the push it used (None when the
-    move stays in the closure)."""
+    move stays in the closure); an increment longer than ``max_step``
+    raises SkorokhodError."""
     d = domain.d
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(d)
     inc = np.atleast_1d(np.asarray(increment, dtype=float)).reshape(d)
     step_len = float(np.linalg.norm(inc))
-    if max_step is not None and step_len > max_step:
+    if step_len > max_step:
         raise SkorokhodError(
             "step of length %.3g exceeds the guard %.3g; "
             "refine the time grid" % (step_len, max_step)
@@ -197,20 +190,18 @@ def _step(domain, x, increment, push_dir, max_step):
 # whole-path solve
 # ---------------------------------------------------------------------------
 
-def solve_skorokhod(domain, driving, push_dir=None):
-    """Constrain a sampled driving path to the domain.
+def solve_skorokhod(domain, driving):
+    """Constrain a sampled driving path to the domain, pushing along the
+    inward normal: the classical reflected path and its local time.
 
-    ``push_dir`` is a vector field evaluated at boundary contact points;
-    it defaults to the inward normal, which yields the classical reflected
-    path and local time.
+    Every increment longer than the domain's feature-size guard raises
+    SkorokhodError; refine the time grid then.
     """
     if driving.d != domain.d:
         raise SkorokhodError(
             "path dimension %d does not match domain dimension %d"
             % (driving.d, domain.d)
         )
-    if push_dir is None:
-        push_dir = domain.inward_normal
     f = driving.values
     m = f.shape[0] - 1
     start_sd = float(domain.signed_distance(f[0]))
@@ -227,7 +218,8 @@ def solve_skorokhod(domain, driving, push_dir=None):
     dirs = np.zeros((m, domain.d))
     guard = domain.feature_guard
     for i in range(m):
-        g[i + 1], dl, push = _step(domain, g[i], f[i + 1] - f[i], push_dir, guard)
+        g[i + 1], dl, push = _step(domain, g[i], f[i + 1] - f[i],
+                                   domain.inward_normal, guard)
         dls[i] = dl
         ell[i + 1] = ell[i] + dl
         if dl > 0.0:

@@ -218,10 +218,6 @@ class StationaryMeasure:
         return self._cx
 
     @property
-    def c_y(self):
-        return self._cy
-
-    @property
     def y_cov(self):
         """Covariance of the inert factor: Gamma / 2."""
         return 0.5 * self.cs.gamma
@@ -251,7 +247,7 @@ class StationaryMeasure:
 
     def _radial_cuts(self):
         """Interior points where the smoothed wall distance is only C2."""
-        if self.potential is None or self.potential.distance is None:
+        if self.potential is None:
             return []
         sd = self.potential.distance
         # a disc's cap is a radius; the ellipsoid's delta has no cap

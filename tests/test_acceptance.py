@@ -154,9 +154,7 @@ def test_criterion_3_generator_orthogonality(interval_cs):
         ("d=1", interval_cs, 1e-5, 6, 3),
         ("d=2", disc_cs, 1e-4, 5, 5),
     ]:
-        wall = Potential(
-            "regularized_vn", distance=SmoothDistance(cs.domain), n=2
-        )
+        wall = Potential(SmoothDistance(cs.domain), 2)
         fns = bump_basis(cs.domain, cs.gamma, count=count, seed=seed)
         sm = StationaryMeasure(cs, potential=wall)
         sm_bad = StationaryMeasure(cs, potential=wall, v_scale=1.1)
@@ -284,9 +282,7 @@ def test_criterion_6_smooth_wall_sweep(interval_cs, unit_interval):
     rep = weak_convergence_sweep(unit_interval, interval_cs, n_list, cfg)
     masses = []
     for n in n_list:
-        wall = Potential(
-            "regularized_vn", distance=SmoothDistance(unit_interval), n=n
-        )
+        wall = Potential(SmoothDistance(unit_interval), n)
         masses.append(1.0 / StationaryMeasure(interval_cs, potential=wall).c_x)
     elapsed = time.perf_counter() - start
     noise = rep.standard_error

@@ -297,16 +297,19 @@ def test_residual_and_sweep_blocks_are_validated_at_load(block, field, value):
 
 
 def test_bad_sweep_margin_exits_2_before_simulating(tmp_path, capsys):
+    # the margin is always three noise floors: a declared one is refused
     path = write_config(tmp_path, "cfg.json",
-                        base_config(sweep={"margin": "x"}))
+                        base_config(sweep={"margin": 0.01}))
     out = tmp_path / "out"
     assert main(["sweep", path, "--output-dir", str(out)]) == 2
-    assert "sweep.margin" in capsys.readouterr().err
+    assert "sweep.margin is not a recognized field" in capsys.readouterr().err
     assert not out.exists()
     path = write_config(tmp_path, "ok.json", base_config())
-    assert main(["sweep", path, "--output-dir", str(out), "--margin", "-1"]) == 2
-    assert "sweep margin" in capsys.readouterr().err
-    assert not (out / "report.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", path, "--output-dir", str(out), "--margin", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --margin" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_test_name_rejected():
@@ -327,6 +330,18 @@ def test_histogram_fields_and_repeated_tests_exit_2_before_simulating(
     out = tmp_path / "out"
     assert main(["run", path, "--output-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "residual"])
+def test_non_finite_gamma_exits_2_before_simulating(tmp_path, capsys, command):
+    # written as text, so 1e999 reaches the JSON parser as written
+    text = json.dumps(base_config()).replace("[[1.0]]", "[[1e999]]")
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(path), "--output-dir", str(out)]) == 2
+    assert "coefficients.gamma must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

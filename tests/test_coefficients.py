@@ -212,6 +212,18 @@ def test_gamma_must_be_symmetric_positive_definite():
         CoefficientSet(dom, gamma=[[-1.0]])
 
 
+def test_gamma_shape_and_first_non_finite_entry_are_named():
+    disc = Ball([0.0, 0.0], 1.0)
+    with pytest.raises(CoefficientError,
+                       match=r"^gamma must be a \(2, 2\) matrix, got shape \(1, 2\)$"):
+        CoefficientSet(disc, gamma=[[1.0, 0.0]])
+    for gamma, entry in (([[1.0, 0.0], [0.0, math.inf]], "(1, 1) is inf"),
+                         ([[1.0, math.nan], [-math.inf, 1.0]], "(0, 1) is nan")):
+        with pytest.raises(CoefficientError) as exc:
+            CoefficientSet(disc, gamma=gamma)
+        assert str(exc.value) == "gamma must be finite; entry %s" % entry
+
+
 @pytest.mark.parametrize("a0", [float("inf"), -float("inf"), float("nan")])
 def test_a0_must_be_a_finite_number(a0):
     with pytest.raises(CoefficientError, match="a0 must be a finite number"):
@@ -282,7 +294,7 @@ def test_unknown_preset_and_bad_inert_field_raise():
 
 def half_line_potential(n=1):
     sd = SmoothDistance(Interval(0.0, math.inf))
-    return Potential("regularized_vn", distance=sd, n=n)
+    return Potential(sd, n)
 
 
 def test_wall_potential_frozen_point_values():
@@ -297,7 +309,7 @@ def test_wall_potential_frozen_point_values():
 
 def test_wall_gradient_matches_central_differences():
     sd = SmoothDistance(Interval(0.0, 1.0))
-    pot = Potential("regularized_vn", distance=sd, n=2)
+    pot = Potential(sd, 2)
     h = 1e-5
     for x in (0.2, 0.35, 0.5, 0.65, 0.8):
         fd = central_diff(lambda p: pot.value(p), np.array([x]), h)
@@ -305,7 +317,7 @@ def test_wall_gradient_matches_central_differences():
         assert abs(fd[0] - an[0]) <= 1e-6 * max(1.0, abs(an[0]))
 
     ball = SmoothDistance(Ball([0.0, 0.0], 1.0))
-    pot2 = Potential("regularized_vn", distance=ball, n=1)
+    pot2 = Potential(ball, 1)
     rng = np.random.default_rng(11)
     for _ in range(8):
         th = rng.uniform(0.0, 2.0 * np.pi)
@@ -320,9 +332,9 @@ def test_wall_gradient_matches_central_differences():
 def test_boltzmann_factor_monotone_in_regularization():
     sd = SmoothDistance(Interval(0.0, 1.0))
     xs = np.linspace(0.05, 0.95, 19)[:, None]
-    prev = Potential("regularized_vn", distance=sd, n=1).boltzmann(xs)
+    prev = Potential(sd, 1).boltzmann(xs)
     for n in (2, 4, 8):
-        cur = Potential("regularized_vn", distance=sd, n=n).boltzmann(xs)
+        cur = Potential(sd, n).boltzmann(xs)
         assert np.all(cur >= prev)
         assert np.any(cur > prev)
         prev = cur
@@ -331,7 +343,7 @@ def test_boltzmann_factor_monotone_in_regularization():
 
 def test_boltzmann_factor_bounded_and_defined_up_to_boundary():
     sd = SmoothDistance(Ball([0.0, 0.0], 1.0))
-    pot = Potential("regularized_vn", distance=sd, n=3)
+    pot = Potential(sd, 3)
     # on and extremely near the boundary: defined, equal to zero
     assert pot.boltzmann([1.0, 0.0]) == 0.0
     assert pot.boltzmann([1.0 - 1e-9, 0.0]) == 0.0
@@ -341,7 +353,7 @@ def test_boltzmann_factor_bounded_and_defined_up_to_boundary():
 
 def test_wall_gradient_odd_symmetry_on_interval():
     sd = SmoothDistance(Interval(0.0, 1.0))
-    pot = Potential("regularized_vn", distance=sd, n=3)
+    pot = Potential(sd, 3)
     for x in (0.15, 0.3, 0.45, 0.5):
         left = pot.grad(x)[0]
         right = pot.grad(1.0 - x)[0]
@@ -365,21 +377,14 @@ def test_potential_overflow_raises_near_boundary():
         deep.value(5e-13)  # small exponent, but distance is under the floor
 
 
-def test_user_supplied_potential_delegates():
-    dom = Ball([0.0, 0.0], 1.0)
-    pot = Potential(
-        "user_supplied",
-        domain=dom,
-        V=lambda p: p[:, 0] ** 2 + 2.0 * p[:, 1] ** 2,
-        grad_V=lambda p: p * [2.0, 4.0],
-    )
-    assert pot.value([0.3, 0.4]) == pytest.approx(0.41, rel=1e-14)
-    np.testing.assert_allclose(pot.grad([0.3, 0.4]), [0.6, 1.6])
-    assert pot.boltzmann([0.3, 0.4]) == pytest.approx(math.exp(-0.41), rel=1e-14)
-    batch = pot.grad(np.array([[0.3, 0.4], [0.1, 0.0], [0.0, 0.0]]))
-    assert batch.shape == (3, 2)
-    with pytest.raises(CoefficientError, match="kind"):
-        Potential("sinusoidal", domain=dom, V=lambda p: 0.0, grad_V=lambda p: p)
+def test_wall_potential_refuses_a_bad_distance_or_index():
+    sd = SmoothDistance(Interval(0.0, 1.0))
+    with pytest.raises(CoefficientError, match="SmoothDistance"):
+        Potential(Interval(0.0, 1.0), 2)
+    for n in (0, 2.5):
+        with pytest.raises(CoefficientError, match="positive integer"):
+            Potential(sd, n)
+    assert Potential(sd, 2.0).n == 2 and Potential.kind == "regularized_vn"
 
 
 def test_per_point_and_batch_callables_agree_and_take_empty_batches():
@@ -402,7 +407,7 @@ def test_per_point_and_batch_callables_agree_and_take_empty_batches():
 
     cs = CoefficientSet(dom, gamma=GAMMA_2D, sigma=sigma_batch, rho=rho_batch,
                         inert_field=field_batch)
-    pot = Potential("user_supplied", domain=dom, V=rho_batch, grad_V=field_batch)
+    pot = Potential(SmoothDistance(dom), 2)
 
     def evaluate(probe):
         return [cs.sigma(probe), cs.rho(probe), cs.inert_v(probe),

@@ -1,8 +1,10 @@
-"""Every name a module lists in ``__all__`` resolves on that module, and
-no subcommand, ``sweep`` included, loads scipy or the networking half of
-the standard library."""
+"""Every name a module lists in ``__all__`` resolves on that module, the
+public parameters with a default are the pinned list, and no subcommand,
+``sweep`` included, loads scipy or the networking half of the standard
+library."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -27,6 +29,81 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# Every parameter with a default of a public function, or of a public or
+# __init__ method of a public class (dataclasses included), defined in one
+# of these modules.  Adding a setting means adding it here.
+SETTING_MODULES = ["analysis", "coefficients", "geometry", "simulate",
+                   "skorokhod", "stationary", "cli"]
+SETTINGS = {
+    "analysis.TestReport.__init__(detail)",
+    "analysis.TestReport.__init__(inconclusive)",
+    "analysis.TestReport.__init__(series)",
+    "analysis.TestReport.__init__(standard_error)",
+    "analysis.angular_uniformity(center)",
+    "analysis.ks_uniformity(coordinate)",
+    "analysis.write_histogram_csv(bins)",
+    "cli.RunConfig.__init__(cs)",
+    "cli.RunConfig.__init__(histogram_bins)",
+    "cli.RunConfig.__init__(output_dir)",
+    "cli.RunConfig.__init__(potential)",
+    "cli.RunConfig.__init__(raw)",
+    "cli.RunConfig.__init__(residual)",
+    "cli.RunConfig.__init__(sim)",
+    "cli.RunConfig.__init__(sweep)",
+    "cli.RunConfig.__init__(tests)",
+    "cli.emit_histograms(sm)",
+    "cli.main(argv)",
+    "coefficients.CoefficientSet.__init__(a0)",
+    "coefficients.CoefficientSet.__init__(drift_const)",
+    "coefficients.CoefficientSet.__init__(inert_field)",
+    "coefficients.CoefficientSet.__init__(name)",
+    "coefficients.CoefficientSet.__init__(rho)",
+    "coefficients.CoefficientSet.__init__(sigma)",
+    "coefficients.make_coefficients(a_diag)",
+    "simulate.SimConfig.__init__(burn_in)",
+    "simulate.SimConfig.__init__(chunk_size)",
+    "simulate.SimConfig.__init__(k0)",
+    "simulate.SimConfig.__init__(snap_every)",
+    "simulate.SimConfig.__init__(x0)",
+    "simulate.run_ensemble(backend)",
+    "simulate.run_ensemble(domain)",
+    "simulate.run_ensemble(potential)",
+    "stationary.StationaryMeasure.__init__(potential)",
+    "stationary.StationaryMeasure.__init__(v_scale)",
+    "stationary.bump_basis(count)",
+    "stationary.bump_basis(seed)",
+    "stationary.marginal_cdf_grid(axis)",
+    "stationary.sample_stationary(seed)",
+}
+
+
+def _defaults(label, fn):
+    return {"%s(%s)" % (label, p.name)
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty}
+
+
+def test_public_parameters_with_a_default_are_pinned():
+    found = set()
+    for short in SETTING_MODULES:
+        module = importlib.import_module("inertdrift." + short)
+        for name, obj in vars(module).items():
+            own = getattr(obj, "__module__", None) == module.__name__
+            if name.startswith("_") or not own:
+                continue
+            if inspect.isfunction(obj):
+                found |= _defaults("%s.%s" % (short, name), obj)
+            elif inspect.isclass(obj):
+                for attr, meth in vars(obj).items():
+                    if attr.startswith("_") and attr != "__init__":
+                        continue
+                    meth = getattr(meth, "__func__", meth)  # static, class
+                    if inspect.isfunction(meth):
+                        found |= _defaults("%s.%s.%s" % (short, name, attr), meth)
+    assert found == SETTINGS
+    assert len(SETTINGS) == 39
 
 
 GUARD = r"""

@@ -17,6 +17,7 @@ by half the local time, dl = 0.025; v = Gamma n still adds 0.025 while
 v = a0 u adds 0.05, preserving the K increment when v scales with u.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,9 +65,7 @@ def interval_cs(unit_interval):
 
 @pytest.fixture(scope="module")
 def wall_n2(unit_interval):
-    return Potential(
-        "regularized_vn", distance=SmoothDistance(unit_interval), n=2
-    )
+    return Potential(SmoothDistance(unit_interval), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def _gradient_once(cs, pot, x, k, dt, z, pool=(), refill=None, **limits):
 
 def test_gradient_step_frozen_halfline_values():
     dom = Interval(0.0, np.inf)
-    pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=1)
+    pot = Potential(SmoothDistance(dom), 1)
     cs = CoefficientSet(dom, gamma=[[1.0]])
     s1 = _gradient_once(cs, pot, [0.5], [0.0], 1e-3, [0.0])
     assert s1["x"][0, 0] == pytest.approx(FROZEN_X1, rel=1e-15)
@@ -149,7 +148,7 @@ def test_gradient_step_drifts_with_the_potential_gradient(dom, x0):
     gamma = [[1.5]] if d == 1 else [[2.0, 0.3], [0.3, 1.0]]
     cs = make_coefficients("anisotropic", dom, gamma=gamma,
                            a_diag=[2.0, 0.5][:d])
-    pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+    pot = Potential(SmoothDistance(dom), 2)
     x, k, dt = np.array([x0]), np.array([[0.2, -0.1][:d]]), 1e-4
     s1 = _gradient_once(cs, pot, x0, k[0], dt, np.zeros(d))
     gV = pot.grad(x)
@@ -180,9 +179,7 @@ def test_gradient_step_richardson_order_two(interval_cs, wall_n2):
 
 
 def test_gradient_step_redraws_wallbound_proposals(interval_cs, unit_interval):
-    pot = Potential(
-        "regularized_vn", distance=SmoothDistance(unit_interval), n=8
-    )
+    pot = Potential(SmoothDistance(unit_interval), 8)
     guard = 1.0 / 480.0
     pool = np.random.default_rng(123).standard_normal(60)
     # noise -8 throws the proposal below the wall layer; redraws rescue it
@@ -205,9 +202,7 @@ def test_gradient_step_redraws_wallbound_proposals(interval_cs, unit_interval):
 
 
 def test_gradient_step_budget_exhaustion_raises(interval_cs, unit_interval):
-    pot = Potential(
-        "regularized_vn", distance=SmoothDistance(unit_interval), n=1
-    )
+    pot = Potential(SmoothDistance(unit_interval), 1)
     pool = np.random.default_rng(5).standard_normal(60)
     # one sub-step cannot cover a stiff move capped at h_max = 1e-4: flagged
     # on the second sub-step, before it draws
@@ -409,8 +404,7 @@ def test_coefficients_on_another_domain_raise_before_any_step(
         interval_cs, family, monkeypatch):
     def on(dom):
         if family == "gradient":
-            return {"potential": Potential(
-                "regularized_vn", distance=SmoothDistance(dom), n=2)}
+            return {"potential": Potential(SmoothDistance(dom), 2)}
         return {"domain": dom}
 
     cfg = dict(family=family, dt_base=1e-3, t_end=0.01, n_paths=2, seed=0)
@@ -429,8 +423,7 @@ def test_gradient_run_compares_domain_and_wall_by_description(
         interval_cs, monkeypatch):
     cfg = SimConfig(family="gradient", dt_base=1e-3, t_end=0.01, n_paths=2,
                     seed=0)
-    wall = Potential("regularized_vn",
-                     distance=SmoothDistance(Interval(0.0, 1.0)), n=2)
+    wall = Potential(SmoothDistance(Interval(0.0, 1.0)), 2)
     # equal but distinct domain objects are the same domain
     assert run_ensemble(interval_cs, cfg, domain=Interval(0.0, 1.0),
                         potential=wall).ok.all()
@@ -491,10 +484,6 @@ def test_run_requires_matching_inputs(interval_cs, unit_interval, wall_n2):
     for backend in ("numba", "generic"):  # "numpy" is the one backend
         with pytest.raises(ValueError, match="backend must be None or 'numpy'"):
             run_ensemble(interval_cs, cfg2, domain=unit_interval, backend=backend)
-    user = Potential("user_supplied", domain=unit_interval, V=lambda x: 0.0,
-                     grad_V=lambda x: np.zeros(1))
-    with pytest.raises(ValueError, match="regularized_vn"):
-        run_ensemble(interval_cs, cfg, potential=user)
     with pytest.raises(ValueError, match="x0"):
         run_ensemble(
             interval_cs,
@@ -676,7 +665,7 @@ def test_weighted_and_gradient_runs_on_box_and_ellipsoid(dom):
     assert w.diagnostics["contacts"] > 0 and np.all(w.log_weights != 0.0)
     assert np.all(dom.signed_distance(w.x.reshape(-1, 2)) >= -dom.tol_bd)
     sd = SmoothDistance(dom)
-    pot = Potential("regularized_vn", distance=sd, n=2)
+    pot = Potential(sd, 2)
     g = run_ensemble(cs, SimConfig(family="gradient", **kw), potential=pot)
     assert g.backend == "numpy" and not g.flags.any()
     assert g.diagnostics["substeps_total"] >= 4 * 200
@@ -1037,7 +1026,7 @@ def _gradient_case(name):
     if name == "halfline":
         half = Interval(0.0, np.inf)
         cs = make_coefficients("identity", half, gamma=[[1.0]])
-        pot = Potential("regularized_vn", distance=SmoothDistance(half), n=2)
+        pot = Potential(SmoothDistance(half), 2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=6, seed=4, snap_every=5, x0=(0.5,))
     if name in ("box", "ellipsoid"):
@@ -1045,7 +1034,7 @@ def _gradient_case(name):
                else Ellipsoid([0.1, 0.0], [1.0, 0.5]))
         cs = make_coefficients("anisotropic", dom, gamma=np.diag([2.0, 1.0]),
                                a_diag=[2.0, 0.5])
-        pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+        pot = Potential(SmoothDistance(dom), 2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=6, seed=4, snap_every=5,
                                   chunk_size=64)
@@ -1054,34 +1043,34 @@ def _gradient_case(name):
     if name == "disc":
         disc = Ball([0.0, 0.0], 1.0)
         cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
-        pot = Potential("regularized_vn", distance=SmoothDistance(disc), n=2)
+        pot = Potential(SmoothDistance(disc), 2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=5, seed=4, snap_every=5,
                                   chunk_size=64)
     if name == "varying_sigma":  # callable S, b and A2
         cs = CoefficientSet(iv, gamma=[[1.0]], sigma=_sigma_1x2)
-        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+        pot = Potential(SmoothDistance(iv), 2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=0.5,
                                   n_paths=6, seed=4, snap_every=5,
                                   chunk_size=64)
     if name == "wall_mix":  # a few rows sub-divide while the others do not
-        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+        pot = Potential(SmoothDistance(iv), 2)
         return cs, pot, SimConfig(family="gradient", dt_base=5e-4, t_end=2.0,
                                   n_paths=32, seed=6, snap_every=10,
                                   chunk_size=1500)
     if name == "mild":
-        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+        pot = Potential(SmoothDistance(iv), 2)
         return cs, pot, SimConfig(family="gradient", dt_base=1e-3, t_end=1.0,
                                   burn_in=0.2, n_paths=6, seed=11,
                                   snap_every=10)
     if name == "refills":  # a stiff wall with a tiny chunk: many pool refills
-        pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
+        pot = Potential(SmoothDistance(iv), 1)
         return cs, pot, SimConfig(family="gradient", dt_base=0.01, t_end=0.5,
                                   burn_in=0.1, n_paths=6, seed=4,
                                   snap_every=5, chunk_size=10)
     # a soft wall, run with the wide guard layer REDRAWS_GUARD: proposals
     # get redrawn
-    pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=8)
+    pot = Potential(SmoothDistance(iv), 8)
     return cs, pot, SimConfig(family="gradient", dt_base=0.01, t_end=2.0,
                               n_paths=6, seed=4, snap_every=5, chunk_size=10,
                               x0=(0.3,))
@@ -1201,7 +1190,7 @@ def test_gradient_wall_benchmark_config_digests(tmp_path):
     seed = int.from_bytes(hashlib.sha256(b"gradient_wall:1").digest()[:4], "big")
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
-    pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=2)
+    pot = Potential(SmoothDistance(iv), 2)
     cfg = SimConfig(family="gradient", dt_base=5e-4, t_end=8.0, n_paths=128,
                     seed=seed, burn_in=3.0, snap_every=20)
     b = run_ensemble(cs, cfg, potential=pot)
@@ -1276,9 +1265,7 @@ def test_every_backend_reports_one_diagnostics_schema(
 
 def test_gradient_substep_budget_flag_is_deterministic(
         interval_cs, unit_interval, monkeypatch):
-    pot = Potential(
-        "regularized_vn", distance=SmoothDistance(unit_interval), n=1
-    )
+    pot = Potential(SmoothDistance(unit_interval), 1)
     cfg = SimConfig(
         family="gradient",
         dt_base=0.01,
@@ -1313,7 +1300,7 @@ simulate.MAX_SUBSTEPS = 1
 simulate._default_delta_guard = lambda potential: 1e-12
 iv = Interval(0.0, 1.0)
 cs = make_coefficients("identity", iv, gamma=[[1.0]])
-pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
+pot = Potential(SmoothDistance(iv), 1)
 cfg = SimConfig(family="gradient", dt_base=0.05, t_end=1.0, n_paths=16, seed=5)
 b = run_ensemble(cs, cfg, potential=pot, backend="numpy")
 print(json.dumps({
@@ -1367,7 +1354,7 @@ POOL_LONGER_CASES = pytest.mark.parametrize("chunk, max_substeps, flags, refills
 def _pool_longer_run(monkeypatch, chunk, max_substeps):
     iv = Interval(0.0, 1.0)
     cs = make_coefficients("identity", iv, gamma=[[1.0]])
-    pot = Potential("regularized_vn", distance=SmoothDistance(iv), n=1)
+    pot = Potential(SmoothDistance(iv), 1)
     cfg = SimConfig(family="gradient", dt_base=0.01, t_end=0.5, burn_in=0.1,
                     n_paths=6, seed=4, snap_every=5, chunk_size=chunk)
     monkeypatch.setattr(simulate, "RESAMPLE_CAP", 0)
@@ -1712,6 +1699,14 @@ def test_csv_writer_matches_savetxt_on_special_values(tmp_path, monkeypatch):
     x[2, 1:], k[2, 1:], ell[2, 1:] = np.nan, np.nan, np.nan  # a flagged path
     times = [0.1, 0.2, 0.30000000000000004, 1e-17, 5.0]
     _assert_csv_matches_savetxt(_batch(times, x, k, ell), tmp_path, monkeypatch)
+    # a block's float columns are formatted in one call: x1, x2 and k1 make
+    # one run of 0.1 across two column boundaries, and k2's -0.0 sits next
+    # to ell's 0.0, which keeps its own text
+    x = np.full((P, S, d), 0.1)
+    k = np.full((P, S, d), 0.1)
+    k[:, :, 1] = -0.0
+    _assert_csv_matches_savetxt(_batch(times, x, k, np.zeros((P, S))), tmp_path,
+                                monkeypatch)
 
 
 @pytest.mark.parametrize("P, S, d", [(3, 0, 1), (3, 0, 2), (1, 1, 1), (4, 1, 2),
@@ -1911,6 +1906,50 @@ def test_split_run_matches_serial_run(monkeypatch, name):
     else:  # K moved away from k0 on both sides
         k0 = np.array(cfg.k0)
         assert (split.k[:mid] != k0).any() and (split.k[mid:] != k0).any()
+
+
+def _row_identity_case(family):
+    """(cs, keyword arguments of run_ensemble, config) of a run wide enough
+    to split across two processes: the reflected disc at P = 2048, the
+    weighted and gradient families on the interval at P = 4096."""
+    if family == "reflected":
+        disc = Ball([0.0, 0.0], 1.0)
+        cs = make_coefficients("identity", disc, gamma=np.diag([2.0, 1.0]))
+        return cs, {"domain": disc}, SimConfig(
+            family="reflected", dt_base=5e-4, t_end=0.05, n_paths=2048, seed=11,
+            snap_every=10, x0=(0.95, 0.0), k0=(0.5, 1.0))
+    iv = Interval(0.0, 1.0)
+    cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    if family == "driftless_weighted":
+        return cs, {"domain": iv}, SimConfig(
+            family="driftless_weighted", dt_base=1e-3, t_end=0.1, n_paths=4096,
+            seed=11, snap_every=10, x0=(0.05,), k0=(0.5,))
+    return cs, {"potential": Potential(SmoothDistance(iv), 2)}, SimConfig(
+        family="gradient", dt_base=1e-3, t_end=0.1, n_paths=4096, seed=11,
+        snap_every=10, x0=(0.15,))
+
+
+@pytest.mark.parametrize("family", ["reflected", "driftless_weighted", "gradient"])
+def test_first_rows_of_a_wide_split_run_are_the_narrow_run(monkeypatch, family):
+    # path p reads only SeedSequence(seed, spawn_key=(p,)) and its own state
+    # rows, so the first 32 rows of a wide run, split across two processes,
+    # are the 32-path run: replicate groups sliced from one wide run rest on
+    # this, and a kernel that couples rows fails it
+    cs, kw, cfg = _row_identity_case(family)
+    _usable_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    wide = run_ensemble(cs, cfg, **kw)
+    assert len(forks) == 1
+    narrow = run_ensemble(cs, dataclasses.replace(cfg, n_paths=32), **kw)
+    assert len(forks) == 1
+    for field in ("x", "k", "ell", "flags", "log_weights"):
+        a, b = getattr(narrow, field), getattr(wide, field)
+        if field == "log_weights" and family != "driftless_weighted":
+            assert a is None and b is None
+        else:
+            assert a.tobytes() == b[:32].tobytes()
+    k0 = np.zeros(cs.domain.d) if cfg.k0 is None else np.asarray(cfg.k0)
+    assert (narrow.k[:, -1] != k0).any() and not narrow.flags.any()
 
 
 @pytest.mark.parametrize("side", ["caller", "worker"])

@@ -56,9 +56,7 @@ def interval_cs(unit_interval):
 
 @pytest.fixture(scope="module")
 def wall_n2(unit_interval):
-    return Potential(
-        "regularized_vn", distance=SmoothDistance(unit_interval), n=2
-    )
+    return Potential(SmoothDistance(unit_interval), 2)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +71,7 @@ def disc_cs(disc):
 
 @pytest.fixture(scope="module")
 def disc_wall_n2(disc):
-    return Potential("regularized_vn", distance=SmoothDistance(disc), n=2)
+    return Potential(SmoothDistance(disc), 2)
 
 
 class _Coordinate:
@@ -179,7 +177,7 @@ def test_one_dimensional_ball_normalizer_equals_the_interval_one():
     masses = []
     for dom in (Ball([0.3], 1.0), Interval(-0.7, 1.3)):
         cs = make_coefficients("identity", dom, gamma=[[1.0]])
-        pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+        pot = Potential(SmoothDistance(dom), 2)
         masses.append(1.0 / StationaryMeasure(cs, potential=pot).c_x)
     assert masses[0] == pytest.approx(masses[1], rel=1e-12, abs=0.0)
 
@@ -187,9 +185,7 @@ def test_one_dimensional_ball_normalizer_equals_the_interval_one():
 def test_smooth_wall_mass_increases_with_sharpness(interval_cs, unit_interval):
     masses = []
     for n in (1, 2, 4, 8):
-        pot = Potential(
-            "regularized_vn", distance=SmoothDistance(unit_interval), n=n
-        )
+        pot = Potential(SmoothDistance(unit_interval), n)
         masses.append(1.0 / StationaryMeasure(interval_cs, potential=pot).c_x)
     assert all(a < b for a, b in zip(masses, masses[1:]))
     assert masses[-1] < np.exp(-1.0)  # the pointwise ceiling
@@ -199,7 +195,7 @@ def test_smooth_wall_on_ellipsoid_has_no_radial_cut(monkeypatch):
     # the ellipsoid's delta has no centre cap (only the ball's has one)
     ell = Ellipsoid([0.0, 0.0], [1.0, 0.5])
     cs = make_coefficients("identity", ell, gamma=np.eye(2))
-    pot = Potential("regularized_vn", distance=SmoothDistance(ell), n=2)
+    pot = Potential(SmoothDistance(ell), 2)
     # coarse quadratures, to keep the test quick
     monkeypatch.setattr(stationary, "NODES_PER_PANEL", 8)
     monkeypatch.setattr(stationary, "N_ANGLES", 64)
@@ -231,20 +227,19 @@ def test_unbounded_domain_is_rejected():
 
 def test_potential_on_another_domain_is_rejected(interval_cs):
     # a [0, 2] wall under [0, 1] coefficients would integrate to c_x = 13.26
-    wide_wall = Potential("regularized_vn",
-                          distance=SmoothDistance(Interval(0.0, 2.0)), n=2)
+    wide_wall = Potential(SmoothDistance(Interval(0.0, 2.0)), 2)
     with pytest.raises(CoefficientError, match="domain"):
         StationaryMeasure(interval_cs, potential=wide_wall)
     # an equal but distinct domain object is the same domain
-    twin_wall = Potential("regularized_vn",
-                          distance=SmoothDistance(Interval(0.0, 1.0)), n=2)
+    twin_wall = Potential(SmoothDistance(Interval(0.0, 1.0)), 2)
     assert twin_wall.domain is not interval_cs.domain
     assert StationaryMeasure(interval_cs, potential=twin_wall).c_x > 0.0
 
 
 def test_inert_factor_normalizer_and_moments(disc_cs):
     sm = StationaryMeasure(disc_cs)
-    assert sm.c_y == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)), rel=1e-14)
+    assert sm.y_pdf(np.zeros(2)) == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)),
+                                                  rel=1e-14)
     assert np.allclose(sm.y_cov, np.diag([1.0, 0.5]))
     # per-axis quadrature of mass and second moment (diagonal Gamma factorizes)
     nodes, w = np.polynomial.legendre.leggauss(120)
@@ -474,6 +469,18 @@ def test_sampler_is_deterministic(disc_cs):
     assert np.array_equal(xs, xa) and np.array_equal(ys, ya)
 
 
+class _BoltzmannWall(Potential):
+    """A wall whose Boltzmann factor is exp(-V) for a test's own batch
+    callable V, for position laws no V_n gives."""
+
+    def __init__(self, domain, V):
+        super().__init__(SmoothDistance(domain), 1)
+        self._V = V
+
+    def boltzmann(self, x):
+        return np.exp(-self._V(np.atleast_2d(np.asarray(x, dtype=float))))
+
+
 def test_sampler_refuses_unresolvable_peak(unit_interval, interval_cs):
     # a 5e-5-wide spike hidden between envelope scan points, sitting on a
     # baseline the quadrature can integrate; proposals landing on the
@@ -484,12 +491,7 @@ def test_sampler_refuses_unresolvable_peak(unit_interval, interval_cs):
         peak = np.exp(-(((pts[:, 0] - c) / 5e-5) ** 2))
         return -np.log(1e-3 + peak)
 
-    def gV(pts):
-        s = (pts[:, 0] - c) / 5e-5
-        peak = np.exp(-s * s)
-        return np.column_stack([peak * 2.0 * s / 5e-5 / (1e-3 + peak)])
-
-    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV)
+    pot = _BoltzmannWall(unit_interval, V)
     sm = StationaryMeasure(interval_cs, potential=pot)
     with pytest.raises(CoefficientError, match="envelope"):
         sample_stationary(sm, 50_000, seed=2)
@@ -501,10 +503,7 @@ def test_sampler_refuses_hopeless_acceptance_rate(unit_interval, interval_cs):
     def V(pts):
         return pts[:, 0] / 1e-5
 
-    def gV(pts):
-        return np.full_like(pts, 1e5)
-
-    pot = Potential("user_supplied", domain=unit_interval, V=V, grad_V=gV)
+    pot = _BoltzmannWall(unit_interval, V)
     sm = StationaryMeasure(interval_cs, potential=pot)
     assert 1.0 / sm.c_x == pytest.approx(1e-5, rel=1e-10)
     with pytest.raises(CoefficientError, match="acceptance rate"):
@@ -543,7 +542,7 @@ def _pinned_measure(name, wall):
     cs = make_coefficients("identity", dom, gamma=gamma)
     pot = None
     if wall:
-        pot = Potential("regularized_vn", distance=SmoothDistance(dom), n=2)
+        pot = Potential(SmoothDistance(dom), 2)
     return StationaryMeasure(cs, potential=pot)
 
 
