@@ -23,7 +23,7 @@ stationary
 analysis
     Ensemble statistics against the stationary law: effective sample
     sizes, KS/moment/independence/angular tests, and the smooth-wall
-    weak-convergence sweep.
+    sweep against exact laws.
 """
 
 __version__ = "0.1.0"

@@ -27,17 +27,14 @@ Checks
 * ``angular_uniformity`` — chi-square over ``SECTORS`` angular sectors
   for rotation-invariant planar ensembles.
 * ``weak_convergence_sweep`` — simulates the smooth-wall gradient
-  family for an increasing sequence of wall indices n and measures the
-  1-Wasserstein distance of each position marginal to a reflected
-  baseline (sliced over ``PROJECTIONS`` fixed random directions above
-  one dimension).  It passes when the last distance falls below the
-  first by three noise floors; the noise floor is the distance between
-  two reflected runs with split seeds.
+  family for an increasing sequence of wall indices n and checks it
+  against exact laws: the quadrature 1-Wasserstein distance of each
+  smooth-wall position law to the reflected one must fall with n, and
+  each run must lie nearer its own law than any other of these laws.
 
 The critical values come from the limiting Kolmogorov distribution and
 the chi-square distribution with integer degrees of freedom, computed
-here in closed form, and the sweep's Wasserstein distance is computed
-here too, so every check loads numpy only.
+here in closed form, so every check loads numpy only.
 """
 
 import csv
@@ -50,14 +47,12 @@ import numpy as np
 from .coefficients import Potential
 from .geometry import SmoothDistance
 from .simulate import run_ensemble
-from .stationary import marginal_cdf_grid
+from .stationary import StationaryMeasure, marginal_cdf_grid
 
 MIN_EFFECTIVE_SIZE = 100.0
 DEFAULT_BATCHES = 50
 LEVEL = 0.01  # the level of every distributional test
 SECTORS = 8  # angular sectors of angular_uniformity
-PROJECTIONS = 32  # sliced-Wasserstein directions of the sweep, above d = 1
-PROJECTION_SEED = 2027
 
 
 @dataclasses.dataclass(frozen=True)
@@ -460,87 +455,80 @@ def angular_uniformity(batch, center=(0.0, 0.0)):
 # ---------------------------------------------------------------------------
 
 
-def _wasserstein_1d(u, v):
-    """1-Wasserstein distance of two 1-D samples, the integral of |F_u - F_v|.
+def _w1_to_law(law, other):
+    """1-Wasserstein distance, the integral of |F - G|, between the
+    piecewise-linear CDF G of ``law``, a ``marginal_cdf_grid`` pair, and
+    F: the CDF of another such pair, or the empirical CDF of a 1-D sample.
 
-    The same operations as ``scipy.stats.wasserstein_distance(u, v)``, so
-    the distance is bit-identical to it.
+    F - G is linear between consecutive points of the merged grid, so
+    each piece integrates exactly, also where it changes sign.
     """
-    pooled = np.sort(np.concatenate([u, v]), kind="mergesort")
-    cdf_u = np.sort(u).searchsorted(pooled[:-1], "right") / u.size
-    cdf_v = np.sort(v).searchsorted(pooled[:-1], "right") / v.size
-    return float(np.vecdot(np.abs(cdf_u - cdf_v), np.diff(pooled)))
-
-
-def _wasserstein(a, b, directions):
-    if directions is None:
-        return _wasserstein_1d(a.ravel(), b.ravel())
-    return float(np.mean([_wasserstein_1d(a @ u, b @ u) for u in directions]))
-
-
-def _pooled_positions(batch):
-    x = batch.x[batch.ok]
-    if x.size == 0:
-        raise ValueError("run produced no usable snapshots")
-    return x.reshape(-1, x.shape[2])
+    grid, cdf = law
+    if isinstance(other, tuple):
+        pts = np.union1d(grid, other[0])
+        f = np.interp(pts, *other)
+        f_left, f_right = f[:-1], f[1:]
+    else:  # a step function, constant between consecutive points
+        sample = np.sort(other)
+        pts = np.union1d(grid, sample)
+        f_left = f_right = sample.searchsorted(pts[:-1], "right") / sample.size
+    g = np.interp(pts, grid, cdf)
+    left, right = f_left - g[:-1], f_right - g[1:]
+    a, b = np.abs(left), np.abs(right)
+    cross = left * right < 0.0
+    tent = np.where(cross, (a * a + b * b) / np.where(cross, a + b, 1.0), a + b)
+    return 0.5 * float(np.dot(np.diff(pts), tent))
 
 
 def weak_convergence_sweep(domain, cs, n_list, cfg):
-    """Distance of smooth-wall position laws to the reflected baseline.
+    """Smooth-wall position laws against their exact limits.
 
-    For each wall index n the gradient family with the regularized wall
-    potential V_n is simulated under ``cfg`` and the 1-Wasserstein
-    distance between its pooled position snapshots and a reflected run
-    is recorded (above one dimension: sliced over ``PROJECTIONS`` fixed
-    random directions).  The report passes when the final distance drops
-    below the first by at least a margin of three noise floors; the noise
-    floor is the distance between two reflected runs with split seeds and
-    is stored as the report's standard error.
+    For each wall index n the gradient family with the wall V_n is
+    simulated under ``cfg``.  A distance here is the larger per-axis W1,
+    the integral of |F - G|, with each law's CDF from ``marginal_cdf_grid``.
+    Two checks give ratios that must not exceed 1:
+
+    * the law series W1(pi_n, pi_inf), stored as ``series``, must fall
+      with n: each value over the one before;
+    * the run at n must lie nearer pi_n than any other law of the sweep,
+      pi_inf included: W1(run, pi_n) over the least W1(run, pi_m).
+
+    The statistic is the largest ratio and the threshold is 1;
+    ``sample_size`` is the smallest run's pooled snapshot count.
     """
     n_list = [int(v) for v in n_list]
     if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing with at least two entries")
-    d = domain.d
-    directions = None
-    if d > 1:
-        rng = np.random.default_rng(PROJECTION_SEED)
-        directions = rng.standard_normal((PROJECTIONS, d))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-
-    ref_cfg = dataclasses.replace(cfg, family="reflected")
-    split_cfg = dataclasses.replace(ref_cfg, seed=ref_cfg.seed + 104729)
-    baseline = _pooled_positions(run_ensemble(cs, ref_cfg, domain=domain))
-    split = _pooled_positions(run_ensemble(cs, split_cfg, domain=domain))
-    noise_floor = _wasserstein(baseline, split, directions)
-
     sd = SmoothDistance(domain)
-    distances = []
-    for step, n in enumerate(n_list):
-        pot = Potential(sd, n)
+    walls = [Potential(sd, n) for n in n_list]
+    laws = [[marginal_cdf_grid(StationaryMeasure(cs, potential=wall), axis)
+             for axis in range(domain.d)]
+            for wall in walls + [None]]  # the last law is pi_inf
+
+    def w1(law, other):  # the worst axis
+        return max(_w1_to_law(law[a], other[a]) for a in range(domain.d))
+
+    series = [w1(law, laws[-1]) for law in laws[:-1]]
+    ratios = [b / a for a, b in zip(series, series[1:])]
+    own, run_ratios, sizes = [], [], []
+    for step, wall in enumerate(walls):
         g_cfg = dataclasses.replace(
             cfg, family="gradient", seed=cfg.seed + 7919 * (step + 1)
         )
-        run = run_ensemble(cs, g_cfg, domain=domain, potential=pot)
-        distances.append(
-            _wasserstein(_pooled_positions(run), baseline, directions)
-        )
+        run = run_ensemble(cs, g_cfg, domain=domain, potential=wall)
+        x = run.x[run.ok].reshape(-1, domain.d)
+        if x.size == 0:
+            raise ValueError("run produced no usable snapshots")
+        dist = [w1(law, list(x.T)) for law in laws]
+        own.append(dist[step])
+        run_ratios.append(dist[step] / min(dist[:step] + dist[step + 1:]))
+        sizes.append(x.shape[0])
 
-    margin = 3.0 * noise_floor
-    detail = "n=%s distances=%s noise_floor=%.6g margin=%.6g" % (
-        n_list,
-        ["%.6g" % v for v in distances],
-        noise_floor,
-        margin,
-    )
-    return _report(
-        "weak_convergence_sweep",
-        distances[-1],
-        distances[0] - margin,
-        baseline.shape[0],
-        standard_error=noise_floor,
-        detail=detail,
-        series=distances,
-    )
+    detail = "n=%s law_w1=%s run_w1=%s run_ratios=%s law_ratios=%s" % (
+        n_list, *[["%.4g" % v for v in vals]
+                  for vals in (series, own, run_ratios, ratios)])
+    return _report("weak_convergence_sweep", max(run_ratios + ratios), 1.0,
+                   min(sizes), detail=detail, series=series)
 
 
 # ---------------------------------------------------------------------------

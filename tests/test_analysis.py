@@ -1,5 +1,5 @@
 """Statistical test battery: effective sample size, KS, moments,
-independence, angular uniformity, and the convergence sweep.
+independence, angular uniformity, and the smooth-wall sweep.
 
 Analytic oracles
 ----------------
@@ -195,20 +195,6 @@ def test_chi2_isf_matches_scipy(df):
                                rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_wasserstein_distance_is_bit_equal_to_scipy(seed):
-    rng = np.random.default_rng(seed)
-    samples = [
-        rng.standard_normal(rng.integers(1, 400)),
-        rng.standard_normal(rng.integers(1, 400)) * 0.5 + 0.3,
-        np.round(rng.random(rng.integers(1, 300)), 1),  # ties within and across
-        np.round(rng.random(rng.integers(1, 300)), 1),
-    ]
-    for a in samples:
-        for b in samples:
-            assert an._wasserstein_1d(a, b) == stats.wasserstein_distance(a, b)
-
-
 def test_svg_title_escapes_like_saxutils(tmp_path):
     title = "a&b<c>\"d'"
     path = histogram_svg(tmp_path / "h.svg", [0.0, 0.5, 1.0], [3, 4],
@@ -384,23 +370,79 @@ def test_battery_ks_in_one_dimension_is_ks_uniformity(interval_sm):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
-def test_weak_convergence_sweep(unit_interval, interval_cs):
-    cfg = SimConfig(
-        family="reflected",
-        dt_base=1e-3,
-        t_end=4.0,
-        n_paths=48,
-        seed=7,
-        burn_in=1.0,
-        snap_every=20,
-    )
-    rep = an.weak_convergence_sweep(unit_interval, interval_cs, [1, 2, 8], cfg)
+SWEEP_CFG = SimConfig(
+    family="reflected",
+    dt_base=1e-3,
+    t_end=4.0,
+    n_paths=48,
+    seed=7,
+    burn_in=1.0,
+    snap_every=20,
+)
+
+
+def test_w1_to_law_is_exact_for_piecewise_linear_cdfs():
+    uniform = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    # a point mass at 1/2: two triangles of area 1/8
+    assert an._w1_to_law(uniform, np.array([0.5])) == pytest.approx(0.25, abs=1e-15)
+    # U(0, 1) against U(0, 1/2): the means differ by 1/4, and the CDFs never cross
+    half = (np.array([0.0, 0.5]), np.array([0.0, 1.0]))
+    assert an._w1_to_law(uniform, half) == pytest.approx(0.25, abs=1e-15)
+    assert an._w1_to_law(half, uniform) == pytest.approx(0.25, abs=1e-15)
+    assert an._w1_to_law(uniform, uniform) == 0.0
+    # a step function crossing a line inside one piece: |1/2 - t| over [0, 1]
+    assert an._w1_to_law(uniform, np.array([0.0, 1.0])) == pytest.approx(
+        0.25, abs=1e-15)
+
+
+def test_w1_to_law_matches_scipy_on_a_finely_binned_law():
+    # scipy sees the law as point masses at the cell midpoints of a fine
+    # grid, which moves W1 by at most half a cell
+    grid = np.linspace(-1.0, 2.0, 300_001)
+    cdf = np.clip(grid, 0.0, 1.0) ** 2  # the density 2t on [0, 1]
+    mids, masses = 0.5 * (grid[1:] + grid[:-1]), np.diff(cdf)
+    rng = np.random.default_rng(3)
+    for sample in (rng.random(7), rng.random(500) ** 0.5, np.array([0.3, 0.3])):
+        want = stats.wasserstein_distance(sample, mids, v_weights=masses)
+        assert an._w1_to_law((grid, cdf), sample) == pytest.approx(
+            want, abs=1e-5)
+
+
+def test_weak_convergence_sweep(unit_interval, interval_cs, monkeypatch):
+    calls = []
+
+    def recording(cs, cfg, domain=None, potential=None):
+        calls.append((cfg.family, cfg.seed, potential.n))
+        return run_ensemble(cs, cfg, domain=domain, potential=potential)
+
+    monkeypatch.setattr(an, "run_ensemble", recording)
+    rep = an.weak_convergence_sweep(unit_interval, interval_cs, [1, 2, 8],
+                                    SWEEP_CFG)
+    # only the gradient runs, with the seeds that keep their trajectories
+    assert calls == [("gradient", 7 + 7919 * (i + 1), n)
+                     for i, n in enumerate([1, 2, 8])]
     assert rep.passed and not rep.inconclusive
-    assert len(rep.series) == 3
-    assert all(a > b for a, b in zip(rep.series, rep.series[1:]))
-    # split-seed noise floor is far below the sweep's travel
-    assert rep.standard_error < rep.series[0] / 10.0
+    assert rep.threshold == 1.0 and rep.standard_error is None
+    assert rep.sample_size == 48 * 150  # 150 snapshots per path after burn-in
+    # the exact law series W1(pi_n, pi_inf), which does not depend on the runs
+    np.testing.assert_allclose(rep.series, [0.2236, 0.1790, 0.0862], atol=5e-4)
+    run_ratios = [float(v) for v in
+                  rep.detail.split("run_ratios=[")[1].split("]")[0]
+                  .replace("'", "").split(",")]
+    assert max(run_ratios) < 0.3
+
+
+def test_weak_convergence_sweep_fails_a_wrong_wall(unit_interval, interval_cs,
+                                                   monkeypatch):
+    # the run labelled n steps V_2n, so it lies nearer pi_2n than pi_n
+    def doubled(cs, cfg, domain=None, potential=None):
+        wall = Potential(potential.distance, 2 * potential.n)
+        return run_ensemble(cs, cfg, domain=domain, potential=wall)
+
+    monkeypatch.setattr(an, "run_ensemble", doubled)
+    rep = an.weak_convergence_sweep(unit_interval, interval_cs, [1, 2, 8],
+                                    SWEEP_CFG)
+    assert not rep.passed and rep.statistic > 1.0
 
 
 def test_weak_convergence_sweep_validates_n_list(unit_interval, interval_cs):

@@ -7,6 +7,7 @@ Exit-code contract
 --strict), 1 = hard failure (statistical or runtime), 2 = config error.
 """
 
+import csv
 import dataclasses
 import glob
 import hashlib
@@ -235,6 +236,26 @@ def test_removed_step_limit_sim_field_exits_2_before_simulating(
     assert main(["run", path, "--output-dir", str(out)]) == 2
     assert "sim.%s is not a recognized field" % field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_refuses_an_unnormalizable_law_before_simulating(
+    tmp_path, capsys, monkeypatch
+):
+    # the half-line has no stationary law for the histograms to overlay
+    cfg = base_config(domain={"kind": "interval", "bounds": [0.0, float("inf")]})
+    cfg["sim"]["x0"] = [0.5]
+    path = write_config(tmp_path, "cfg.json", cfg)
+    real = cli.run_ensemble
+    monkeypatch.setattr(cli, "run_ensemble",
+                        lambda *a, **k: pytest.fail("simulated"))
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "not normalizable on an unbounded domain" in capsys.readouterr().err
+    assert not out.exists()
+    # with neither tests nor histograms the run needs no law
+    monkeypatch.setattr(cli, "run_ensemble", real)
+    assert main(["run", path, "--output-dir", str(out), "--no-histograms"]) == 0
+    assert (out / "trajectory.csv").exists()
 
 
 SIM_FIELDS = ("family", "dt_base", "t_end", "n_paths", "seed", "burn_in",
@@ -661,12 +682,42 @@ def test_sweep_subcommand_reports_and_masses(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", path, "--output-dir", str(out),
                  "--n-list", "1,2,8"]) == 0
-    report = (out / "report.csv").read_text().splitlines()
-    assert report[1].startswith("weak_convergence_sweep")
+    with open(out / "report.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["name"] == "weak_convergence_sweep"
+    assert row["threshold"] == "1" and row["standard_error"] == ""
+    assert "run_ratios=" in row["detail"] and "law_w1=" in row["detail"]
     rows = np.loadtxt(out / "masses.csv", delimiter=",", skiprows=1)
     assert list(rows[:, 0]) == [1.0, 2.0, 8.0]
     assert np.all(np.diff(rows[:, 1]) > 0)  # smoothed mass grows with n
-    assert "noise floor" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    # one exact W1(pi_n, pi_inf) per wall, then the runs' distances
+    laws = re.findall(r"n=(\d+) +w1_to_reflected_law=(\S+)", printed)
+    assert [int(n) for n, _ in laws] == [1, 2, 8]
+    np.testing.assert_allclose([float(v) for _, v in laws],
+                               [0.2236, 0.1790, 0.0862], atol=5e-4)
+    assert row["detail"] in printed and "noise floor" not in printed
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"domain": {"kind": "interval", "bounds": [0.0, float("inf")]},
+      "sim": dict(base_config()["sim"], x0=[0.5])},
+     "not normalizable on an unbounded domain"),
+    ({"dimension": 3,
+      "domain": {"kind": "box", "lo": [0.0] * 3, "hi": [1.0] * 3},
+      "coefficients": {"preset": "identity", "gamma": np.eye(3).tolist()}},
+     "sweep requires dimension 1 or 2"),
+], ids=["unbounded_domain", "three_dimensions"])
+def test_sweep_refuses_domains_without_marginal_laws_before_simulating(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    path = write_config(tmp_path, "cfg.json", base_config(**overrides))
+    monkeypatch.setattr(cli, "weak_convergence_sweep",
+                        lambda *a, **k: pytest.fail("simulated"))
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_checks_the_gradient_start_before_simulating(
