@@ -38,7 +38,9 @@ need a redraw take the step again, from its start, in the sub-step code.
 It evaluates the wall once per proposal through
 ``SmoothDistance._value_and_grad``, which shares its formula with
 ``value`` and ``grad``, and carries delta and grad delta of the accepted
-proposal into the next sub-step or step.
+proposal into the next sub-step or step.  Its scalar constants are 0-d
+float64 arrays, and no step tests the delta floor or the exponent cap
+(see ``gradient_chunk`` for both).
 """
 
 import importlib.util
@@ -64,12 +66,19 @@ FLAG_NAMES = {
 
 LOG_WEIGHT_CAP = 700.0
 
+# 1 and 0 as 0-d float64 arrays (see gradient_chunk)
+_ONE = np.array(1.0)
+_ZERO = np.array(0.0)
+
 
 def _rowdot(M, V):
     """out[:, i] = sum_j M[i, j] V[:, j] for one (d, d) matrix M or a stack
     of one (d, d) matrix per row, summed left to right from +0.0
-    (``p + 0.0`` turns a product of -0.0 into +0.0, as ``0.0 + p`` does)."""
-    out = V[:, 0, None] * M[..., 0] + 0.0
+    (``p + 0.0`` turns a product of -0.0 into +0.0, as ``0.0 + p`` does);
+    with d = 1, V is its own column."""
+    if V.shape[1] == 1:
+        return V * M[..., 0] + _ZERO
+    out = V[:, 0, None] * M[..., 0] + _ZERO
     for j in range(1, V.shape[1]):
         out = out + V[:, j, None] * M[..., j]
     return out
@@ -227,20 +236,34 @@ def gradient_chunk(
     arrays once per chunk and stepped there.  With constant S, z is
     overwritten with S z before the first step (the product is elementwise,
     so each row gets the value a per-step product gives).  Each step first
-    moves every live row by the whole step dt in one pass, with scalar dt
-    and sqrt(dt).  A row whose drift would move it more than ``h_max`` in
-    dt, that sits too close to the wall to evaluate, or whose proposal
-    falls below ``delta_guard`` keeps its step start and takes the step in
+    moves every live row by the whole step dt in one pass.  A row whose
+    drift mu would move it more than ``h_max`` in dt, or whose proposal
+    falls below ``delta_guard``, keeps its step start and takes the step in
     ``substeps``, the sub-step, redraw and rollback code, on the same
     normals.  Flagged rows are written back after their step, the others at
     the chunk end; ``refill`` reads neither x nor k.
+
+    At P = 128 a step is a few dozen numpy calls on short arrays, so their
+    fixed cost is the step's cost.  dt, sqrt(dt), n, h_max and the guard
+    therefore come as 0-d float64 arrays, and so do the module's 1 and 0
+    and the constants of ``SmoothDistance``'s interval and ball evaluator:
+    NumPy converts a Python float operand on every ufunc call, which a 0-d
+    array skips, and every operand is float64, so the bits do not change.
+
+    Every step starts at a point with delta >= ``delta_guard``: x0 passes
+    ``simulate._preflight``, every accepted proposal passes the guard test,
+    and a rollback or refill returns to an accepted point.  Correctly
+    rounded operations are monotone, so the exponent E = 1/(n delta) is at
+    most 1/(n guard), which the preflight holds at or below
+    ``Potential.EXPONENT_CAP``, with the guard at or above
+    ``Potential.delta_floor``; no step tests either bound.
     """
-    (dt, S, b, A2, NU, vn, h_max, delta_guard, delta_floor, exp_cap,
+    (dt, sqrt_dt, S, b, A2, NU, vn, h_max, delta_guard,
      first_snap, snap_every, max_sub, resample_cap) = params
-    vary_s = callable(S)
+    vary_s, vary_b, vary_a = callable(S), callable(b), callable(A2)
     P, C, d = z.shape
     pool_len = pool.shape[1]
-    sqrt_dt = np.sqrt(dt)
+    neg_vn, tiny = np.array(-vn), dt * 1e-12
     rows = (flags == FLAG_OK).nonzero()[0]
     xs, ks = x[rows], k[rows]
     cd, cg = sd._value_and_grad(xs)  # delta and grad delta at xs
@@ -250,15 +273,18 @@ def gradient_chunk(
     moves = redraws = 0
 
     def wall_drift(xg, kg, delta, gdel):
-        """E = 1/(n delta), grad V, the drift mu and its length."""
-        E = 1.0 / (vn * delta)
-        gV = -(np.exp(E) / (vn * (delta * delta)))[:, None] * gdel
-        mu = ((b(xg) if callable(b) else b)
-              - _rowdot(A2(xg) if callable(A2) else A2, gV)) + kg
-        speed2 = mu[:, 0] * mu[:, 0]  # equals 0.0 + mu^2: no -0.0
+        """grad V = -(e^E / (n delta^2)) grad delta with E = 1/(n delta),
+        the drift mu and its length."""
+        E = _ONE / (vn * delta)
+        # dividing by -n delta^2 gives the bits of -(e^E / (n delta^2))
+        gV = (np.exp(E) / (neg_vn * (delta * delta)))[:, None] * gdel
+        mu = ((b(xg) if vary_b else b)
+              - _rowdot(A2(xg) if vary_a else A2, gV)) + kg
+        m0 = mu[:, 0]
+        speed2 = m0 * m0  # equals 0.0 + mu^2: no -0.0
         for i in range(1, d):
             speed2 = speed2 + mu[:, i] * mu[:, i]
-        return E, gV, mu, np.sqrt(speed2)
+        return gV, mu, np.sqrt(speed2)
 
     def substeps(gi, c):
         """Take step c for the compact rows ``gi`` (sorted) from their step
@@ -286,10 +312,9 @@ def gradient_chunk(
                     lost = True
                     break
                 xg, kg = xs[gi], ks[gi]
-                E, gV, mu, speed = wall_drift(xg, kg, delta, gdel)
+                gV, mu, speed = wall_drift(xg, kg, delta, gdel)
                 dts = np.where(speed * rem <= h_max, rem, h_max / speed)
-                # too close to the wall to evaluate, or a collapsed sub-step
-                fail = (delta < delta_floor) | (E > exp_cap) | (dts < dt * 1e-12)
+                fail = dts < tiny  # a collapsed sub-step
                 if np.count_nonzero(fail):
                     flags[rows[gi[fail]]] = FLAG_BOUNDARY_OVERFLOW
                     lost = True
@@ -364,24 +389,24 @@ def gradient_chunk(
             delta, gdel = sd._value_and_grad(xs[gi])
         return lost
 
-    # a wall too close for double precision is caught by the ``fail`` test,
-    # so floating-point warnings stay off for the whole chunk
+    # a drift that overflows near the wall fails the speed test, and then
+    # the collapsed sub-step test, so floating-point warnings stay off for
+    # the whole chunk
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c in range(C):
             if not len(rows):
                 break
+            full = len(rows) == P
             # the whole step in one move, for every live row
-            E, gV, mu, speed = wall_drift(xs, ks, cd, cg)
-            zc = z[:, c] if len(rows) == P else z[rows, c]
+            gV, mu, speed = wall_drift(xs, ks, cd, cg)
+            zc = z[:, c] if full else z[rows, c]
             noise = _rowdot(S(xs), zc) if vary_s else zc
             xp = xs + (sqrt_dt * noise + mu * dt)
             dprop, gprop = sd._value_and_grad(xp)
             kp = ks - _rowdot(NU, gV) * dt
-            # rows that sub-divide, fail or need a redraw keep their step
-            # start and take the step in ``substeps``
+            # rows that sub-divide or need a redraw keep their step start
+            # and take the step in ``substeps``
             whole = speed * dt <= h_max
-            whole &= cd >= delta_floor
-            whole &= E <= exp_cap
             whole &= dprop >= delta_guard
             n_slow = len(rows) - np.count_nonzero(whole)
             if n_slow:
@@ -395,12 +420,14 @@ def gradient_chunk(
                 gone = rows[~keep]
                 x[gone], k[gone] = xs[~keep], ks[~keep]
                 rows, xs, ks, cd, cg = _take(keep, rows, xs, ks, cd, cg)
+                full = len(rows) == P
             s = gstep0 + c + 1
             if s >= first_snap and (s - first_snap) % snap_every == 0:
                 slot = (s - first_snap) // snap_every
-                out_x[rows, slot, :] = xs
-                out_k[rows, slot, :] = ks
-                out_ell[rows, slot] = 0.0
+                at = slice(None) if full else rows
+                out_x[at, slot, :] = xs
+                out_k[at, slot, :] = ks
+                out_ell[at, slot] = 0.0
     x[rows], k[rows] = xs, ks
     counters[0] += moves
     counters[1] += redraws

@@ -658,6 +658,16 @@ class SmoothDistance:
     ``breakpoints_1d`` lists interior points where delta is only C2 (used to
     split 1D quadrature panels).  ``cap_fraction`` (0.1), ``sharpness`` (8)
     and ``scan_points`` (4096) are class constants.
+
+    ``_value_and_grad`` (delta and grad delta, sharing their terms) and
+    ``_value`` (delta alone) are picked per domain kind once, at
+    construction, as the instance's own attributes, so the gradient kernel
+    pays no kind test per call.  The interval and ball evaluator reads its
+    constants (inradius, cap radius, the cap coefficients, 3, 4 and -1) as
+    0-d float64 arrays made here, for the reason given in
+    :func:`inertdrift._kernels.gradient_chunk`.  The cap radius is also kept
+    as the float ``_cap``, which :mod:`inertdrift.stationary` uses as a
+    hashable quadrature breakpoint.
     """
 
     cap_fraction = 0.1
@@ -668,22 +678,28 @@ class SmoothDistance:
         self.domain = domain
         d = domain.d
 
-        self._half_line = domain.kind == "interval" and domain.unbounded
-        if self._half_line:
+        if domain.kind == "interval" and domain.unbounded:  # the half-line
             self.c1 = self.c2 = 1.0
             self.breakpoints_1d = []
+            self._lo = np.array(float(domain.lo))
+            self._value_and_grad = self._half_line_value_and_grad
+            self._value = self._half_line_value
         elif domain.kind in ("interval", "ball"):
             w = domain.inradius
             a = self.cap_fraction * w
             self._cap = a
             self.c1 = 1.0 - 3.0 * a / (8.0 * w)
             self.c2 = 1.0
-            self._w = w
             self._mid = np.asarray(domain.centroid, dtype=float)
+            # w, a, then phi0, phi2, phi4, dphi0, dphi2 with
             # phi(s) = phi0 + 3 s^2 / phi2 - s^4 / phi4 and
             # phi'(s) / s = dphi0 - s^2 / dphi2 inside the cap
-            self._phi0, self._phi2, self._phi4 = 3 * a / 8, 4 * a, 8 * a**3
-            self._dphi0, self._dphi2 = 3.0 / (2 * a), 2 * a**3
+            self._consts = tuple(np.array(float(v)) for v in (
+                w, a, 3 * a / 8, 4 * a, 8 * a**3, 3.0 / (2 * a), 2 * a**3,
+                3.0, 4.0, -1.0))
+            self._interval = d == 1
+            self._value_and_grad = self._centre_value_and_grad
+            self._value = self._centre_value
             if d == 1:
                 mid = float(self._mid[0])
                 self.breakpoints_1d = [mid - a, mid + a]
@@ -693,8 +709,12 @@ class SmoothDistance:
             self.c1 = float((2 * d) ** (-1.0 / self.sharpness))
             self.c2 = 1.0
             self.breakpoints_1d = []
+            self._value_and_grad = self._box_value_and_grad
+            self._value = self._box_value
         elif domain.kind == "ellipsoid":
             self._scale = float(np.min(domain.radii))
+            self._value_and_grad = self._ellipsoid_value_and_grad
+            self._value = self._ellipsoid_value
             rng = np.random.default_rng(1234)
             pts = domain.sample_interior(self.scan_points, rng)
             ratios = self._value(pts) / domain.signed_distance(pts)
@@ -704,84 +724,93 @@ class SmoothDistance:
         else:
             raise GeometryError(f"no smooth distance for domain kind {domain.kind!r}")
 
-    def _centre_offset(self, pts):
-        """x - centre and its length s, for a bounded interval or a ball."""
-        u = pts - self._mid
-        if self.domain.kind == "interval":
-            return u, np.abs(u[:, 0])
-        return u, np.linalg.norm(u, axis=1)
+    def _centre_delta(self, pts):
+        """x - centre, its length s (an (m, 1) column), s^2, the cap mask
+        s < a and delta = w - phi(s) at (m, d) points of a bounded interval
+        or a ball.
 
-    def _capped_delta(self, s, s2, inside):
-        """delta = w - phi(s), with phi the quartic cap where ``inside``."""
-        # s**4 is one correctly rounded pow, not s2 * s2
-        return self._w - np.where(
-            inside, self._phi0 + 3 * s2 / self._phi2 - s**4 / self._phi4, s)
-
-    def _value_and_grad(self, pts):
-        """delta and grad delta at (m, d) points, sharing their terms.
-
-        Interval, half-line and ball: delta = w - phi(s), from one distance s
-        to the centre, with the quartic cap
+        phi is the quartic cap
         phi(s) = 3a/8 + 3 s^2/(4a) - s^4/(8 a^3) for s < a and phi(s) = s
         beyond; phi is C2 at s = a (phi(a)=a, phi'(a)=1, phi''(a)=0) and
-        smooth at s = 0.  grad delta = -(phi'(s)/s) (x - centre), where
-        phi'(s)/s stays finite through s = 0.  On the half-line delta is
-        x - lo.  ``_value`` shares the offset and delta steps.
-
-        Box: the soft minimum of ``_value``, with
-        grad delta = sum_i ((delta/f_lo_i)^(beta+1) - (delta/f_hi_i)^(beta+1)) e_i
-        for the face distances f.  Ellipsoid: delta = phi / g from
-        ``_ellipsoid_terms``, which ``_value`` shares, and its gradient by
-        the quotient rule.  The gradient kernel and ``_grad`` evaluate this
-        method.
+        smooth at s = 0.  s is |x - centre| on the interval, and on the
+        ball the sqrt of the summed squares (what ``np.linalg.norm``
+        computes).
         """
-        dom = self.domain
-        if dom.kind == "box":
-            beta = self.sharpness
-            val = self._value(pts)
-            grad = np.zeros_like(pts)
-            for i in range(dom.d):
-                flo = pts[:, i] - dom.lo[i]
-                fhi = dom.hi[i] - pts[:, i]
-                grad[:, i] += (val / flo) ** (beta + 1.0)
-                grad[:, i] -= (val / fhi) ** (beta + 1.0)
-            return val, grad
-        if dom.kind == "ellipsoid":
-            phi, gphi, g = self._ellipsoid_terms(pts)
-            du = 8.0 * (pts - dom.center) / dom.radii**4
-            dv = (8.0 / self._scale**2) * phi[:, None] * gphi
-            dg = (du + dv) / (2.0 * g[:, None])
-            return phi / g, gphi / g[:, None] - (phi / g**2)[:, None] * dg
-        if self._half_line:
-            return pts[:, 0] - dom.lo, np.ones_like(pts)
-        a = self._cap
-        u, s = self._centre_offset(pts)
-        s2 = s**2
+        w, a, phi0, phi2, phi4, _, _, three, four, _ = self._consts
+        u = pts - self._mid
+        s = (np.abs(u) if self._interval
+             else np.sqrt(np.add.reduce(u * u, 1, keepdims=True)))
+        s2 = s * s
         inside = s < a
-        # beyond the cap s >= a, and the maximum keeps 1/s finite where unused
-        dphi_over_s = np.where(inside, self._dphi0 - s2 / self._dphi2,
-                               1.0 / np.maximum(s, a))
-        return self._capped_delta(s, s2, inside), -dphi_over_s[:, None] * u
+        # s**4 is one correctly rounded pow, not s2 * s2
+        delta = w - np.where(inside, phi0 + three * s2 / phi2 - s**four / phi4, s)
+        return u, s, s2, inside, delta[:, 0]
 
-    def _value(self, pts):
+    def _centre_value_and_grad(self, pts):
+        """delta and grad delta = -(phi'(s)/s) (x - centre) at (m, d) points
+        of a bounded interval or a ball (see ``_centre_delta``).
+
+        phi'(s)/s stays finite through s = 0; it is formed as
+        s^2/dphi2 - dphi0 or -1/s, the same bits as -(phi'(s)/s) at every
+        s but NaN (the first is never zero).
+        """
+        _, a, _, _, _, dphi0, dphi2, _, _, m_one = self._consts
+        u, s, s2, inside, delta = self._centre_delta(pts)
+        # beyond the cap s >= a, and the maximum keeps 1/s finite where unused
+        neg_dphi_over_s = np.where(inside, s2 / dphi2 - dphi0,
+                                   m_one / np.maximum(s, a))
+        return delta, neg_dphi_over_s * u
+
+    def _centre_value(self, pts):
+        return self._centre_delta(pts)[4]
+
+    def _half_line_value_and_grad(self, pts):
+        """The half-line's delta = x - lo and its gradient 1."""
+        return pts[:, 0] - self._lo, np.ones_like(pts)
+
+    def _half_line_value(self, pts):
+        return pts[:, 0] - self._lo
+
+    def _box_value_and_grad(self, pts):
+        """The soft minimum of ``_box_value``, with
+        grad delta = sum_i ((delta/f_lo_i)^(beta+1) - (delta/f_hi_i)^(beta+1)) e_i
+        for the face distances f."""
         dom = self.domain
-        if self._half_line:
-            return pts[:, 0] - dom.lo
-        if dom.kind in ("interval", "ball"):
-            s = self._centre_offset(pts)[1]
-            return self._capped_delta(s, s**2, s < self._cap)
-        if dom.kind == "box":
-            beta = self.sharpness
-            f = np.concatenate([pts - dom.lo, dom.hi - pts], axis=1)  # (m, 2d)
-            fmin = f.min(axis=1)
-            out = np.empty(pts.shape[0])
-            pos = fmin > 0
-            if np.any(pos):
-                fp = f[pos]
-                mn = fmin[pos][:, None]
-                out[pos] = fmin[pos] * np.sum((mn / fp) ** beta, axis=1) ** (-1.0 / beta)
-            out[~pos] = fmin[~pos]
-            return out
+        beta = self.sharpness
+        val = self._box_value(pts)
+        grad = np.zeros_like(pts)
+        for i in range(dom.d):
+            flo = pts[:, i] - dom.lo[i]
+            fhi = dom.hi[i] - pts[:, i]
+            grad[:, i] += (val / flo) ** (beta + 1.0)
+            grad[:, i] -= (val / fhi) ** (beta + 1.0)
+        return val, grad
+
+    def _box_value(self, pts):
+        dom = self.domain
+        beta = self.sharpness
+        f = np.concatenate([pts - dom.lo, dom.hi - pts], axis=1)  # (m, 2d)
+        fmin = f.min(axis=1)
+        out = np.empty(pts.shape[0])
+        pos = fmin > 0
+        if np.any(pos):
+            fp = f[pos]
+            mn = fmin[pos][:, None]
+            out[pos] = fmin[pos] * np.sum((mn / fp) ** beta, axis=1) ** (-1.0 / beta)
+        out[~pos] = fmin[~pos]
+        return out
+
+    def _ellipsoid_value_and_grad(self, pts):
+        """delta = phi / g from ``_ellipsoid_terms`` and its gradient by the
+        quotient rule."""
+        dom = self.domain
+        phi, gphi, g = self._ellipsoid_terms(pts)
+        du = 8.0 * (pts - dom.center) / dom.radii**4
+        dv = (8.0 / self._scale**2) * phi[:, None] * gphi
+        dg = (du + dv) / (2.0 * g[:, None])
+        return phi / g, gphi / g[:, None] - (phi / g**2)[:, None] * dg
+
+    def _ellipsoid_value(self, pts):
         phi, _, g = self._ellipsoid_terms(pts)
         return phi / g
 

@@ -589,7 +589,8 @@ def _preflight(cs, cfg, domain=None, potential=None):
     """The checked domain, x0, k0 and wall guard (None when reflected) of a
     run of ``cfg``; ValueError, before anything runs, for an argument
     ``run_ensemble`` cannot step, x0 outside the domain or in the wall
-    layer included.  ``cli.load_run_config`` calls it too."""
+    layer and a wall too thin for its guard layer included.
+    ``cli.load_run_config`` calls it too."""
     if cfg.family == "gradient":
         if potential is None:
             raise ValueError("the gradient family needs potential=")
@@ -615,6 +616,16 @@ def _preflight(cs, cfg, domain=None, potential=None):
     guard = None
     if cfg.family == "gradient":
         guard = _default_delta_guard(potential)
+        # every step starts at delta >= guard, so the kernel tests neither
+        # bound below (see _kernels.gradient_chunk)
+        floor, top = potential.delta_floor, 1.0 / (float(potential.n) * guard)
+        if not (guard >= floor and top <= Potential.EXPONENT_CAP):
+            raise ValueError(
+                "the wall is too thin to step: its guard layer %.3g must "
+                "give 1/(n guard) <= %.0f (got %.4g) and clear the delta "
+                "floor %.3g, which an inradius below 4/(%.0f n) does not"
+                % (guard, Potential.EXPONENT_CAP, top, floor,
+                   Potential.EXPONENT_CAP))
         start_delta = float(potential.distance.value(x0))
         if start_delta < guard:
             raise ValueError(
@@ -659,17 +670,24 @@ def _gradient_params(cs, potential, cfg, guard):
     """Read-only constants of a gradient-family kernel run, in the order
     the kernel unpacks them, with varying coefficients passed as functions
     as in :func:`_reflected_params`; the kernel reads the wall's geometry
-    from ``potential.distance`` itself."""
+    from ``potential.distance`` itself.
+
+    The tuple is (dt, sqrt(dt), S, b, A/2, Gamma/2, n, h_max, guard,
+    first snapshot step, snap_every, MAX_SUBSTEPS, RESAMPLE_CAP), with
+    dt, sqrt(dt), n, h_max = H_MAX_FRACTION * inradius and the guard as 0-d
+    float64 arrays (see ``_kernels.gradient_chunk``).
+    """
     if cs.is_constant_sigma:
         S, A2 = cs._sigma_const, 0.5 * cs._a_const
     else:
         S, A2 = cs._sigma_batch, lambda pts: 0.5 * cs._a_batch(pts)
+    dt = cfg.dt_base
     return (
-        cfg.dt_base, S, _drift(cs), A2, 0.5 * np.asarray(cs.gamma, float),
-        float(potential.n), H_MAX_FRACTION * potential.domain.inradius,
-        float(guard), float(potential.delta_floor),
-        float(Potential.EXPONENT_CAP), cfg.first_snapshot_step,
-        cfg.snap_every, MAX_SUBSTEPS, RESAMPLE_CAP,
+        np.array(dt), np.array(np.sqrt(dt)), S, _drift(cs), A2,
+        0.5 * np.asarray(cs.gamma, float), np.array(float(potential.n)),
+        np.array(H_MAX_FRACTION * potential.domain.inradius),
+        np.array(float(guard)), cfg.first_snapshot_step, cfg.snap_every,
+        MAX_SUBSTEPS, RESAMPLE_CAP,
     )
 
 

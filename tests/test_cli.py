@@ -221,6 +221,20 @@ def test_bad_start_point_exits_2_before_simulating(
     assert not out.exists()
 
 
+def test_wall_too_thin_for_its_guard_exits_2_before_simulating(tmp_path, capsys):
+    # an n = 1 wall on [0, 0.004]: its guard 5e-4 gives 1/(n guard) = 2000,
+    # above the exponent cap 700, which the kernel does not test per step
+    cfg = base_config(domain={"kind": "interval", "bounds": [0.0, 0.004]},
+                      potential={"kind": "regularized_vn", "n": 1})
+    cfg["sim"].update({"family": "gradient", "dt_base": 1e-6, "t_end": 1e-4,
+                       "burn_in": 0.0, "snap_every": 10})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "the wall is too thin to step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("adaptive", True), ("h_max_fraction", 0.05), ("delta_guard", 0.01),
     ("max_substeps", 200), ("resample_cap", 50),
@@ -416,6 +430,7 @@ DISC_REPORT_SHA = (
     "d9ace3202e6d12fd4f589607153b645f22ef3a784ea1f01222c46d3401fb76b2")
 
 
+@pytest.mark.digests
 def test_disc_battery_report_is_pinned(tmp_path, capsys):
     with open(os.path.join(CONFIG_DIR, "disc_gamma21.json")) as fh:
         cfg = json.load(fh)

@@ -46,8 +46,10 @@ from inertdrift import (
     make_coefficients,
     run_ensemble,
 )
-from inertdrift import _kernels, simulate
+from inertdrift import _kernels, cli, simulate
 from inertdrift.simulate import _CSV_BLOCK_ROWS, TrajectoryBatch
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 FROZEN_X1 = 0.5147781121978613
 FROZEN_K1 = 0.014778112197861301
@@ -630,6 +632,7 @@ BOX_ELLIPSOID_GOLDEN = {
 }
 
 
+@pytest.mark.digests
 @pytest.mark.parametrize("dom,x0", [
     (Box([0.0, 0.0], [1.0, 2.0]), (0.05, 1.95)),
     (Ellipsoid([0.1, 0.0], [1.0, 0.5]), (0.1, 0.42)),
@@ -705,6 +708,7 @@ def _digests(b):
             b.diagnostics["contacts"])
 
 
+@pytest.mark.digests
 def test_reflected_kernel_matches_generic_driver(interval_cs, unit_interval):
     kw = dict(
         family="reflected",
@@ -860,6 +864,7 @@ HALF_PUSH_ELL = {
 }
 
 
+@pytest.mark.digests
 @pytest.mark.parametrize("name,family", sorted(REFLECTED_GOLDEN))
 def test_reflected_kernel_golden_digests(name, family):
     cs, dom, cfg = _reflected_case(name, family)
@@ -934,6 +939,7 @@ BOUNDARY_FIELD_GOLDEN = {
 }
 
 
+@pytest.mark.digests
 @pytest.mark.parametrize("name,family", sorted(BOUNDARY_FIELD_GOLDEN))
 def test_inert_field_functions_golden_digests(name, family):
     cs, dom, cfg = _boundary_field_case(name, family)
@@ -996,6 +1002,7 @@ def _flag_case(name, family):
                               **(kw if family == "driftless_weighted" else {}))
 
 
+@pytest.mark.digests
 @pytest.mark.parametrize("name,family", sorted(FLAG_GOLDEN))
 def test_reflected_kernel_flag_paths(name, family, monkeypatch):
     # weight_overflow: a low cap, read by the kernel;
@@ -1129,6 +1136,7 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+@pytest.mark.digests
 @pytest.mark.parametrize("name", sorted(GRADIENT_GOLDEN))
 def test_generic_gradient_matches_numpy_bitwise(name, monkeypatch):
     # the goldens hold the digests of earlier kernels (see GRADIENT_GOLDEN)
@@ -1182,6 +1190,7 @@ def test_gradient_kernel_finishes_each_chunk_in_one_call(monkeypatch):
     assert calls == [0, 10, 20, 30, 40]
 
 
+@pytest.mark.digests
 def test_gradient_wall_benchmark_config_digests(tmp_path):
     # the perfbench gradient_wall job at workload seed 1, built inline: its
     # simulation seed is the first 4 bytes of sha256("gradient_wall:1"), as
@@ -1206,6 +1215,7 @@ def test_gradient_wall_benchmark_config_digests(tmp_path):
         "055a968c26e9fae812dd767b02099f76bd222359bb64fc58bfe0b35ab61e9e8e")
 
 
+@pytest.mark.digests
 def test_weighted_wide_benchmark_config_digests(monkeypatch):
     # the perfbench weighted_wide job at workload seed 1, built inline as in
     # the gradient_wall test above: 4096 paths, so its noise comes in blocks
@@ -1231,6 +1241,50 @@ def test_weighted_wide_benchmark_config_digests(monkeypatch):
             "0bf3c539f72bd08ec6ae84bdb8db7c6d96aa3f19a8507d988ad99a24045a2875",
             "bf31c48718c5e19ab5a2938372aa96cbfbb7b2657e0aa70b46f662c98007dc29")
         assert b.diagnostics["contacts"] == 241430 and b.ok.all()
+
+
+@pytest.mark.digests
+def test_shipped_gradient_config_digests():
+    # configs/gradient_interval_n2.json as shipped but for t_end 1.0 and
+    # burn_in 0.5, through the config loader
+    cfg = cli.load_run_config(os.path.join(CONFIG_DIR, "gradient_interval_n2.json"))
+    sim = dataclasses.replace(cfg.sim, t_end=1.0, burn_in=0.5)
+    b = run_ensemble(cfg.cs, sim, potential=cfg.potential)
+    assert (_sha256(b.x), _sha256(b.k), _sha256(b.ell)) == (
+        "d769221a4720fe9f78a5133c1e14287e061b2d8f64610928507be540d7666eb6",
+        "c75f044107113f8f7ee15f9e7143dcde3418061faf855fffe7c56033e3629ba4",
+        "16fa66a7dc98d93f2a4c5d20baf5177f59c4c37fc62face65690c11c15fe6ff9")
+    assert b.diagnostics == {
+        "contacts": 0, "substeps_total": 1280000, "resampled_proposals": 0,
+        "pool_refills": 0, "boundary_overflow_paths": 0,
+        "reflect_failure_paths": 0, "weight_overflow_paths": 0,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_GOLDEN))
+def test_gradient_runs_never_record_a_point_inside_the_guard(name, monkeypatch):
+    # every step starts at delta >= guard, which is why the kernel tests
+    # neither the delta floor nor the exponent cap
+    cs, pot, cfg = _gradient_case(name)
+    guard = simulate._default_delta_guard(pot)
+    if name == "redraws":
+        guard = REDRAWS_GUARD
+        monkeypatch.setattr(simulate, "_default_delta_guard",
+                            lambda potential: REDRAWS_GUARD)
+    b = run_ensemble(cs, cfg, potential=pot)
+    live = b.x[b.flags == 0].reshape(-1, cs.domain.d)
+    assert len(live) and np.all(pot.distance._value(live) >= guard)
+
+
+def test_wall_too_thin_for_its_guard_is_refused():
+    # inradius 0.002 < 4/(700 n): guard 5e-4 and 1/(n guard) = 2000 > 700
+    iv = Interval(0.0, 0.004)
+    pot = Potential(SmoothDistance(iv), 1)
+    cs = make_coefficients("identity", iv, gamma=[[1.0]])
+    cfg = SimConfig(family="gradient", dt_base=1e-6, t_end=1e-5, n_paths=2,
+                    seed=0)
+    with pytest.raises(ValueError, match="too thin"):
+        run_ensemble(cs, cfg, potential=pot)
 
 
 DIAGNOSTIC_KEYS = {
@@ -1289,15 +1343,15 @@ def test_gradient_substep_budget_flag_is_deterministic(
 
 # every proposal of every step is thrown out of D, so each attempt needs
 # RESAMPLE_CAP + 1 = 51 reserve normals from a pool of C = 20; the step
-# limits are patched before the run: no sub-step cap, a guard of 1e-12 and
-# one sub-step per step
+# limits are patched before the run: no sub-step cap and one sub-step per
+# step.  The guard stays the default: one with 1/(n guard) above
+# Potential.EXPONENT_CAP is a config error.
 _POOL_OVERRUN_SCRIPT = """
 import hashlib, json
 from inertdrift import (Interval, Potential, SimConfig, SmoothDistance,
                         make_coefficients, run_ensemble, simulate)
 simulate.H_MAX_FRACTION = float("inf")
 simulate.MAX_SUBSTEPS = 1
-simulate._default_delta_guard = lambda potential: 1e-12
 iv = Interval(0.0, 1.0)
 cs = make_coefficients("identity", iv, gamma=[[1.0]])
 pot = Potential(SmoothDistance(iv), 1)
@@ -1929,6 +1983,7 @@ def _row_identity_case(family):
         snap_every=10, x0=(0.15,))
 
 
+@pytest.mark.digests
 @pytest.mark.parametrize("family", ["reflected", "driftless_weighted", "gradient"])
 def test_first_rows_of_a_wide_split_run_are_the_narrow_run(monkeypatch, family):
     # path p reads only SeedSequence(seed, spawn_key=(p,)) and its own state
